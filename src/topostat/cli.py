@@ -57,16 +57,13 @@ def cmd_analyze(args) -> int:
     smooth_fwhm = (_parse_fwhm(args.smooth, len(ds.dims)) if args.smooth
                    else [0.0] * len(ds.dims))
     if any(f > 0 for f in smooth_fwhm):
-        mask_nd = mask.reshape(ds.dims)
-        for i in range(ds.n_obs):
-            data[i] = preproc.gaussian_smooth(
-                data[i].reshape(ds.dims), smooth_fwhm, mask=mask_nd).ravel()
+        data = preproc.gaussian_smooth(data.reshape((ds.n_obs,) + ds.dims), smooth_fwhm,
+                                       mask=mask.reshape(ds.dims)).reshape(ds.n_obs, -1)
 
     space = build_lattice(ds.dims, mask, axis_labels=ds.axes, axis_units=ds.units)
     fit = glm.fit(data, design)
     stat = glm.t_map(fit, contrast)
     residuals = glm.normalized_residuals(fit)
-    fwhm_hat = lkc.fwhm_estimate(residuals, space)
 
     n_t = ds.dims[-1]
     window_bins = [0, n_t - 1]
@@ -80,7 +77,7 @@ def cmd_analyze(args) -> int:
             raise ValueError(f"empty time window {lo}:{hi}")
 
     mu = intrinsic_volumes(analysis_space)
-    top = lkc.lkc_top(residuals, analysis_space)
+    top, fwhm_hat = lkc.lattice_smoothness(residuals, space, analysis_space)
     resels = lkc.lkc_vector(top, mu, fwhm=fwhm_hat)
 
     t_feature = float(_sstats.t.isf(args.height_p, fit.dof))
@@ -173,10 +170,7 @@ def cmd_smooth(args) -> int:
     fwhm = _parse_fwhm(args.fwhm, len(ds.dims))
     data = ds.load()
     mask = ds.load_mask().reshape(ds.dims)
-    smoothed = np.empty((ds.n_obs,) + ds.dims)
-    for i in range(ds.n_obs):
-        smoothed[i] = preproc.gaussian_smooth(data[i].reshape(ds.dims),
-                                              fwhm, mask=mask)
+    smoothed = preproc.gaussian_smooth(data.reshape((ds.n_obs,) + ds.dims), fwhm, mask=mask)
     written = write_dataset(Path(args.output), smoothed, axes=ds.axes,
                             units=ds.units,
                             mask=mask if ds.has_mask else None)

@@ -40,7 +40,7 @@ class Dataset:
         """All observations as an (n_obs, n_points) float64 array."""
         out = np.empty((self.n_obs, self.n_points))
         for i, name in enumerate(self.files):
-            out[i] = _read_volume(self.path / name, self.n_points)
+            _read_volume(self.path / name, out[i])
         return out
 
     def load_mask(self) -> np.ndarray:
@@ -55,14 +55,14 @@ class Dataset:
         return np.frombuffer(raw, dtype=np.uint8) != 0
 
 
-def _read_volume(path: Path, n_points: int) -> np.ndarray:
+def _read_volume(path: Path, out: np.ndarray) -> None:
     data = path.read_bytes()
-    if len(data) != 8 * n_points:
+    if len(data) != out.nbytes:
         raise ValueError(
-            f"{path}: {len(data)} bytes, expected {8 * n_points} "
+            f"{path}: {len(data)} bytes, expected {out.nbytes} "
             f"(no silent truncation)"
         )
-    return np.frombuffer(data, dtype="<f8").copy()
+    out[:] = np.frombuffer(data, dtype="<f8")
 
 
 def read_dataset(path) -> Dataset:

@@ -93,6 +93,8 @@ def fwe_p(peak_height: float, resels: ReselVector, field: FieldType) -> float:
     peak_height = float(peak_height)
     if math.isnan(peak_height):
         raise ValueError("peak height must not be NaN")
+    if not all(map(math.isfinite, resels.resels)):
+        raise ValueError(f"resels must be finite, got {resels.resels}")
     if peak_height == math.inf:
         return 0.0
     if peak_height == -math.inf:
@@ -117,6 +119,8 @@ def corrected_threshold(alpha: float, resels: ReselVector, field: FieldType,
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    if not all(map(math.isfinite, resels.resels)):
+        raise ValueError(f"resels must be finite, got {resels.resels}")
     if alpha == 1.0:
         return float(t_lo)
 

@@ -4,7 +4,7 @@ Turns a statistic field plus a resel vector into reporting artifacts:
 excursion sets, local maxima, peak tables with FWE and topological-FDR
 corrected p-values, and cluster records. Cluster expectations use the
 isotropic-smoothness model; cluster-size p-values are deliberately not
-computed (see README caveats).
+computed.
 """
 
 from __future__ import annotations

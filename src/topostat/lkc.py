@@ -6,8 +6,10 @@ space: one term per simplex on meshes (with a 1/D! factor), one term per
 unit lattice cube (volume 1, no factorial). Differences of raw residuals
 are divided by the residual norm at the component's base vertex, the
 approximation du ~= dr / ||r|| that holds when the error variance varies
-smoothly. Lower-order curvatures follow the isotropic power-law
-interpolation l_d = mu_d (l_D / mu_D)^(d/D).
+smoothly. On lattices one slab-streamed pass over these differences
+gives l_D (from each unit cube's Gram matrix) and the per-axis FWHM.
+Lower-order curvatures follow the isotropic power-law interpolation
+l_d = mu_d (l_D / mu_D)^(d/D).
 
 Everything here depends only on residual values and connectivity, never
 on vertex coordinates: warping or embedding the mesh leaves l_D
@@ -25,6 +27,8 @@ from .domain import IntrinsicVolumes, LatticeSpace, MeshSpace
 from .glm import ResidualSet
 
 FOUR_LOG2 = 4.0 * math.log(2.0)
+#: bytes per difference stack of one slab in :func:`lattice_smoothness` (stays in cache)
+SLAB_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -65,60 +69,95 @@ class ReselVector:
         return lkc_vector(top_lkc, mu, fwhm=fwhm)
 
 
-def _gram_sqrt_det(diffs: list[np.ndarray]) -> np.ndarray:
-    """sqrt|G| per component for D in {1,2,3}; diffs[k] has shape (n, N)."""
+def _sqrt_det_gram(diffs: list[np.ndarray], diag: list[np.ndarray]) -> np.ndarray:
+    """sqrt|G| per component for D in {1,2,3}, G_ij = sum_n diffs[i] diffs[j];
+    diffs[k] has shape (n, ...) and ``diag`` holds the summed squares G_kk."""
     d = len(diffs)
+    g = [[diag[i] if i == j else None for j in range(d)] for i in range(d)]
+    for i in range(d):
+        for j in range(i + 1, d):
+            g[i][j] = g[j][i] = (diffs[i] * diffs[j]).sum(axis=0)
     if d == 1:
-        return np.sqrt((diffs[0] * diffs[0]).sum(axis=0))
+        return np.sqrt(g[0][0])
     if d == 2:
-        g00 = (diffs[0] * diffs[0]).sum(axis=0)
-        g11 = (diffs[1] * diffs[1]).sum(axis=0)
-        g01 = (diffs[0] * diffs[1]).sum(axis=0)
-        det = g00 * g11 - g01 * g01
-        return np.sqrt(np.maximum(det, 0.0))
-    g = np.empty((3, 3) + diffs[0].shape[1:])
-    for i in range(3):
-        for j in range(i, 3):
-            g[i, j] = g[j, i] = (diffs[i] * diffs[j]).sum(axis=0)
-    det = (g[0, 0] * (g[1, 1] * g[2, 2] - g[1, 2] * g[1, 2])
-           - g[0, 1] * (g[0, 1] * g[2, 2] - g[1, 2] * g[0, 2])
-           + g[0, 2] * (g[0, 1] * g[1, 2] - g[1, 1] * g[0, 2]))
+        det = g[0][0] * g[1][1] - g[0][1] * g[0][1]
+    else:
+        det = (g[0][0] * (g[1][1] * g[2][2] - g[1][2] * g[1][2])
+               - g[0][1] * (g[0][1] * g[2][2] - g[1][2] * g[0][2])
+               + g[0][2] * (g[0][1] * g[1][2] - g[1][1] * g[0][2]))
     return np.sqrt(np.maximum(det, 0.0))
 
 
-def _lattice_lkc_top(res: ResidualSet, space: LatticeSpace, symmetric: bool) -> float:
-    d = space.dimension
-    dims = space.dims
-    base_shape = tuple(n - 1 for n in dims)
-    if any(n == 0 for n in base_shape):
-        raise ValueError("lattice extent too small: no complete components")
-    u = res.u.reshape((res.n,) + dims)
-    norms = res.norms.reshape(dims)
-    usable = space.mask & ~res.flagged.reshape(dims)
+def _check_inputs(residuals: ResidualSet, space, norm_mode: str) -> bool:
+    """Validate the shared arguments; True for the symmetric norm mode."""
+    if norm_mode not in ("source", "symmetric"):
+        raise ValueError(f"norm_mode must be 'source' or 'symmetric', got {norm_mode!r}")
+    if residuals.u.shape[1] != space.n_points:
+        raise ValueError(
+            f"residuals cover {residuals.u.shape[1]} vertices, space has {space.n_points}"
+        )
+    return norm_mode == "symmetric"
 
-    base = tuple(slice(0, n) for n in base_shape)
-    valid = usable[base].copy()
-    shifts = []
+
+def lattice_smoothness(residuals: ResidualSet, space: LatticeSpace, region=None,
+                       *, norm_mode: str = "source") -> tuple[float, np.ndarray]:
+    """(l_D over ``region``, per-axis FWHM over ``space``) in one pass.
+
+    Equals (:func:`lkc_top` on ``region``, :func:`fwhm_estimate` on
+    ``space``) bit for bit; ``region`` (default ``space``) is a
+    restriction of ``space`` such as a time window. The forward
+    differences along every axis are formed once per slab of planes
+    along axis 0 (reading one plane past the slab); their squared sums
+    give the FWHM and, with the cross products, each unit cube's Gram
+    matrix G, whose sqrt|G| sums to l_D.
+    """
+    if not isinstance(space, LatticeSpace):
+        raise TypeError("lattice_smoothness needs a lattice space")
+    symmetric = _check_inputs(residuals, space, norm_mode)
+    d, dims = space.dimension, space.dims
+    u = residuals.u.reshape((-1,) + dims)
+    norms = residuals.norms.reshape(dims)
+    usable = space.mask & ~residuals.flagged.reshape(dims)
+
+    edges = []
     for ax in range(d):
-        sl = tuple(slice(1, None) if a == ax else slice(0, base_shape[a])
-                   for a in range(d))
-        shifts.append(sl)
-        valid &= usable[sl]
-    if not valid.any():
+        lo = tuple(slice(0, -1) if a == ax else slice(None) for a in range(d))
+        hi = tuple(slice(1, None) if a == ax else slice(None) for a in range(d))
+        valid = usable[lo] & usable[hi]
+        if not valid.any():
+            raise ValueError(f"no complete components (no valid edges along axis {ax})")
+        edges.append((u[(slice(None),) + lo], u[(slice(None),) + hi],
+                      norms[lo], norms[hi], valid))
+    base = tuple(slice(0, m - 1) for m in dims)
+    region_usable = usable if region is None else usable & region.mask
+    cubes = region_usable[base].copy()
+    for ax in range(d):
+        cubes &= region_usable[base[:ax] + (slice(1, None),) + base[ax + 1:]]
+    if not cubes.any():
         raise ValueError("no complete components inside the mask")
 
-    u_base = u[(slice(None),) + base]
-    n_base = norms[base]
-    diffs = []
-    for ax in range(d):
-        sl = (slice(None),) + shifts[ax]
-        n_nb = norms[shifts[ax]]
-        denom = 0.5 * (n_base + n_nb) if symmetric else n_base
-        denom = np.where(valid, denom, 1.0)
-        delta = (u[sl] * (n_nb / denom) - u_base * (n_base / denom))
-        diffs.append(delta.reshape(res.n, -1))
-    contrib = _gram_sqrt_det(diffs)
-    return float(contrib[valid.ravel()].sum())
+    # Per-slab values land in full-size arrays reduced once at the end,
+    # so the sums run in the same order as over whole-volume stacks.
+    sq = [np.empty(valid.shape) for *_, valid in edges]
+    contrib = np.empty(cubes.shape)
+    height = max(1, SLAB_BYTES // (8 * u[:, 0].size))
+    for start in range(0, dims[0], height):
+        rows = slice(start, start + height)
+        diffs = []
+        for ax, (u_lo, u_hi, n_lo, n_hi, valid) in enumerate(edges):
+            n_lo, n_hi = n_lo[rows], n_hi[rows]
+            denom = np.where(valid[rows], 0.5 * (n_lo + n_hi) if symmetric else n_lo, 1.0)
+            delta = u_hi[:, rows] * (n_hi / denom) - u_lo[:, rows] * (n_lo / denom)
+            sq[ax][rows] = (delta * delta).sum(axis=0)
+            diffs.append(delta)
+        # axis 0 has no edges (and no cubes) past its last plane
+        cube = (slice(0, diffs[0].shape[1]),) + base[1:]
+        contrib[rows] = _sqrt_det_gram([x[(slice(None),) + cube] for x in diffs],
+                                       [s[rows][cube] for s in sq])
+
+    lam = [float(s[valid].mean()) for s, (*_, valid) in zip(sq, edges)]
+    fwhm = np.array([np.inf if x == 0 else math.sqrt(FOUR_LOG2 / x) for x in lam])
+    return float(contrib[cubes].sum()), fwhm
 
 
 def _mesh_lkc_top(res: ResidualSet, space: MeshSpace, symmetric: bool) -> float:
@@ -139,7 +178,7 @@ def _mesh_lkc_top(res: ResidualSet, space: MeshSpace, symmetric: bool) -> float:
         denom = 0.5 * (n_base + n_other) if symmetric else n_base
         diffs.append(res.u[:, other] * (n_other / denom)
                      - res.u[:, base] * (n_base / denom))
-    contrib = _gram_sqrt_det(diffs)
+    contrib = _sqrt_det_gram(diffs, [(x * x).sum(axis=0) for x in diffs])
     return float(contrib.sum()) / math.factorial(d)
 
 
@@ -163,17 +202,10 @@ def lkc_top(residuals: ResidualSet, space, *, norm_mode: str = "source") -> floa
         l_D >= 0. Lattice components are unit forward-difference cubes;
         mesh components are the simplices, with the 1/D! factor.
     """
-    if norm_mode not in ("source", "symmetric"):
-        raise ValueError(f"norm_mode must be 'source' or 'symmetric', got {norm_mode!r}")
-    symmetric = norm_mode == "symmetric"
-    if residuals.u.shape[1] != space.n_points:
-        raise ValueError(
-            f"residuals cover {residuals.u.shape[1]} vertices, space has {space.n_points}"
-        )
     if isinstance(space, LatticeSpace):
-        return _lattice_lkc_top(residuals, space, symmetric)
+        return lattice_smoothness(residuals, space, norm_mode=norm_mode)[0]
     if isinstance(space, MeshSpace):
-        return _mesh_lkc_top(residuals, space, symmetric)
+        return _mesh_lkc_top(residuals, space, _check_inputs(residuals, space, norm_mode))
     raise TypeError(f"not a search space: {type(space).__name__}")
 
 
@@ -187,8 +219,8 @@ def lkc_vector(lkc_top_value: float, mu: IntrinsicVolumes,
     d_top = mu.dimension
     if mu[d_top] <= 0:
         raise ValueError(f"mu_D must be positive, got {mu[d_top]}")
-    if lkc_top_value < 0:
-        raise ValueError(f"l_D must be nonnegative, got {lkc_top_value}")
+    if not (math.isfinite(lkc_top_value) and lkc_top_value >= 0):
+        raise ValueError(f"l_D must be finite and nonnegative, got {lkc_top_value}")
     ratio = lkc_top_value / mu[d_top]
     lkc = tuple(mu[d] * ratio ** (d / d_top) for d in range(d_top + 1))
     return ReselVector.from_lkc(lkc, fwhm=fwhm)
@@ -197,29 +229,8 @@ def lkc_vector(lkc_top_value: float, mu: IntrinsicVolumes,
 def fwhm_estimate(residuals: ResidualSet, space: LatticeSpace) -> np.ndarray:
     """Per-axis smoothness of the residual fields, in voxels.
 
-    For each axis the mean squared normalized-residual difference over
-    in-mask forward edges gives the axis roughness lambda_i; the
-    reported width is FWHM_i = sqrt(4 ln 2 / lambda_i), +inf for a
-    perfectly flat axis.
+    The mean squared normalized-residual difference over in-mask forward
+    edges of axis i gives its roughness lambda_i and FWHM_i =
+    sqrt(4 ln 2 / lambda_i), +inf for a perfectly flat axis.
     """
-    if not isinstance(space, LatticeSpace):
-        raise TypeError("fwhm_estimate needs a lattice space")
-    if residuals.u.shape[1] != space.n_points:
-        raise ValueError("residuals do not cover the lattice")
-    dims = space.dims
-    u = residuals.u.reshape((residuals.n,) + dims)
-    norms = residuals.norms.reshape(dims)
-    usable = space.mask & ~residuals.flagged.reshape(dims)
-    out = np.empty(space.dimension)
-    for ax in range(space.dimension):
-        lo = tuple(slice(0, -1) if a == ax else slice(None) for a in range(space.dimension))
-        hi = tuple(slice(1, None) if a == ax else slice(None) for a in range(space.dimension))
-        valid = usable[lo] & usable[hi]
-        if not valid.any():
-            raise ValueError(f"no valid edges along axis {ax}")
-        denom = np.where(valid, norms[lo], 1.0)
-        delta = (u[(slice(None),) + hi] * (norms[hi] / denom)
-                 - u[(slice(None),) + lo] * (norms[lo] / denom))
-        lam = float((delta * delta).sum(axis=0)[valid].mean())
-        out[ax] = np.inf if lam == 0 else math.sqrt(FOUR_LOG2 / lam)
-    return out
+    return lattice_smoothness(residuals, space)[1]

@@ -137,13 +137,17 @@ def stack_time(slices, masks=None):
     return volume, mask3d
 
 
+def _kernel_radius(fwhm: float) -> int:
+    """Half-width in bins of the Gaussian kernel of ``fwhm`` bins, cut at 4 sigma."""
+    return int(math.ceil(KERNEL_TRUNCATE_SIGMAS * fwhm * SIGMA_PER_FWHM))
+
+
 def _gaussian_kernel(fwhm: float) -> np.ndarray:
-    """Discrete Gaussian, unit sum, truncated at 4 sigma."""
+    """Sampled Gaussian of ``fwhm`` bins, truncated at 4 sigma. Not normalized."""
     sigma = fwhm * SIGMA_PER_FWHM
-    radius = int(math.ceil(KERNEL_TRUNCATE_SIGMAS * sigma))
+    radius = _kernel_radius(fwhm)
     x = np.arange(-radius, radius + 1, dtype=float)
-    k = np.exp(-x * x / (2.0 * sigma * sigma))
-    return k / k.sum()
+    return np.exp(-x * x / (2.0 * sigma * sigma))
 
 
 def gaussian_smooth(volume, fwhm, mask=None, boundary: str = "renormalize"):
@@ -152,6 +156,9 @@ def gaussian_smooth(volume, fwhm, mask=None, boundary: str = "renormalize"):
     Parameters
     ----------
     volume : ndarray
+        One volume, or with a ``mask`` of shape ``volume.shape[1:]`` an
+        (n_obs, *mask.shape) stack whose observations are smoothed
+        independently (the mask normalizer is built once per stack).
     fwhm : sequence of float
         Kernel width per axis in bins; 0 skips an axis.
     mask : ndarray of bool, optional
@@ -164,41 +171,40 @@ def gaussian_smooth(volume, fwhm, mask=None, boundary: str = "renormalize"):
         (mask must be None).
     """
     volume = np.asarray(volume, dtype=float)
+    stack = mask is not None and np.shape(mask) == volume.shape[1:]
+    dims = volume.shape[1:] if stack else volume.shape
     fwhm = [float(f) for f in np.atleast_1d(fwhm)]
     if len(fwhm) == 1:
-        fwhm = fwhm * volume.ndim
-    if len(fwhm) != volume.ndim:
-        raise ValueError(f"need one fwhm per axis ({volume.ndim}), got {len(fwhm)}")
+        fwhm = fwhm * len(dims)
+    if len(fwhm) != len(dims):
+        raise ValueError(f"need one fwhm per axis ({len(dims)}), got {len(fwhm)}")
     if any(f < 0 for f in fwhm):
         raise ValueError("fwhm must be nonnegative")
     if boundary not in ("renormalize", "wrap"):
         raise ValueError(f"unknown boundary mode {boundary!r}")
+    kernels = [(ax, _gaussian_kernel(f)) for ax, f in enumerate(fwhm) if f > 0]
+    kernels = [(ax, k / k.sum()) for ax, k in kernels]
     if boundary == "wrap":
         if mask is not None:
             raise ValueError("wrap boundary does not support a mask")
         out = volume.copy()
-        for ax, f in enumerate(fwhm):
-            if f > 0:
-                out = ndimage.convolve1d(out, _gaussian_kernel(f), axis=ax,
-                                         mode="wrap")
+        for ax, k in kernels:
+            out = ndimage.convolve1d(out, k, axis=ax, mode="wrap")
         return out
 
-    if mask is None:
-        mask_arr = np.ones(volume.shape, dtype=bool)
-    else:
-        mask_arr = np.asarray(mask, dtype=bool)
-        if mask_arr.shape != volume.shape:
-            raise ValueError("mask shape must match volume")
-    num = np.where(mask_arr, volume, 0.0)
+    mask_arr = np.ones(dims, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    if mask_arr.shape != dims:
+        raise ValueError("mask shape must match volume")
     den = mask_arr.astype(float)
-    for ax, f in enumerate(fwhm):
-        if f == 0:
-            continue
-        k = _gaussian_kernel(f)
-        num = ndimage.convolve1d(num, k, axis=ax, mode="constant")
+    for ax, k in kernels:
         den = ndimage.convolve1d(den, k, axis=ax, mode="constant")
+    inside = mask_arr & (den > 0)
     out = np.zeros_like(volume)
-    np.divide(num, den, out=out, where=mask_arr & (den > 0))
+    for vol, smoothed in zip(volume.reshape((-1,) + dims), out.reshape((-1,) + dims)):
+        num = np.where(mask_arr, vol, 0.0)
+        for ax, k in kernels:
+            num = ndimage.convolve1d(num, k, axis=ax, mode="constant")
+        np.divide(num, den, out=smoothed, where=inside)
     return out
 
 

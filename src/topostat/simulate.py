@@ -24,9 +24,7 @@ from . import ecd, glm, lkc
 from .domain import build_lattice, intrinsic_volumes, lattice_euler_characteristic
 from .glm import DesignMatrix, FieldType
 from .lkc import FOUR_LOG2, ReselVector
-
-SIGMA_PER_FWHM = 1.0 / math.sqrt(8.0 * math.log(2.0))
-KERNEL_TRUNCATE_SIGMAS = 4.0
+from .preproc import _gaussian_kernel, _kernel_radius
 
 
 @dataclass(frozen=True)
@@ -90,20 +88,6 @@ class SimConfig:
         )
 
 
-def _kernel_radius(fwhm: float) -> int:
-    if fwhm == 0:
-        return 0
-    return int(math.ceil(KERNEL_TRUNCATE_SIGMAS * fwhm * SIGMA_PER_FWHM))
-
-
-def _kernel1d(fwhm: float) -> np.ndarray:
-    """Sampled Gaussian, truncated at 4 sigma. Not normalized."""
-    sigma = fwhm * SIGMA_PER_FWHM
-    radius = _kernel_radius(fwhm)
-    x = np.arange(-radius, radius + 1, dtype=float)
-    return np.exp(-x * x / (2.0 * sigma * sigma))
-
-
 def _rng_for(seed: int, index: int) -> np.random.Generator:
     key = np.array([seed, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
@@ -116,7 +100,7 @@ def _smooth_white_noise(rng: np.random.Generator, dims, fwhm) -> np.ndarray:
     for ax, f in enumerate(fwhm):
         if f == 0:
             continue
-        k = _kernel1d(f)
+        k = _gaussian_kernel(f)
         big = ndimage.convolve1d(big, k, axis=ax, mode="constant")
         norm *= math.sqrt(float((k * k).sum()))
     crop = tuple(slice(p, p + n) for p, n in zip(pads, dims))
@@ -146,7 +130,7 @@ def effective_fwhm(config: SimConfig) -> np.ndarray:
         if f == 0:
             lam = 2.0
         else:
-            k = _kernel1d(f)
+            k = _gaussian_kernel(f)
             acf = np.correlate(k, k, mode="full")
             rho1 = acf[k.size] / acf[k.size - 1]
             lam = 2.0 * (1.0 - rho1)
@@ -176,24 +160,27 @@ def _field_type(config: SimConfig) -> FieldType:
     return FieldType.student_t(config.n_subjects - 1)
 
 
-def _t_realization(config: SimConfig, index: int):
-    """One-sample t map plus residual set for the student_t mode."""
+def _t_fit(config: SimConfig, index: int) -> glm.GlmFit:
+    """One-sample GLM fit over ``n_subjects`` fields for the student_t mode."""
     rng = _rng_for(config.seed, index)
     data = np.stack([
         _smooth_white_noise(rng, config.dims, config.fwhm).ravel()
         for _ in range(config.n_subjects)
     ])
     design = DesignMatrix(np.ones((config.n_subjects, 1)), ("mean",))
-    fit = glm.fit(data, design)
-    stat = glm.t_map(fit, [1.0])
-    return stat, glm.normalized_residuals(fit)
+    return glm.fit(data, design)
+
+
+def _t_realization(config: SimConfig, index: int):
+    """t map and residual set of one student_t realization; the fit is dropped."""
+    fit = _t_fit(config, index)
+    return glm.t_map(fit, [1.0]), glm.normalized_residuals(fit)
 
 
 def _realization_values(config: SimConfig, index: int) -> np.ndarray:
     if config.field == "gaussian":
         return gen_field(config, index)
-    stat, _ = _t_realization(config, index)
-    return stat.values.reshape(config.dims)
+    return glm.t_map(_t_fit(config, index), [1.0]).values.reshape(config.dims)
 
 
 def mc_ec(config: SimConfig, thresholds) -> dict:
@@ -255,10 +242,8 @@ def mc_fwe(config: SimConfig, alpha: float = 0.05) -> dict:
         mu = intrinsic_volumes(space)
         for i in range(config.n_realizations):
             stat, residuals = _t_realization(config, i)
-            top = lkc.lkc_top(residuals, space)
-            est = lkc.lkc_vector(top, mu,
-                                 fwhm=lkc.fwhm_estimate(residuals, space))
-            thr = ecd.corrected_threshold(alpha, est, ftype)
+            top, fwhm = lkc.lattice_smoothness(residuals, space)
+            thr = ecd.corrected_threshold(alpha, lkc.lkc_vector(top, mu, fwhm=fwhm), ftype)
             if stat.values.max() > thr:
                 n_exceed += 1
     rate = n_exceed / config.n_realizations

@@ -5,6 +5,7 @@ small-volume and time-frequency tables of the movement MEG study; those
 reported numbers anchor the convention choices.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -43,6 +44,8 @@ TABLE1 = ReselVector.from_top_resels(230.3, box_mu(1_808_083))
 TABLE2 = ReselVector.from_top_resels(11.5, box_mu(82_340))
 TABLE3 = ReselVector.from_top_resels(149.4, box_mu(1_808_083))
 POINT = ReselVector.from_resels((1.0, 0.0, 0.0, 0.0))
+# what a NaN residual inside the mask turns a 2D search into
+NAN_RESELS = ReselVector.from_resels((1.0, math.nan, math.nan))
 
 
 class TestEcDensity:
@@ -119,6 +122,14 @@ class TestFweP:
     def test_clamped_to_unit_interval(self):
         assert fwe_p(2.0, TABLE1, T12) == 1.0
 
+    def test_non_finite_resels_or_height_rejected(self):
+        with pytest.raises(ValueError, match="resels must be finite"):
+            fwe_p(5.0, NAN_RESELS, T11)
+        with pytest.raises(ValueError, match="resels must be finite"):
+            fwe_p(5.0, ReselVector.from_resels((1.0, math.inf, 3.0)), T11)
+        with pytest.raises(ValueError, match="NaN"):
+            fwe_p(math.nan, TABLE1, T12)
+
     def test_nondecreasing_in_resels(self):
         # above the clamp region doubling the resels strictly raises p
         doubled = ReselVector.from_resels([2 * r for r in TABLE1.resels])
@@ -155,6 +166,13 @@ class TestCorrectedThreshold:
 
     def test_alpha_one_degenerate(self):
         assert corrected_threshold(1.0, TABLE1, T12) == 2.0
+
+    def test_non_finite_resels_rejected(self):
+        # every NaN comparison in the bisection is False, which used to
+        # return 2.0000005 here without a word
+        for alpha in (0.05, 1.0):
+            with pytest.raises(ValueError, match="resels must be finite"):
+                corrected_threshold(alpha, NAN_RESELS, T11)
 
     def test_alpha_validated(self):
         with pytest.raises(ValueError):

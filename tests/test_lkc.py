@@ -19,7 +19,9 @@ from topostat import (
     lkc_vector,
     normalized_residuals,
 )
-from topostat.lkc import FOUR_LOG2
+from topostat import lkc
+from topostat.ecd import restrict
+from topostat.lkc import FOUR_LOG2, lattice_smoothness
 from topostat.simulate import SimConfig, effective_fwhm, gen_field
 
 WHITE_NOISE_FWHM = math.sqrt(2.0 * math.log(2.0))  # lambda = 2 for iid values
@@ -32,6 +34,73 @@ def residual_set_from_raw(r):
     flagged = norms == 0
     u = np.where(flagged, 0.0, r / np.where(flagged, 1.0, norms))
     return ResidualSet(u=u, norms=norms, flagged=flagged, n=r.shape[0])
+
+
+def reference_gram_sqrt_det(diffs):
+    """sqrt|G| per component from whole-volume difference stacks."""
+    d = len(diffs)
+    if d == 1:
+        return np.sqrt((diffs[0] * diffs[0]).sum(axis=0))
+    if d == 2:
+        g00 = (diffs[0] * diffs[0]).sum(axis=0)
+        g11 = (diffs[1] * diffs[1]).sum(axis=0)
+        g01 = (diffs[0] * diffs[1]).sum(axis=0)
+        det = g00 * g11 - g01 * g01
+        return np.sqrt(np.maximum(det, 0.0))
+    g = np.empty((3, 3) + diffs[0].shape[1:])
+    for i in range(3):
+        for j in range(i, 3):
+            g[i, j] = g[j, i] = (diffs[i] * diffs[j]).sum(axis=0)
+    det = (g[0, 0] * (g[1, 1] * g[2, 2] - g[1, 2] * g[1, 2])
+           - g[0, 1] * (g[0, 1] * g[2, 2] - g[1, 2] * g[0, 2])
+           + g[0, 2] * (g[0, 1] * g[1, 2] - g[1, 1] * g[0, 2]))
+    return np.sqrt(np.maximum(det, 0.0))
+
+
+def reference_lattice_lkc_top(res, space, symmetric=False):
+    """Two-pass l_D: one whole-volume difference stack per axis."""
+    d, dims = space.dimension, space.dims
+    base_shape = tuple(n - 1 for n in dims)
+    u = res.u.reshape((res.u.shape[0],) + dims)
+    norms = res.norms.reshape(dims)
+    usable = space.mask & ~res.flagged.reshape(dims)
+    base = tuple(slice(0, n) for n in base_shape)
+    valid = usable[base].copy()
+    shifts = []
+    for ax in range(d):
+        sl = tuple(slice(1, None) if a == ax else slice(0, base_shape[a])
+                   for a in range(d))
+        shifts.append(sl)
+        valid &= usable[sl]
+    u_base, n_base = u[(slice(None),) + base], norms[base]
+    diffs = []
+    for ax in range(d):
+        n_nb = norms[shifts[ax]]
+        denom = 0.5 * (n_base + n_nb) if symmetric else n_base
+        denom = np.where(valid, denom, 1.0)
+        delta = (u[(slice(None),) + shifts[ax]] * (n_nb / denom)
+                 - u_base * (n_base / denom))
+        diffs.append(delta.reshape(u.shape[0], -1))
+    return float(reference_gram_sqrt_det(diffs)[valid.ravel()].sum())
+
+
+def reference_fwhm(res, space):
+    """Two-pass per-axis FWHM: one whole-volume difference stack per axis."""
+    d, dims = space.dimension, space.dims
+    u = res.u.reshape((res.u.shape[0],) + dims)
+    norms = res.norms.reshape(dims)
+    usable = space.mask & ~res.flagged.reshape(dims)
+    out = np.empty(d)
+    for ax in range(d):
+        lo = tuple(slice(0, -1) if a == ax else slice(None) for a in range(d))
+        hi = tuple(slice(1, None) if a == ax else slice(None) for a in range(d))
+        valid = usable[lo] & usable[hi]
+        denom = np.where(valid, norms[lo], 1.0)
+        delta = (u[(slice(None),) + hi] * (norms[hi] / denom)
+                 - u[(slice(None),) + lo] * (norms[lo] / denom))
+        lam = float((delta * delta).sum(axis=0)[valid].mean())
+        out[ax] = np.inf if lam == 0 else math.sqrt(FOUR_LOG2 / lam)
+    return out
 
 
 def unit_sheet_mesh(nx, ny):
@@ -178,6 +247,12 @@ class TestLkcVector:
             assert rv.resels[d] == pytest.approx(via_lkc, rel=1e-12)
             assert rv.resels[d] == pytest.approx(via_mu, rel=1e-12)
 
+    def test_non_finite_top_rejected(self):
+        mu = intrinsic_volumes(build_lattice((4, 5), np.ones(20, bool)))
+        for bad in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                lkc_vector(bad, mu)
+
     def test_nonpositive_mu_rejected(self):
         from topostat.domain import IntrinsicVolumes
         with pytest.raises(ValueError, match="mu_D"):
@@ -214,6 +289,66 @@ class TestFwhmEstimate:
         res = residual_set_from_raw(rng.standard_normal((4, 9)))
         with pytest.raises(ValueError, match="axis 1"):
             fwhm_estimate(res, space)
+
+
+class TestLatticeSmoothness:
+    """The slab-streamed kernel against the two-pass reference, exactly."""
+
+    N_RES = 7
+    DIMS = (11, 9, 8)
+    HEIGHT = 3  # planes per slab: boundaries between planes 2|3, 5|6, 8|9
+
+    def _case(self, monkeypatch):
+        plane_bytes = 8 * self.N_RES * self.DIMS[1] * self.DIMS[2]
+        monkeypatch.setattr(lkc, "SLAB_BYTES", self.HEIGHT * plane_bytes)
+        rng = np.random.default_rng(11)
+        raw = rng.standard_normal((self.N_RES,) + self.DIMS)
+        for plane in (2, 3, 8):  # zero residuals on both sides of boundaries
+            raw[:, plane, 4, 2] = 0.0
+            raw[:, plane, 0, 5] = 0.0
+        raw[:, 6, :, 7] = 0.0
+        mask = np.ones(self.DIMS, dtype=bool)
+        mask[5, 1:4, 3] = False  # holes on the last plane of a slab ...
+        mask[6, 7, :] = False    # ... and on the first plane of the next
+        mask[9, 2, 2] = False
+        mask[10, 0, 0] = False
+        res = residual_set_from_raw(raw.reshape(self.N_RES, -1))
+        assert res.flagged.sum() == 6 + 9
+        return res, build_lattice(self.DIMS, mask)
+
+    @pytest.mark.parametrize("norm_mode", ["source", "symmetric"])
+    def test_3d_across_slabs(self, monkeypatch, norm_mode):
+        res, space = self._case(monkeypatch)
+        top, fwhm = lattice_smoothness(res, space, norm_mode=norm_mode)
+        assert top == reference_lattice_lkc_top(res, space, norm_mode == "symmetric")
+        if norm_mode == "source":
+            np.testing.assert_array_equal(fwhm, reference_fwhm(res, space))
+            assert lkc_top(res, space) == top
+            np.testing.assert_array_equal(fwhm_estimate(res, space), fwhm)
+
+    def test_3d_time_window_region(self, monkeypatch):
+        res, space = self._case(monkeypatch)
+        region = restrict(space, time_window=(2, 5))
+        top, fwhm = lattice_smoothness(res, space, region)
+        assert top == reference_lattice_lkc_top(res, region)
+        assert top < reference_lattice_lkc_top(res, space)
+        np.testing.assert_array_equal(fwhm, reference_fwhm(res, space))
+
+    @pytest.mark.parametrize("dims", [(40,), (17, 13)])
+    def test_1d_2d(self, monkeypatch, dims):
+        rng = np.random.default_rng(12)
+        raw = rng.standard_normal((5,) + dims)
+        raw[(slice(None),) + tuple(n // 2 for n in dims)] = 0.0
+        mask = np.ones(dims, dtype=bool)
+        mask[(3,) * len(dims)] = False
+        res = residual_set_from_raw(raw.reshape(5, -1))
+        space = build_lattice(dims, mask)
+        want = (reference_lattice_lkc_top(res, space), reference_fwhm(res, space))
+        for slab_bytes in (lkc.SLAB_BYTES, 8 * 5 * int(np.prod(dims[1:]))):
+            monkeypatch.setattr(lkc, "SLAB_BYTES", slab_bytes)
+            top, fwhm = lattice_smoothness(res, space)
+            assert top == want[0]
+            np.testing.assert_array_equal(fwhm, want[1])
 
 
 class TestRecovery:

@@ -179,6 +179,18 @@ class TestGaussianSmooth:
         with pytest.raises(ValueError, match="nonnegative"):
             gaussian_smooth(np.zeros((4, 4)), (-1.0, 2.0))
 
+    @pytest.mark.parametrize("dims, fwhm", [((9, 7), (3.0, 2.0)), ((30,), 3.0)])
+    def test_stack_matches_per_volume(self, dims, fwhm):
+        # a mask of one volume's shape makes axis 0 index observations,
+        # also for 1D volumes with a single width
+        rng = np.random.default_rng(4)
+        stack = rng.standard_normal((5,) + dims)
+        mask = rng.random(dims) < 0.8
+        out = gaussian_smooth(stack, fwhm, mask=mask)
+        assert out.shape == stack.shape
+        for vol, got in zip(stack, out):
+            np.testing.assert_array_equal(got, gaussian_smooth(vol, fwhm, mask=mask))
+
 
 def grid_graph_mesh(n):
     """n x n grid as a 1-dimensional mesh (edges only)."""
