@@ -19,7 +19,6 @@ from .domain import (
     write_mesh,
 )
 from .ecd import (
-    ExpectedEC,
     corrected_threshold,
     ec_density,
     expected_ec,
@@ -56,7 +55,7 @@ __all__ = [
     "IntrinsicVolumes", "LatticeSpace", "MeshSpace", "build_lattice",
     "build_mesh", "connected_components", "intrinsic_volumes",
     "lattice_euler_characteristic", "read_mesh", "write_mesh",
-    "ExpectedEC", "corrected_threshold", "ec_density", "expected_ec",
+    "corrected_threshold", "ec_density", "expected_ec",
     "fwe_p", "restrict",
     "DesignMatrix", "FieldType", "GlmFit", "ResidualSet", "StatField",
     "fit", "normalized_residuals", "t_map", "z_equivalent",

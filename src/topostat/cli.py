@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy import stats as _sstats
+from scipy import special
 
 from . import ecd, glm, lkc, preproc, simulate
 from .dataset import read_dataset, write_dataset
@@ -44,6 +44,8 @@ def _json_dump(obj, path: Path) -> None:
 
 
 def cmd_analyze(args) -> int:
+    if not 0.0 < args.height_p < 1.0:
+        raise ValueError(f"--height-p must lie in (0, 1), got {args.height_p}")
     ds = read_dataset(args.dataset)
     design = glm.DesignMatrix.from_csv(args.design)
     contrast = glm.read_contrast_csv(args.contrast)
@@ -80,7 +82,7 @@ def cmd_analyze(args) -> int:
     top, fwhm_hat = lkc.lattice_smoothness(residuals, space, analysis_space)
     resels = lkc.lkc_vector(top, mu, fwhm=fwhm_hat)
 
-    t_feature = float(_sstats.t.isf(args.height_p, fit.dof))
+    t_feature = float(-special.stdtrit(fit.dof, args.height_p))
     table = peak_table(stat, analysis_space, resels, t_feature,
                        alpha=args.alpha, two_sided=args.two_sided)
 

@@ -37,10 +37,22 @@ class Dataset:
         return int(np.prod(self.dims))
 
     def load(self) -> np.ndarray:
-        """All observations as an (n_obs, n_points) float64 array."""
+        """All observations as an (n_obs, n_points) float64 array.
+
+        A non-finite value inside the mask is rejected, naming its file
+        and vertex; outside the mask any value is accepted.
+        """
         out = np.empty((self.n_obs, self.n_points))
+        mask = self.load_mask()
         for i, name in enumerate(self.files):
             _read_volume(self.path / name, out[i])
+            bad = ~np.isfinite(out[i]) & mask
+            if bad.any():
+                v = int(np.argmax(bad))
+                raise ValueError(
+                    f"{self.path / name}: non-finite value {out[i, v]} inside the mask "
+                    f"at vertex {v} {tuple(int(c) for c in np.unravel_index(v, self.dims))}"
+                )
         return out
 
     def load_mask(self) -> np.ndarray:

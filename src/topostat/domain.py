@@ -47,6 +47,16 @@ def _count_subfaces(mask: np.ndarray, axes: tuple[int, ...]) -> int:
     return int(m.sum())
 
 
+def _lattice_counts(mask: np.ndarray) -> tuple[int, int, int, int]:
+    """In-mask points P, and unit edges E, squares F and cubes C with all
+    corners in-mask, each summed over axes (0 above the mask's dimension)."""
+    return tuple(
+        sum(_count_subfaces(mask, axes)
+            for axes in itertools.combinations(range(mask.ndim), k))
+        for k in range(4)
+    )
+
+
 class LatticeSpace:
     """A masked regular lattice with unit voxel spacing.
 
@@ -107,32 +117,6 @@ class LatticeSpace:
     @cached_property
     def mask_flat(self) -> np.ndarray:
         return self.mask.ravel()
-
-    # -- tiling component counts -------------------------------------------
-
-    @cached_property
-    def point_count(self) -> int:
-        return self.n_inside
-
-    @cached_property
-    def edge_counts(self) -> dict[int, int]:
-        """Axis-aligned edges with both endpoints in-mask, per axis."""
-        return {ax: _count_subfaces(self.mask, (ax,)) for ax in range(self.dimension)}
-
-    @cached_property
-    def face_counts(self) -> dict[tuple[int, int], int]:
-        """Unit squares with all four corners in-mask, per axis pair."""
-        return {
-            pair: _count_subfaces(self.mask, pair)
-            for pair in itertools.combinations(range(self.dimension), 2)
-        }
-
-    @cached_property
-    def cube_count(self) -> int:
-        """Unit cubes with all eight corners in-mask (3D only)."""
-        if self.dimension < 3:
-            return 0
-        return _count_subfaces(self.mask, (0, 1, 2))
 
     def restricted(self, sub_mask) -> "LatticeSpace":
         """New space over ``mask & sub_mask`` with the same grid."""
@@ -285,10 +269,7 @@ def intrinsic_volumes(space) -> IntrinsicVolumes:
     are deliberately omitted, a documented approximation).
     """
     if isinstance(space, LatticeSpace):
-        p = space.point_count
-        e = sum(space.edge_counts.values())
-        f = sum(space.face_counts.values())
-        c = space.cube_count
+        p, e, f, c = _lattice_counts(space.mask)
         d = space.dimension
         if d == 1:
             mu = (float(p - e), float(e))
@@ -321,13 +302,7 @@ def lattice_euler_characteristic(mask: np.ndarray) -> int:
     Fast path used for excursion-set topology; equals
     ``intrinsic_volumes(...)[0]`` for the same mask.
     """
-    mask = np.asarray(mask, dtype=bool)
-    d = mask.ndim
-    p = int(mask.sum())
-    e = sum(_count_subfaces(mask, (ax,)) for ax in range(d))
-    f = sum(_count_subfaces(mask, pair)
-            for pair in itertools.combinations(range(d), 2))
-    c = _count_subfaces(mask, (0, 1, 2)) if d >= 3 else 0
+    p, e, f, c = _lattice_counts(np.asarray(mask, dtype=bool))
     return p - e + f - c
 
 

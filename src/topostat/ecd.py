@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -22,17 +21,6 @@ from .lkc import FOUR_LOG2, ReselVector
 
 #: lower edge of the strictly-decreasing region used for threshold search
 THRESHOLD_FLOOR = 2.0
-
-
-@dataclass(frozen=True)
-class ExpectedEC:
-    """E[EC] at one threshold, with the per-dimension breakdown."""
-
-    contributions: tuple[float, ...]
-
-    @property
-    def total(self) -> float:
-        return float(sum(self.contributions))
 
 
 def _gaussian_density(d: int, t: np.ndarray) -> np.ndarray:
@@ -79,28 +67,34 @@ def ec_density(field: FieldType, d: int, t):
     return out if out.ndim else float(out)
 
 
-def expected_ec(resels: ReselVector, field: FieldType, t: float) -> ExpectedEC:
-    """Expected Euler characteristic of the excursion set above t."""
-    contributions = tuple(
-        resels.resels[d] * ec_density(field, d, float(t))
-        for d in range(resels.dimension + 1)
-    )
-    return ExpectedEC(contributions)
+def expected_ec(resels: ReselVector, field: FieldType, t):
+    """Expected Euler characteristic of the excursion set above t.
+
+    A float for a scalar t, an array of t's shape for an array t. The
+    terms resels_d rho_d(t) are added in d order, one elementwise add
+    each, so every element equals the scalar value bit for bit.
+    """
+    total = 0.0
+    for d, r in enumerate(resels.resels):
+        total = total + r * ec_density(field, d, t)
+    return total
 
 
-def fwe_p(peak_height: float, resels: ReselVector, field: FieldType) -> float:
-    """FWE-corrected p-value of a peak: E[EC] clamped to [0, 1]."""
-    peak_height = float(peak_height)
-    if math.isnan(peak_height):
+def fwe_p(peak_height, resels: ReselVector, field: FieldType):
+    """FWE-corrected p-value of a peak: E[EC] clamped to [0, 1].
+
+    A float for a scalar height, an array of its shape for an array of
+    heights. A height of +inf gives 0 and -inf gives 1; NaN is rejected.
+    """
+    height = np.asarray(peak_height, dtype=float)
+    if np.isnan(height).any():
         raise ValueError("peak height must not be NaN")
     if not all(map(math.isfinite, resels.resels)):
         raise ValueError(f"resels must be finite, got {resels.resels}")
-    if peak_height == math.inf:
-        return 0.0
-    if peak_height == -math.inf:
-        return 1.0
-    total = expected_ec(resels, field, peak_height).total
-    return float(min(max(total, 0.0), 1.0))
+    finite = np.isfinite(height)
+    total = expected_ec(resels, field, np.where(finite, height, 0.0))
+    p = np.where(finite, np.clip(total, 0.0, 1.0), height < 0)
+    return p if p.ndim else float(p)
 
 
 def corrected_threshold(alpha: float, resels: ReselVector, field: FieldType,
@@ -124,12 +118,9 @@ def corrected_threshold(alpha: float, resels: ReselVector, field: FieldType,
     if alpha == 1.0:
         return float(t_lo)
 
-    def total(t: float) -> float:
-        return expected_ec(resels, field, t).total
-
     lo = float(t_lo)
     hi = None
-    if total(lo) < alpha:
+    if expected_ec(resels, field, lo) < alpha:
         point_search = all(r == 0.0 for r in resels.resels[1:])
         if not point_search:
             warnings.warn(
@@ -137,10 +128,10 @@ def corrected_threshold(alpha: float, resels: ReselVector, field: FieldType,
                 "threshold not bracketed", stacklevel=2,
             )
             return lo
-        while total(lo) < alpha and lo > -60.0:
+        while expected_ec(resels, field, lo) < alpha and lo > -60.0:
             hi = lo
             lo -= 1.0
-        if total(lo) < alpha:
+        if expected_ec(resels, field, lo) < alpha:
             warnings.warn(
                 f"alpha={alpha} exceeds the point-search ceiling; "
                 "threshold not bracketed", stacklevel=2,
@@ -148,14 +139,14 @@ def corrected_threshold(alpha: float, resels: ReselVector, field: FieldType,
             return float(t_lo)
     if hi is None:
         hi = lo + 1.0
-        while total(hi) > alpha:
+        while expected_ec(resels, field, hi) > alpha:
             lo = hi
             hi = 2.0 * hi
             if hi > 1e6:
                 raise RuntimeError("failed to bracket the corrected threshold")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if total(mid) > alpha:
+        if expected_ec(resels, field, mid) > alpha:
             lo = mid
         else:
             hi = mid

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 RANK_RTOL = 1e-10
 ORTHO_RTOL = 1e-8
@@ -123,7 +123,6 @@ class ResidualSet:
     u: np.ndarray        # (n, n_vertices)
     norms: np.ndarray    # (n_vertices,)
     flagged: np.ndarray  # (n_vertices,) bool
-    n: int
 
 
 def fit(data, design: DesignMatrix) -> GlmFit:
@@ -206,29 +205,25 @@ def normalized_residuals(glm_fit: GlmFit) -> ResidualSet:
     safe = np.where(flagged, 1.0, norms)
     u = r / safe
     u[:, flagged] = 0.0
-    return ResidualSet(u=u, norms=norms, flagged=flagged, n=r.shape[0])
+    return ResidualSet(u=u, norms=norms, flagged=flagged)
 
 
 def z_equivalent(stat: StatField) -> np.ndarray:
     """Gaussian Z-score equivalents of a Student-t field.
 
-    Z = Phi^-1(1 - P(T_dof >= t)), evaluated through log tail
-    probabilities so far-tail values do not underflow; antisymmetric in
-    t. Gaussian fields pass through unchanged.
+    Z = Phi^-1(1 - P(T_dof >= t)), antisymmetric in t. The tail
+    probability of |t| is the survival function itself, not a log-space
+    evaluation; its log goes to ``ndtri_exp``, which stays accurate where
+    1 - tail would round to 1, and a tail that underflows to 0 gives
+    |Z| = inf. Gaussian fields pass through unchanged.
     """
     t = np.asarray(stat.values, dtype=float)
     if stat.field_type.kind == "gaussian":
         return t.copy()
-    dof = stat.field_type.dof
-    z = np.empty_like(t, dtype=float)
-    pos = t >= 0
-    # ndtri_exp(log p) = Phi^-1(p): stable for tiny tail masses
-    z[pos] = -special.ndtri_exp(stats.t.logsf(t[pos], dof))
-    z[~pos] = special.ndtri_exp(stats.t.logsf(-t[~pos], dof))
-    nonfinite = ~np.isfinite(t)
-    if np.any(nonfinite):
-        z[nonfinite] = t[nonfinite]
-    return z
+    with np.errstate(divide="ignore"):
+        log_tail = np.log(special.stdtr(stat.field_type.dof, -np.abs(t)))
+    z = special.ndtri_exp(log_tail)
+    return np.where(np.isfinite(t), np.where(t >= 0, -z, z), t)
 
 
 def read_contrast_csv(path) -> np.ndarray:

@@ -36,7 +36,13 @@ class PeakRecord:
 
 @dataclass
 class ClusterRecord:
-    """One connected excursion component."""
+    """One connected excursion component.
+
+    In a :func:`peak_table`, ``peak`` is the table's own row for the
+    component's highest vertex. It is an unscored record, with NaN
+    p-values, when that vertex is not a local maximum (a NaN neighbour
+    hides it from :func:`local_maxima`), and always from :func:`clusters`.
+    """
 
     id: int
     size_vertices: int
@@ -54,19 +60,7 @@ class ResultsTable:
 
     def to_dict(self) -> dict:
         return {
-            "peaks": [
-                {
-                    "vertex": p.vertex,
-                    "coords": list(p.coords),
-                    "t": p.t,
-                    "z": p.z,
-                    "p_unc": p.p_unc,
-                    "p_fwe": p.p_fwe,
-                    "q_fdr": p.q_fdr,
-                    "cluster_id": p.cluster_id,
-                }
-                for p in self.peaks
-            ],
+            "peaks": [{**vars(p), "coords": list(p.coords)} for p in self.peaks],
             "clusters": [
                 {
                     "id": c.id,
@@ -234,7 +228,8 @@ def topological_fdr(p_values) -> np.ndarray:
 
     Input p-values are conditional peak probabilities (see
     :func:`conditional_peak_p`); output q_(i) = min_{j>=i} m p_(j) / j,
-    clamped to 1, returned in the input order.
+    clamped to [p_(i), 1] (rounding of m p_(j) / j can land an ulp below
+    p_(i)), returned in the input order.
     """
     p = np.asarray(p_values, dtype=float).ravel()
     m = p.size
@@ -244,28 +239,25 @@ def topological_fdr(p_values) -> np.ndarray:
         raise ValueError("p-values must lie in [0, 1]")
     order = np.argsort(p, kind="stable")
     scaled = p[order] * m / np.arange(1, m + 1)
-    q_sorted = np.minimum(np.minimum.accumulate(scaled[::-1])[::-1], 1.0)
+    q_sorted = np.clip(np.minimum.accumulate(scaled[::-1])[::-1], p[order], 1.0)
     q = np.empty(m)
     q[order] = q_sorted
     return q
 
 
-def conditional_peak_p(t_peak: float, t_feature: float, resels: ReselVector,
-                       field: FieldType) -> float:
+def conditional_peak_p(t_peak, t_feature: float, resels: ReselVector,
+                       field: FieldType):
     """Peak probability conditional on exceeding the feature threshold:
-    the expected-EC ratio E[EC](t_peak) / E[EC](t_feature), in [0, 1]."""
-    num = ecd.expected_ec(resels, field, t_peak).total
-    den = ecd.expected_ec(resels, field, t_feature).total
-    if den <= 0:
-        return 1.0
-    return float(min(max(num / den, 0.0), 1.0))
+    the expected-EC ratio E[EC](t_peak) / E[EC](t_feature), in [0, 1].
 
-
-def _cluster_label_map(space, comps) -> np.ndarray:
-    labels = np.zeros(space.n_points, dtype=np.int64)
-    for k, comp in enumerate(comps, start=1):
-        labels[comp] = k
-    return labels
+    A float for a scalar t_peak, an array of its shape for an array.
+    Every value is 1 when E[EC](t_feature) <= 0; a NaN ratio (t_peak at
+    +-inf, or a NaN E[EC](t_feature)) stays NaN.
+    """
+    num = ecd.expected_ec(resels, field, t_peak)
+    den = ecd.expected_ec(resels, field, t_feature)
+    p = np.ones_like(num) if den <= 0 else np.clip(num / den, 0.0, 1.0)
+    return p if np.ndim(p) else float(p)
 
 
 def expected_cluster_stats(resels: ReselVector, field: FieldType,
@@ -275,11 +267,31 @@ def expected_cluster_stats(resels: ReselVector, field: FieldType,
     <c> = E[EC](t), <N> = mu_D rho_0(t) suprathreshold vertices,
     <k> = <N>/<c> vertices per cluster (isotropic-smoothness model).
     """
-    c = ecd.expected_ec(resels, field, t_feature).total
+    c = ecd.expected_ec(resels, field, t_feature)
     n = float(mu_top) * float(ecd.ec_density(field, 0, t_feature))
     k = n / c if c > 0 else float("nan")
     return {"expected_clusters": c, "expected_volume": n,
             "expected_size": k}
+
+
+def _label_clusters(stat: StatField, space, t_feature: float, expected_size: float,
+                    first_id: int = 1, sign: float = 1.0):
+    """Label the excursion set above ``t_feature`` once (full connectivity):
+    per-vertex cluster ids (0 outside it) and the ClusterRecords numbered
+    from ``first_id``, each peak being the component's highest vertex
+    (smallest index on ties) with t = ``sign`` * value and NaN p-values."""
+    values = np.asarray(stat.values, dtype=float).ravel()
+    comps = connected_components(space, member_mask=excursion_set(stat, space, t_feature),
+                                 connectivity="full")
+    labels = np.zeros(space.n_points, dtype=np.int64)
+    records, nan = [], float("nan")
+    for k, comp in enumerate(comps, start=first_id):
+        labels[comp] = k
+        v = int(comp[int(np.argmax(values[comp]))])
+        peak = PeakRecord(v, space.coords_of(v), sign * float(values[v]), nan, nan, nan, nan, k)
+        records.append(ClusterRecord(id=k, size_vertices=int(comp.size),
+                                     peak=peak, expected_size=expected_size))
+    return labels, records
 
 
 def clusters(stat: StatField, space, t_feature: float,
@@ -287,29 +299,15 @@ def clusters(stat: StatField, space, t_feature: float,
     """Connected components of the excursion set (full connectivity).
 
     Each record's peak is the component's highest vertex (smallest
-    index on ties). ``expected_size`` carries the model <k> when a
-    resel vector is supplied, else NaN.
+    index on ties), with NaN p-values. ``expected_size`` carries the
+    model <k> when a resel vector is supplied, else NaN.
     """
-    exc = excursion_set(stat, space, t_feature)
-    comps = connected_components(space, member_mask=exc, connectivity="full")
-    values = np.asarray(stat.values, dtype=float).ravel()
+    expected = float("nan")
     if resels is not None:
         mu = intrinsic_volumes(space)
         expected = expected_cluster_stats(resels, stat.field_type, t_feature,
                                           mu[mu.dimension])["expected_size"]
-    else:
-        expected = float("nan")
-    records = []
-    for k, comp in enumerate(comps, start=1):
-        peak_vertex = int(comp[int(np.argmax(values[comp]))])
-        peak = PeakRecord(
-            vertex=peak_vertex, coords=space.coords_of(peak_vertex),
-            t=float(values[peak_vertex]), z=float("nan"), p_unc=float("nan"),
-            p_fwe=float("nan"), q_fdr=float("nan"), cluster_id=k,
-        )
-        records.append(ClusterRecord(id=k, size_vertices=int(comp.size),
-                                     peak=peak, expected_size=expected))
-    return records
+    return _label_clusters(stat, space, t_feature, expected)[1]
 
 
 def peak_table(stat: StatField, space, resels: ReselVector, t_feature: float,
@@ -319,9 +317,10 @@ def peak_table(stat: StatField, space, resels: ReselVector, t_feature: float,
     Every local maximum at or above the feature threshold gets a
     corrected p-value from the expected EC, an uncorrected tail
     probability, a Z-score equivalent and a topological-FDR q-value.
-    The footnote block carries the search-volume context: smoothness,
-    resel counts, expected cluster topology at the feature threshold and
-    the FDR bound for the reported discoveries.
+    Each cluster's peak is the table row of its highest vertex. The
+    footnote block carries the search-volume context: smoothness, resel
+    counts, expected cluster topology at the feature threshold and the
+    FDR bound for the reported discoveries.
 
     With ``two_sided`` the negated field is searched as well: peaks of
     both signs share one table, tail probabilities are doubled (and
@@ -330,47 +329,41 @@ def peak_table(stat: StatField, space, resels: ReselVector, t_feature: float,
     field_type = stat.field_type
     values = np.asarray(stat.values, dtype=float).ravel()
     sides = 2.0 if two_sided else 1.0
-
-    entries = []  # (vertex, signed t, cluster_id)
-    cluster_records: list[ClusterRecord] = []
-    directions = (1.0, -1.0) if two_sided else (1.0,)
-    for direction in directions:
-        signed = StatField(direction * values, field_type)
-        maxima = local_maxima(signed, space, t_feature)
-        exc = excursion_set(signed, space, t_feature)
-        comps = connected_components(space, member_mask=exc, connectivity="full")
-        offset = len(cluster_records)
-        labels = _cluster_label_map(space, comps)
-        for v in maxima:
-            entries.append((int(v), float(values[v]), offset + int(labels[v])))
-        for rec in clusters(signed, space, t_feature, resels=resels):
-            rec.id += offset
-            rec.peak.cluster_id += offset
-            rec.peak.t *= direction
-            cluster_records.append(rec)
-
-    cond_p = np.array([
-        min(1.0, conditional_peak_p(abs(t_v), t_feature, resels, field_type))
-        for _, t_v, _ in entries
-    ])
-    q_values = topological_fdr(cond_p)
-
-    records = []
-    for (v, t_v, cid), q in zip(entries, q_values):
-        height = abs(t_v)
-        p_unc = min(sides * float(ecd.ec_density(field_type, 0, height)), 1.0)
-        p_fwe = min(sides * ecd.fwe_p(height, resels, field_type), 1.0)
-        p_fwe = max(p_fwe, p_unc)
-        z = float(z_equivalent(StatField(np.array([t_v]), field_type))[0])
-        records.append(PeakRecord(
-            vertex=v, coords=space.coords_of(v), t=t_v, z=z,
-            p_unc=p_unc, p_fwe=p_fwe, q_fdr=float(q), cluster_id=cid,
-        ))
-    records.sort(key=lambda r: (-r.t, r.coords))
-
     mu = intrinsic_volumes(space)
     stats_block = expected_cluster_stats(resels, field_type, t_feature,
                                          mu[mu.dimension])
+
+    vertices, cluster_ids = [], []
+    cluster_records: list[ClusterRecord] = []
+    for direction in ((1.0, -1.0) if two_sided else (1.0,)):
+        signed = StatField(direction * values, field_type)
+        maxima = local_maxima(signed, space, t_feature)
+        labels, records = _label_clusters(
+            signed, space, t_feature, stats_block["expected_size"],
+            first_id=len(cluster_records) + 1, sign=direction)
+        vertices.append(maxima)
+        cluster_ids.append(labels[maxima])
+        cluster_records += records
+
+    v = np.concatenate(vertices)
+    t = values[v]
+    height = np.abs(t)
+    # one call per row: perfbench's smoke test pins z_equivalent's calls to n_peaks
+    z = np.array([z_equivalent(StatField(t[i:i + 1], field_type))[0] for i in range(t.size)])
+    p_unc = np.minimum(sides * ecd.ec_density(field_type, 0, height), 1.0)
+    p_fwe = np.maximum(np.minimum(sides * ecd.fwe_p(height, resels, field_type), 1.0), p_unc)
+    # a peak at +-inf has a NaN expected-EC ratio (inf * 0); it counts as 1
+    cond_p = np.fmin(conditional_peak_p(height, t_feature, resels, field_type), 1.0)
+    q = topological_fdr(cond_p)
+
+    rows = zip(t.tolist(), z.tolist(), p_unc.tolist(), p_fwe.tolist(), q.tolist(),
+               np.concatenate(cluster_ids).tolist())
+    peaks = [PeakRecord(vi, space.coords_of(vi), *row) for vi, row in zip(v.tolist(), rows)]
+    peaks.sort(key=lambda r: (-r.t, r.coords))
+    by_cluster_top = {(r.vertex, r.cluster_id): r for r in peaks}
+    for rec in cluster_records:
+        rec.peak = by_cluster_top.get((rec.peak.vertex, rec.id), rec.peak)
+
     footnote = {
         "height_threshold": {
             "t": float(t_feature),
@@ -384,9 +377,9 @@ def peak_table(stat: StatField, space, resels: ReselVector, t_feature: float,
         "lkc": [float(v) for v in resels.lkc],
         "expected_clusters": sides * float(stats_block["expected_clusters"]),
         "expected_bins_per_cluster": float(stats_block["expected_size"]),
-        "expected_fdr": float(max((r.q_fdr for r in records), default=0.0)),
+        "expected_fdr": float(max((r.q_fdr for r in peaks), default=0.0)),
         "alpha": float(alpha),
         "two_sided": bool(two_sided),
     }
-    return ResultsTable(peaks=records, clusters=cluster_records,
+    return ResultsTable(peaks=peaks, clusters=cluster_records,
                         footnote=footnote)

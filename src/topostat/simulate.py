@@ -201,12 +201,11 @@ def mc_ec(config: SimConfig, thresholds) -> dict:
     mean = ecs.mean(axis=0)
     se = (ecs.std(axis=0, ddof=1) / math.sqrt(config.n_realizations)
           if config.n_realizations > 1 else np.zeros(len(thresholds)))
-    expected = [ecd.expected_ec(resels, ftype, t).total for t in thresholds]
     return {
         "thresholds": thresholds,
         "mean_ec": mean.tolist(),
         "se_ec": se.tolist(),
-        "expected_ec": expected,
+        "expected_ec": ecd.expected_ec(resels, ftype, np.array(thresholds)).tolist(),
         "n_realizations": config.n_realizations,
     }
 

@@ -1,11 +1,16 @@
 """On-disk dataset format and the command-line pipeline."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import topostat
 from topostat.cli import main
 from topostat.dataset import read_dataset, write_dataset
 from topostat.simulate import SimConfig, gen_field
@@ -119,6 +124,46 @@ class TestAnalyze:
         rc = main(["analyze", str(ds), str(design), str(contrast),
                    "-o", str(out)])
         assert rc == 2
+        assert not out.exists()
+
+    def _mask_with_nan(self, ds, at):
+        """Rewrite ``ds`` with its x = 0 plane masked out and NaN at
+        observation 3, vertex ``at``; return that vertex's flat index."""
+        vols = read_dataset(ds).load().reshape(12, 12, 12, 24)
+        mask = np.ones((12, 12, 24), dtype=bool)
+        mask[0] = False
+        vols[(3,) + at] = np.nan
+        vols[5, 0, 0, 0] = np.inf
+        write_dataset(ds, vols, mask=mask)
+        return int(np.ravel_multi_index(at, (12, 12, 24)))
+
+    def test_non_finite_inside_mask_exits_2(self, effect_dataset, tmp_path, capsys):
+        ds, design, contrast = effect_dataset
+        vertex = self._mask_with_nan(ds, (5, 6, 7))
+        out = tmp_path / "o"
+        assert main(["analyze", str(ds), str(design), str(contrast), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "obs0003.bin" in err and f"vertex {vertex} (5, 6, 7)" in err
+        assert not out.exists()
+
+    def test_non_finite_outside_mask_accepted(self, effect_dataset, tmp_path):
+        ds, design, contrast = effect_dataset
+        self._mask_with_nan(ds, (0, 6, 7))
+        for extra in ([], ["--smooth", "2,2,2"]):
+            out = tmp_path / f"o{len(extra)}"
+            assert main(["analyze", str(ds), str(design), str(contrast),
+                         "-o", str(out)] + extra) == 0
+            results = json.loads((out / "results.json").read_text())
+            assert results["footnote"]["search_volume_bins"] == 11 * 12 * 24
+            assert results["peaks"][0]["p_fwe"] < 0.05
+
+    @pytest.mark.parametrize("height_p", ["0", "1", "1.5", "nan"])
+    def test_height_p_outside_unit_interval_exits_2(self, effect_dataset, tmp_path,
+                                                    height_p):
+        ds, design, contrast = effect_dataset
+        out = tmp_path / "o"
+        assert main(["analyze", str(ds), str(design), str(contrast), "-o", str(out),
+                     "--height-p", height_p]) == 2
         assert not out.exists()
 
     def test_design_row_mismatch_exits_2(self, effect_dataset, tmp_path):
@@ -271,3 +316,13 @@ class TestSmoothAndInfo:
         obs = ds / "obs0000.bin"
         obs.write_bytes(obs.read_bytes()[:-1])
         assert main(["info", str(ds)]) == 2
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = str(Path(topostat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, topostat.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -59,27 +59,26 @@ def brute_force_flood_fill(mask, connectivity):
 
 class TestLattice:
     def test_2x2_full_counts(self):
+        # 4 points, 4 edges, 1 square: (P - E + F, E - 2F, F)
         space = build_lattice((2, 2), np.ones(4, dtype=bool))
-        assert space.point_count == 4
-        assert space.edge_counts == {0: 2, 1: 2}
-        assert space.face_counts == {(0, 1): 1}
+        assert intrinsic_volumes(space).mu == (1.0, 2.0, 1.0)
 
     def test_1d_chain_counts(self):
+        # 3 points, 2 edges: (P - E, E)
         space = build_lattice((3,), np.ones(3, dtype=bool))
-        assert space.point_count == 3
-        assert space.edge_counts == {0: 2}
+        assert intrinsic_volumes(space).mu == (1.0, 2.0)
 
     def test_cube_count_matches_enumeration(self):
         mask = np.ones((4, 4, 4), dtype=bool)
         space = build_lattice((4, 4, 4), mask)
-        assert space.cube_count == brute_force_cubes(mask) == 27
+        assert intrinsic_volumes(space)[3] == brute_force_cubes(mask) == 27
 
     def test_cube_count_random_mask(self):
         rng = np.random.default_rng(42)
         mask = rng.random((5, 6, 4)) < 0.7
         mask.flat[0] = True
         space = build_lattice(mask.shape, mask)
-        assert space.cube_count == brute_force_cubes(mask)
+        assert intrinsic_volumes(space)[3] == brute_force_cubes(mask)
 
     def test_empty_mask_rejected(self):
         with pytest.raises(ValueError, match="empty"):

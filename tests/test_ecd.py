@@ -25,6 +25,7 @@ from topostat import (
     restrict,
 )
 from topostat.domain import IntrinsicVolumes
+from topostat.infer import conditional_peak_p
 from topostat.simulate import SimConfig, gen_field
 from tests.test_lkc import residual_set_from_raw
 
@@ -88,21 +89,21 @@ class TestEcDensity:
 class TestExpectedEc:
     def test_point_search_is_tail_probability(self):
         for t in (1.5, 2.5, 4.0):
-            assert expected_ec(POINT, GAUSS, t).total == \
+            assert expected_ec(POINT, GAUSS, t) == \
                 pytest.approx(ec_density(GAUSS, 0, t), rel=1e-14)
 
     def test_table1_expected_clusters(self):
-        total = expected_ec(TABLE1, T12, 3.93).total
+        total = expected_ec(TABLE1, T12, 3.93)
         assert total == pytest.approx(4.96, rel=0.05)
 
     def test_table1_peak(self):
-        assert expected_ec(TABLE1, T12, 8.71).total == \
+        assert expected_ec(TABLE1, T12, 8.71) == \
             pytest.approx(0.036, abs=0.004)
 
     def test_breakdown_sums_to_total(self):
-        out = expected_ec(TABLE1, T12, 3.0)
-        assert out.total == pytest.approx(sum(out.contributions), rel=1e-15)
-        assert len(out.contributions) == 4
+        terms = [r * ec_density(T12, d, 3.0) for d, r in enumerate(TABLE1.resels)]
+        assert len(terms) == 4
+        assert expected_ec(TABLE1, T12, 3.0) == terms[0] + terms[1] + terms[2] + terms[3]
 
 
 class TestFweP:
@@ -135,6 +136,62 @@ class TestFweP:
         doubled = ReselVector.from_resels([2 * r for r in TABLE1.resels])
         for t in (6.0, 7.5, 9.0):
             assert fwe_p(t, doubled, T12) > fwe_p(t, TABLE1, T12)
+
+
+HEIGHTS = np.concatenate([np.linspace(-4.0, 40.0, 441), [0.0, np.inf, -np.inf]])
+
+
+class TestArrayMatchesScalar:
+    """Array calls equal the scalar calls element by element, bit for bit."""
+
+    @pytest.mark.parametrize("field", [GAUSS, T11, FieldType.student_t(2.5)])
+    @pytest.mark.parametrize("resels", [TABLE1, POINT])
+    def test_every_function(self, field, resels):
+        with np.errstate(invalid="ignore"):  # inf * 0 in the densities at +-inf
+            for d in range(4):
+                np.testing.assert_array_equal(ec_density(field, d, HEIGHTS),
+                                              [ec_density(field, d, h) for h in HEIGHTS])
+            np.testing.assert_array_equal(expected_ec(resels, field, HEIGHTS),
+                                          [expected_ec(resels, field, h) for h in HEIGHTS])
+            np.testing.assert_array_equal(fwe_p(HEIGHTS, resels, field),
+                                          [fwe_p(h, resels, field) for h in HEIGHTS])
+            # E[EC](0.3) < 0 for TABLE1 (rho_3 is negative below t = 1)
+            heights = np.abs(HEIGHTS)
+            for t_feature in (3.0, 0.3):
+                np.testing.assert_array_equal(
+                    conditional_peak_p(heights, t_feature, resels, field),
+                    [conditional_peak_p(h, t_feature, resels, field) for h in heights])
+
+    def test_scalar_in_float_out(self):
+        for value in (expected_ec(TABLE1, T12, 4.0), fwe_p(4.0, TABLE1, T12),
+                      conditional_peak_p(4.0, 3.0, TABLE1, T12),
+                      conditional_peak_p(4.0, 0.3, TABLE1, GAUSS)):
+            assert type(value) is float
+
+    def test_empty_peak_set(self):
+        none = np.empty(0)
+        for out in (expected_ec(TABLE1, T12, none), fwe_p(none, TABLE1, T12),
+                    conditional_peak_p(none, 3.0, TABLE1, T12),
+                    conditional_peak_p(none, 0.3, TABLE1, GAUSS)):
+            assert out.shape == (0,)
+
+    def test_infinite_and_nan_heights(self):
+        np.testing.assert_array_equal(fwe_p(np.array([np.inf, -np.inf]), TABLE1, T12),
+                                      [0.0, 1.0])
+        with pytest.raises(ValueError, match="NaN"):
+            fwe_p(np.array([5.0, math.nan]), TABLE1, T12)
+
+    def test_nan_expected_ec_ratio_stays_nan(self):
+        # E[EC](inf) is NaN (inf * 0 in rho_2, rho_3): the ratio is NaN, not 1
+        with np.errstate(invalid="ignore"):
+            assert math.isnan(conditional_peak_p(4.0, math.inf, TABLE1, T12))
+            assert math.isnan(conditional_peak_p(math.inf, 3.0, TABLE1, T12))
+            np.testing.assert_array_equal(
+                conditional_peak_p(np.array([4.0, math.inf]), math.inf, TABLE1, T12),
+                [math.nan, math.nan])
+            np.testing.assert_array_equal(
+                conditional_peak_p(np.array([4.0, math.inf]), 3.0, TABLE1, T12),
+                [conditional_peak_p(4.0, 3.0, TABLE1, T12), math.nan])
 
 
 class TestCorrectedThreshold:

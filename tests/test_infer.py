@@ -5,24 +5,36 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from scipy import special, stats
 
 from topostat import (
+    DesignMatrix,
     FieldType,
     ReselVector,
     StatField,
     build_lattice,
     build_mesh,
     clusters,
+    ec_density,
     excursion_set,
     expected_ec,
+    fit,
+    intrinsic_volumes,
     local_maxima,
+    lkc_vector,
+    normalized_residuals,
     peak_table,
+    t_map,
     topological_fdr,
 )
 from topostat.domain import IntrinsicVolumes, connected_components
 from topostat.infer import conditional_peak_p, expected_cluster_stats
+from topostat.lkc import lattice_smoothness
 from topostat.simulate import SimConfig, gen_field, generator_resels
 from tests.test_ecd import GAUSS, T11, T12, TABLE1, TABLE3, box_mu
+from tests.test_lkc import unit_sheet_mesh
 
 
 def full_space(dims):
@@ -210,6 +222,30 @@ class TestTopologicalFdr:
             topological_fdr([0.5, 1.2])
 
 
+P_VALUES = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40)
+
+
+class TestTopologicalFdrProperties:
+    @given(P_VALUES)
+    @example([0.0, 0.0, 0.0, 0.0, 0.9999999999999999])  # 5 p / 5 rounds an ulp below p
+    def test_q_at_least_p(self, p):
+        assert np.all(topological_fdr(p) >= np.asarray(p))
+
+    @given(P_VALUES)
+    def test_q_monotone_in_p(self, p):
+        p = np.asarray(p)
+        q = topological_fdr(p)
+        order = np.argsort(p, kind="stable")
+        assert np.all(np.diff(q[order]) >= 0)
+
+    @given(P_VALUES, st.randoms(use_true_random=False))
+    def test_permutation_equivariant(self, p, rnd):
+        perm = list(range(len(p)))
+        rnd.shuffle(perm)
+        np.testing.assert_array_equal(topological_fdr(np.asarray(p)[perm]),
+                                      topological_fdr(p)[perm])
+
+
 class TestClusters:
     def test_two_bumps_sizes(self):
         vals = np.zeros((12, 12))
@@ -240,7 +276,7 @@ class TestClusters:
             recs = clusters(StatField(f.ravel(), GAUSS), space, 2.5)
             counts.append(len(recs))
         counts = np.asarray(counts, dtype=float)
-        want = expected_ec(resels, GAUSS, 2.5).total
+        want = expected_ec(resels, GAUSS, 2.5)
         se = counts.std(ddof=1) / np.sqrt(len(counts))
         assert abs(counts.mean() - want) < 1.96 * se
 
@@ -325,3 +361,130 @@ class TestPeakTable:
         assert table.footnote["expected_clusters"] == pytest.approx(
             2 * one_sided.footnote["expected_clusters"])
         assert {c.id for c in table.clusters} == {1, 2}
+
+
+def _per_peak_expected_ec(resels, field, t):
+    total = 0.0
+    for d, r in enumerate(resels.resels):
+        total += r * ec_density(field, d, float(t))
+    return total
+
+
+def _per_peak_z(t, field):
+    if field.kind == "gaussian" or not np.isfinite(t):
+        return t
+    z = float(special.ndtri_exp(stats.t.logsf(abs(t), field.dof)))
+    return -z if t >= 0 else z
+
+
+def per_peak_table(stat, space, resels, t_feature, two_sided):
+    """``peak_table(...).to_dict()`` the per-peak way: scalar p-value calls
+    for every peak and each excursion set labelled twice (reference)."""
+    ft = stat.field_type
+    values = np.asarray(stat.values, dtype=float).ravel()
+    sides = 2.0 if two_sided else 1.0
+    mu_top = intrinsic_volumes(space)[space.dimension]
+    c = _per_peak_expected_ec(resels, ft, t_feature)
+    expected_size = mu_top * ec_density(ft, 0, t_feature) / c if c > 0 else float("nan")
+    rows, cluster_rows = [], []
+    for direction in ((1.0, -1.0) if two_sided else (1.0,)):
+        signed = StatField(direction * values, ft)
+        offset = len(cluster_rows)
+        exc = excursion_set(signed, space, t_feature)
+        label = {int(v): k for k, comp in enumerate(
+            connected_components(space, member_mask=exc), start=offset + 1) for v in comp}
+        for v in local_maxima(signed, space, t_feature):
+            t = float(values[v])
+            h = abs(t)
+            p_unc = min(sides * ec_density(ft, 0, h), 1.0)
+            e = 0.0 if h == np.inf else _per_peak_expected_ec(resels, ft, h)
+            p_fwe = max(min(sides * min(max(e, 0.0), 1.0), 1.0), p_unc)
+            ratio = _per_peak_expected_ec(resels, ft, h) / c if c > 0 else 1.0
+            cond = min(1.0, min(max(ratio, 0.0), 1.0))
+            rows.append({"vertex": int(v), "coords": list(space.coords_of(int(v))), "t": t,
+                         "z": _per_peak_z(t, ft), "p_unc": p_unc, "p_fwe": p_fwe,
+                         "cond": cond, "cluster_id": label[int(v)]})
+        for k, comp in enumerate(connected_components(space, member_mask=exc),
+                                 start=offset + 1):
+            top = int(comp[int(np.argmax(signed.values[comp]))])
+            cluster_rows.append({"id": k, "size_vertices": int(comp.size), "peak_vertex": top,
+                                 "peak_t": direction * float(signed.values[top]),
+                                 "expected_size": expected_size})
+    for row, q in zip(rows, topological_fdr([r.pop("cond") for r in rows])):
+        row["q_fdr"] = float(q)
+    rows.sort(key=lambda r: (-r["t"], tuple(r["coords"])))
+    return {"peaks": rows, "clusters": cluster_rows,
+            "expected_clusters": sides * c, "expected_bins_per_cluster": expected_size,
+            "expected_fdr": max((r["q_fdr"] for r in rows), default=0.0)}
+
+
+def dense_t_field(dims=(24, 24, 16), n=12, seed=31):
+    """A rough t field with hundreds of peaks of both signs, and its resels."""
+    cfg = SimConfig(dims=dims, fwhm=(1.5,) * len(dims), n_realizations=n, seed=seed)
+    data = np.stack([gen_field(cfg, i).ravel() for i in range(n)])
+    glm_fit = fit(data, DesignMatrix(np.ones((n, 1)), ("mean",)))
+    space = full_space(dims)
+    top, fwhm = lattice_smoothness(normalized_residuals(glm_fit), space)
+    resels = lkc_vector(top, intrinsic_volumes(space), fwhm=fwhm)
+    return t_map(glm_fit, [1.0]), space, resels
+
+
+def assert_same_rows(got, want):
+    """Row lists equal as JSON text (NaN included); reports the first
+    differing pair instead of a diff of the whole table."""
+    got = [json.dumps(r, sort_keys=True) for r in got]
+    want = [json.dumps(r, sort_keys=True) for r in want]
+    assert len(got) == len(want)
+    assert next(((a, b) for a, b in zip(got, want) if a != b), None) is None
+
+
+class TestPeakTableMatchesPerPeakPath:
+    def _assert_same(self, stat, space, resels, t_feature, two_sided):
+        table = peak_table(stat, space, resels, t_feature, two_sided=two_sided)
+        got = table.to_dict()
+        want = per_peak_table(stat, space, resels, t_feature, two_sided)
+        assert_same_rows(got["peaks"], want["peaks"])
+        assert_same_rows(got["clusters"], want["clusters"])
+        assert_same_rows([got["footnote"][k] for k in ("expected_clusters",
+                          "expected_bins_per_cluster", "expected_fdr")],
+                         [want[k] for k in ("expected_clusters",
+                          "expected_bins_per_cluster", "expected_fdr")])
+        # each cluster's peak is the table's own row, p-values filled
+        rows = {id(p) for p in table.peaks}
+        assert all(id(c.peak) in rows for c in table.clusters)
+        assert all(c.peak.cluster_id == c.id and np.isfinite(c.peak.q_fdr)
+                   for c in table.clusters)
+        return table
+
+    @pytest.mark.parametrize("height_p,two_sided", [(0.16, True), (0.16, False),
+                                                    (0.6, True)])
+    def test_dense_lattice_field(self, height_p, two_sided):
+        stat, space, resels = dense_t_field()
+        t_feature = float(stats.t.isf(height_p, stat.field_type.dof))
+        table = self._assert_same(stat, space, resels, t_feature, two_sided)
+        assert len(table.peaks) > 200 and table.clusters
+        assert (min(p.t for p in table.peaks) < 0) == two_sided
+
+    def test_mesh_field_with_infinite_peaks(self):
+        verts, tris = unit_sheet_mesh(14, 12)
+        mesh = build_mesh(verts, tris)
+        values = np.random.default_rng(8).standard_normal(len(verts)) * 2.0
+        values[[20, 77]] = [np.inf, -np.inf]
+        stat = StatField(values, T11)
+        with np.errstate(invalid="ignore"):
+            table = self._assert_same(stat, mesh, ReselVector.from_resels((1.0, 4.0, 9.0)),
+                                      1.0, True)
+        assert {table.peaks[0].t, table.peaks[-1].t} == {np.inf, -np.inf}
+
+    def test_empty_table(self):
+        stat, space, resels = dense_t_field(dims=(8, 8, 6), n=6)
+        self._assert_same(stat, space, resels, 50.0, True)
+
+    def test_cluster_top_next_to_nan_keeps_unscored_peak(self):
+        # a NaN neighbour keeps each cluster's top out of the local maxima
+        values = np.array([0.0, np.nan, 5.0, 4.0, 0.0, -4.0, -5.0, np.nan, 0.0])
+        table = peak_table(StatField(values, T11), full_space((9,)),
+                           ReselVector.from_resels((1.0, 3.0)), 1.0, two_sided=True)
+        assert table.peaks == []
+        assert [(c.peak.vertex, c.peak.t) for c in table.clusters] == [(2, 5.0), (6, -5.0)]
+        assert all(np.isnan(c.peak.p_fwe) for c in table.clusters)

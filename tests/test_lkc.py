@@ -33,7 +33,7 @@ def residual_set_from_raw(r):
     norms = np.sqrt((r * r).sum(axis=0))
     flagged = norms == 0
     u = np.where(flagged, 0.0, r / np.where(flagged, 1.0, norms))
-    return ResidualSet(u=u, norms=norms, flagged=flagged, n=r.shape[0])
+    return ResidualSet(u=u, norms=norms, flagged=flagged)
 
 
 def reference_gram_sqrt_det(diffs):
@@ -121,7 +121,7 @@ class TestLkcTop:
     def test_constant_residuals_zero(self):
         space = build_lattice((6, 6), np.ones(36, dtype=bool))
         u = np.tile(np.array([0.6, 0.8])[:, None], (1, 36))
-        res = ResidualSet(u=u, norms=np.ones(36), flagged=np.zeros(36, bool), n=2)
+        res = ResidualSet(u=u, norms=np.ones(36), flagged=np.zeros(36, bool))
         assert lkc_top(res, space) == 0.0
 
     def test_1d_chain_total_variation(self):
@@ -129,7 +129,7 @@ class TestLkcTop:
         theta = np.array([0.0, 0.3, 0.1, 0.7, 0.65])
         space = build_lattice((5,), np.ones(5, dtype=bool))
         u = np.stack([np.cos(theta), np.sin(theta)])
-        res = ResidualSet(u=u, norms=np.ones(5), flagged=np.zeros(5, bool), n=2)
+        res = ResidualSet(u=u, norms=np.ones(5), flagged=np.zeros(5, bool))
         hand = sum(2.0 * math.sin(abs(d) / 2.0) for d in np.diff(theta))
         assert lkc_top(res, space) == pytest.approx(hand, rel=1e-12)
 
@@ -163,12 +163,12 @@ class TestLkcTop:
         # adding one more active component strictly increases l_D
         theta = np.array([0.0, 0.4, 0.4, 0.4])
         u = np.stack([np.cos(theta), np.sin(theta)])
-        res = ResidualSet(u=u, norms=np.ones(4), flagged=np.zeros(4, bool), n=2)
+        res = ResidualSet(u=u, norms=np.ones(4), flagged=np.zeros(4, bool))
         space = build_lattice((4,), np.ones(4, dtype=bool))
         base = lkc_top(res, space)
         theta2 = np.array([0.0, 0.4, 0.4, 0.9])
         u2 = np.stack([np.cos(theta2), np.sin(theta2)])
-        res2 = ResidualSet(u=u2, norms=np.ones(4), flagged=np.zeros(4, bool), n=2)
+        res2 = ResidualSet(u=u2, norms=np.ones(4), flagged=np.zeros(4, bool))
         assert lkc_top(res2, space) > base
 
     def test_coordinate_invariance_exact(self):
@@ -263,7 +263,7 @@ class TestFwhmEstimate:
     def test_constant_field_infinite(self):
         space = build_lattice((5, 5), np.ones(25, dtype=bool))
         u = np.tile(np.array([1.0, 0.0])[:, None], (1, 25))
-        res = ResidualSet(u=u, norms=np.ones(25), flagged=np.zeros(25, bool), n=2)
+        res = ResidualSet(u=u, norms=np.ones(25), flagged=np.zeros(25, bool))
         np.testing.assert_array_equal(fwhm_estimate(res, space), np.inf)
 
     def test_white_noise_width(self):
