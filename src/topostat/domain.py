@@ -4,12 +4,15 @@ A search space owns the combinatorics that topological inference runs on:
 vertex adjacency, the components that tile the region (points, edges,
 faces and cubes on a lattice; simplices on a mesh) and the intrinsic
 volumes of the region. Statistic and residual values are stored as flat
-vertex arrays; lattices use C-order linear indexing over the grid.
+vertex arrays; lattices use C-order linear indexing over the grid. A
+mesh's adjacency is its sorted array of unique edges: components,
+neighbour maxima and smoothing all work on that one array.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -134,12 +137,22 @@ class LatticeSpace:
         return f"LatticeSpace(dims={self.dims}, inside={self.n_inside})"
 
 
+def _unique_edges(simplices: np.ndarray, n: int):
+    """Unique (lo, hi) vertex pairs of the simplices' sides, sorted, and
+    the number of simplices holding each (one ``np.unique`` on lo * n + hi)."""
+    sides = itertools.combinations(range(simplices.shape[1]), 2)
+    pairs = np.sort(simplices[:, list(sides)], axis=2)
+    keys, counts = np.unique(pairs[..., 0] * n + pairs[..., 1], return_counts=True)
+    return np.stack(np.divmod(keys, n), axis=1), counts
+
+
 class MeshSpace:
     """A simplicial mesh: edges (D=1) or triangles (D=2).
 
     Vertex coordinates are carried only for volume measurements; all
-    adjacency-driven operations depend purely on connectivity. An
-    optional ``vertex_mask`` restricts the space to the induced
+    adjacency-driven operations depend purely on connectivity, and the
+    sorted edge array :attr:`edges` is the one adjacency representation.
+    An optional ``vertex_mask`` restricts the space to the induced
     subcomplex without renumbering vertices.
     """
 
@@ -156,9 +169,10 @@ class MeshSpace:
         n_vert = vertices.shape[0]
         if simplices.size and (simplices.min() < 0 or simplices.max() >= n_vert):
             raise ValueError("simplex index out of range")
-        for row in simplices:
-            if len(set(row.tolist())) != len(row):
-                raise ValueError(f"degenerate simplex {tuple(row)}")
+        ordered = np.sort(simplices, axis=1)
+        repeated = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+        if repeated.any():
+            raise ValueError(f"degenerate simplex {tuple(simplices[np.argmax(repeated)])}")
         if vertex_mask is None:
             vertex_mask = np.ones(n_vert, dtype=bool)
         else:
@@ -189,38 +203,18 @@ class MeshSpace:
 
     @cached_property
     def edges(self) -> np.ndarray:
-        """Unique undirected edges of the induced subcomplex, sorted."""
-        s = self.all_simplices
-        pairs = []
-        for i, j in itertools.combinations(range(s.shape[1]), 2):
-            pairs.append(np.stack([s[:, i], s[:, j]], axis=1))
-        e = np.concatenate(pairs, axis=0) if pairs else np.empty((0, 2), np.int64)
-        e = np.sort(e, axis=1)
-        e = np.unique(e, axis=0)
-        both_in = self.mask_flat[e].all(axis=1)
-        return e[both_in]
+        """Unique undirected edges (lo, hi) of the induced subcomplex,
+        sorted: the mesh adjacency."""
+        e = _unique_edges(self.all_simplices, self.n_points)[0]
+        return e[self.mask_flat[e].all(axis=1)]
 
     @cached_property
     def boundary_edges(self) -> np.ndarray:
         """Edges belonging to exactly one in-mask triangle (D=2 only)."""
         if self.dimension != 2:
             return np.empty((0, 2), np.int64)
-        s = self.simplices
-        pairs = []
-        for i, j in itertools.combinations(range(3), 2):
-            pairs.append(np.stack([s[:, i], s[:, j]], axis=1))
-        e = np.sort(np.concatenate(pairs, axis=0), axis=1) if pairs else np.empty((0, 2), np.int64)
-        uniq, counts = np.unique(e, axis=0, return_counts=True)
-        return uniq[counts == 1]
-
-    @cached_property
-    def neighbor_lists(self) -> list[np.ndarray]:
-        """Per-vertex sorted arrays of edge-adjacent in-mask vertices."""
-        adj: list[list[int]] = [[] for _ in range(self.n_points)]
-        for a, b in self.edges:
-            adj[a].append(int(b))
-            adj[b].append(int(a))
-        return [np.array(sorted(v), dtype=np.int64) for v in adj]
+        e, counts = _unique_edges(self.simplices, self.n_points)
+        return e[counts == 1]
 
     def restricted(self, sub_mask) -> "MeshSpace":
         sub_mask = np.asarray(sub_mask, dtype=bool)
@@ -245,16 +239,14 @@ def build_mesh(vertices, simplices) -> MeshSpace:
     return MeshSpace(vertices, simplices)
 
 
-def _simplex_content(verts: np.ndarray) -> float:
-    """D-volume of one simplex from its (D+1, E) vertex coordinates."""
-    edges = verts[1:] - verts[0]
-    gram = edges @ edges.T
-    det = float(np.linalg.det(gram)) if gram.shape[0] > 1 else float(gram[0, 0])
-    d = edges.shape[0]
-    factorial = 1.0
-    for k in range(2, d + 1):
-        factorial *= k
-    return float(np.sqrt(max(det, 0.0))) / factorial
+def _simplex_contents(vertices: np.ndarray, simplices: np.ndarray) -> np.ndarray:
+    """D-volume of each simplex (rows of D+1 vertex indices): the root of
+    its edge vectors' Gram determinant over D!."""
+    edges = vertices[simplices[:, 1:]] - vertices[simplices[:, :1]]
+    gram = edges @ edges.transpose(0, 2, 1)
+    d = simplices.shape[1] - 1
+    det = gram[:, 0, 0] if d == 1 else np.linalg.det(gram)
+    return np.sqrt(np.maximum(det, 0.0)) / math.factorial(d)
 
 
 def intrinsic_volumes(space) -> IntrinsicVolumes:
@@ -280,19 +272,13 @@ def intrinsic_volumes(space) -> IntrinsicVolumes:
                   float(f - 3 * c), float(c))
         return IntrinsicVolumes(mu)
     if isinstance(space, MeshSpace):
-        n_v = space.n_inside
-        n_e = len(space.edges)
+        n_v, n_e, n_f = space.n_inside, len(space.edges), len(space.simplices)
+        # summed in simplex order, one float at a time
+        content = sum(_simplex_contents(space.vertices, space.simplices).tolist(), 0.0)
         if space.dimension == 1:
-            length = 0.0
-            for a, b in space.simplices:
-                length += float(np.linalg.norm(space.vertices[b] - space.vertices[a]))
-            return IntrinsicVolumes((float(n_v - n_e), length))
-        n_f = len(space.simplices)
-        area = sum(_simplex_content(space.vertices[s]) for s in space.simplices)
-        boundary = 0.0
-        for a, b in space.boundary_edges:
-            boundary += float(np.linalg.norm(space.vertices[b] - space.vertices[a]))
-        return IntrinsicVolumes((float(n_v - n_e + n_f), 0.5 * boundary, float(area)))
+            return IntrinsicVolumes((float(n_v - n_e), content))
+        boundary = sum(_simplex_contents(space.vertices, space.boundary_edges).tolist(), 0.0)
+        return IntrinsicVolumes((float(n_v - n_e + n_f), 0.5 * boundary, content))
     raise TypeError(f"not a search space: {type(space).__name__}")
 
 
@@ -306,12 +292,26 @@ def lattice_euler_characteristic(mask: np.ndarray) -> int:
     return p - e + f - c
 
 
-def _lattice_structure(ndim: int, connectivity: str) -> np.ndarray:
-    if connectivity == "face":
-        return ndimage.generate_binary_structure(ndim, 1)
-    if connectivity == "full":
-        return ndimage.generate_binary_structure(ndim, ndim)
-    raise ValueError(f"connectivity must be 'face' or 'full', got {connectivity!r}")
+def _graph_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Component label of each of ``n`` vertices in the undirected graph
+    with edges a[i]-b[i] (a vertex without edges is its own component)."""
+    # imported on first use: csgraph loads scipy.sparse.linalg (~75 ms)
+    from scipy.sparse import coo_array, csgraph
+    graph = coo_array((np.ones(a.size), (a, b)), shape=(n, n))
+    return csgraph.connected_components(graph, directed=False)[1]
+
+
+def _sorted_groups(labels: np.ndarray, member: np.ndarray) -> list[np.ndarray]:
+    """Member vertices grouped by label: ascending index arrays, ordered by
+    each group's smallest vertex."""
+    idx = np.flatnonzero(member)
+    if idx.size == 0:
+        return []
+    lab = labels[idx]
+    order = np.argsort(lab, kind="stable")
+    groups = np.split(idx[order], np.flatnonzero(np.diff(lab[order])) + 1)
+    groups.sort(key=lambda g: int(g[0]))
+    return groups
 
 
 def connected_components(space, member_mask=None, connectivity: str = "full"):
@@ -321,11 +321,12 @@ def connected_components(space, member_mask=None, connectivity: str = "full"):
     ----------
     space : LatticeSpace or MeshSpace
         Lattices connect via the chosen neighborhood ('face' = 2D/3D
-        von Neumann, 'full' = 8/26 neighbors); meshes always use edge
-        adjacency.
+        von Neumann, 'full' = 8/26 neighbors); meshes always use their
+        edge array, whichever of the two is named.
     member_mask : ndarray of bool, optional
         Further restriction (e.g. an excursion set) over vertices;
         flat or lattice-shaped.
+    connectivity : {'full', 'face'}
 
     Returns
     -------
@@ -333,44 +334,21 @@ def connected_components(space, member_mask=None, connectivity: str = "full"):
         Ascending vertex-index arrays, ordered by each component's
         smallest linear vertex index. Deterministic.
     """
-    if isinstance(space, LatticeSpace):
-        member = space.mask
-        if member_mask is not None:
-            member = member & np.asarray(member_mask, dtype=bool).reshape(space.dims)
-        labels, n = ndimage.label(member, structure=_lattice_structure(space.dimension, connectivity))
-        flat = labels.ravel()
-        idx = np.flatnonzero(flat)
-        if idx.size == 0:
-            return []
-        lab = flat[idx]
-        order = np.argsort(lab, kind="stable")
-        sizes = np.bincount(lab)[1:]
-        groups = np.split(idx[order], np.cumsum(sizes)[:-1])
-        groups.sort(key=lambda g: int(g[0]))
-        return groups
+    if not isinstance(space, (LatticeSpace, MeshSpace)):
+        raise TypeError(f"not a search space: {type(space).__name__}")
+    if connectivity not in ("face", "full"):
+        raise ValueError(f"connectivity must be 'face' or 'full', got {connectivity!r}")
+    member = space.mask_flat
+    if member_mask is not None:
+        member = member & np.asarray(member_mask, dtype=bool).ravel()
     if isinstance(space, MeshSpace):
-        member = space.mask_flat.copy()
-        if member_mask is not None:
-            member &= np.asarray(member_mask, dtype=bool).ravel()
-        neighbors = space.neighbor_lists
-        seen = np.zeros(space.n_points, dtype=bool)
-        comps = []
-        for start in np.flatnonzero(member):
-            if seen[start]:
-                continue
-            stack = [int(start)]
-            seen[start] = True
-            comp = []
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for w in neighbors[v]:
-                    if member[w] and not seen[w]:
-                        seen[w] = True
-                        stack.append(int(w))
-            comps.append(np.array(sorted(comp), dtype=np.int64))
-        return comps
-    raise TypeError(f"not a search space: {type(space).__name__}")
+        a, b = space.edges.T
+        both = member[a] & member[b]
+        return _sorted_groups(_graph_labels(space.n_points, a[both], b[both]), member)
+    rank = 1 if connectivity == "face" else space.dimension
+    labels = ndimage.label(member.reshape(space.dims),
+                           structure=ndimage.generate_binary_structure(space.dimension, rank))[0]
+    return _sorted_groups(labels.ravel(), member)
 
 
 def read_mesh(path) -> MeshSpace:

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ecd
-from .domain import LatticeSpace, MeshSpace, connected_components, intrinsic_volumes
+from .domain import (LatticeSpace, MeshSpace, _graph_labels, connected_components,
+                     intrinsic_volumes)
 from .glm import FieldType, StatField, z_equivalent
 from .lkc import ReselVector
 
@@ -127,100 +128,79 @@ def _full_offsets(ndim: int):
 
 def _lattice_neighbor_max(vals: np.ndarray) -> np.ndarray:
     """Max over the full neighborhood, -inf where no neighbor exists."""
-    ndim = vals.ndim
     padded = np.pad(vals, 1, constant_values=-np.inf)
     out = np.full(vals.shape, -np.inf)
-    for off in _full_offsets(ndim):
+    for off in _full_offsets(vals.ndim):
         sl = tuple(slice(1 + o, 1 + o + n) for o, n in zip(off, vals.shape))
         np.maximum(out, padded[sl], out=out)
     return out
 
 
-def _lattice_plateau_neighbors(space: LatticeSpace, vertex: int):
-    coords = np.unravel_index(vertex, space.dims)
-    for off in _full_offsets(space.dimension):
-        nb = tuple(c + o for c, o in zip(coords, off))
-        if all(0 <= c < n for c, n in zip(nb, space.dims)):
-            yield int(np.ravel_multi_index(nb, space.dims))
-
-
-def _resolve_plateaus(values, in_mask, tie_vertices, neighbors_of):
-    """Keep the smallest vertex of each equal-valued plateau that is a
-    true local maximum (no strictly greater in-mask neighbor anywhere on
-    the plateau)."""
-    kept = []
-    visited: set[int] = set()
-    for start in sorted(int(v) for v in tie_vertices):
-        if start in visited:
+def _lattice_pairs(mask: np.ndarray):
+    """Both ends (a, b) of every pair of in-mask full-connectivity lattice
+    neighbours, each pair once (the lexicographically positive offsets)."""
+    index = np.arange(mask.size).reshape(mask.shape)
+    a, b = [], []
+    for off in _full_offsets(mask.ndim):
+        if off < (0,) * mask.ndim:
             continue
-        level = values[start]
-        comp = [start]
-        visited.add(start)
-        stack = [start]
-        is_max = True
-        while stack:
-            v = stack.pop()
-            for w in neighbors_of(v):
-                if not in_mask[w]:
-                    continue
-                x = values[w]
-                if x > level:
-                    is_max = False
-                elif x == level and w not in visited:
-                    visited.add(w)
-                    comp.append(w)
-                    stack.append(w)
-        if is_max:
-            kept.append(min(comp))
-    return kept
+        src = tuple(slice(max(-o, 0), n - max(o, 0)) for o, n in zip(off, mask.shape))
+        dst = tuple(slice(max(o, 0), n - max(-o, 0)) for o, n in zip(off, mask.shape))
+        both = mask[src] & mask[dst]
+        a.append(index[src][both])
+        b.append(index[dst][both])
+    return np.concatenate(a), np.concatenate(b)
+
+
+def _plateau_maxima(values: np.ndarray, ties: np.ndarray, a: np.ndarray,
+                    b: np.ndarray) -> np.ndarray:
+    """Smallest vertex of each plateau holding a vertex of ``ties`` that is
+    a true local maximum. Plateaus are the components of the graph of
+    equal-valued neighbour pairs (a, b); one is dropped when any of its
+    vertices has a strictly greater neighbour (NaN compares as neither)."""
+    va, vb = values[a], values[b]
+    equal = va == vb
+    labels = _graph_labels(values.size, a[equal], b[equal])
+    beaten = np.zeros(labels.max() + 1, dtype=bool)
+    beaten[labels[a[vb > va]]] = True
+    beaten[labels[b[va > vb]]] = True
+    smallest = np.unique(labels, return_index=True)[1]
+    lab = labels[ties]
+    return np.unique(smallest[lab[~beaten[lab]]])
 
 
 def local_maxima(stat: StatField, space, threshold: float = -np.inf) -> np.ndarray:
     """Vertices of the excursion set strictly above all their neighbors.
 
-    Full connectivity (8 in 2D, 26 in 3D; edge adjacency on meshes).
-    Exact plateau ties keep only the lexicographically smallest vertex
-    of each flat region, and only when the whole region dominates its
-    surroundings.
+    Full connectivity on lattices (8 in 2D, 26 in 3D); on meshes the
+    neighbours are the ends of the edge array. Exact plateau ties keep
+    only the smallest vertex of each flat region, and only when the
+    whole region dominates its surroundings.
 
     Returns ascending vertex indices.
     """
     values = np.asarray(stat.values, dtype=float).ravel()
     if values.shape[0] != space.n_points:
         raise ValueError("statistic field does not cover the space")
-    in_mask = space.mask_flat.ravel()
     in_exc = excursion_set(stat, space, threshold)
+    masked_vals = np.where(space.mask_flat, values, -np.inf)
 
     if isinstance(space, LatticeSpace):
-        vals = np.where(space.mask, values.reshape(space.dims), -np.inf)
-        nb_max = _lattice_neighbor_max(vals).ravel()
-        masked_vals = vals.ravel()
-
-        def neighbors_of(v):
-            return _lattice_plateau_neighbors(space, v)
-
+        nb_max = _lattice_neighbor_max(masked_vals.reshape(space.dims)).ravel()
     elif isinstance(space, MeshSpace):
-        masked_vals = np.where(in_mask, values, -np.inf)
+        a, b = space.edges.T
         nb_max = np.full(space.n_points, -np.inf)
-        lists = space.neighbor_lists
-        for v in range(space.n_points):
-            nbrs = lists[v]
-            if nbrs.size:
-                nb_max[v] = masked_vals[nbrs].max()
-
-        def neighbors_of(v):
-            return lists[v]
-
+        np.maximum.at(nb_max, a, masked_vals[b])
+        np.maximum.at(nb_max, b, masked_vals[a])
     else:
         raise TypeError(f"not a search space: {type(space).__name__}")
 
-    strict = in_exc & (masked_vals > nb_max)
-    ties = in_exc & (masked_vals == nb_max)
-    out = list(np.flatnonzero(strict))
-    if np.any(ties):
-        out.extend(_resolve_plateaus(masked_vals, in_mask,
-                                     np.flatnonzero(ties), neighbors_of))
-    return np.array(sorted(out), dtype=np.int64)
+    out = np.flatnonzero(in_exc & (masked_vals > nb_max))
+    ties = np.flatnonzero(in_exc & (masked_vals == nb_max))
+    if ties.size:
+        a, b = space.edges.T if isinstance(space, MeshSpace) else _lattice_pairs(space.mask)
+        out = np.sort(np.concatenate([out, _plateau_maxima(masked_vals, ties, a, b)]))
+    return out
 
 
 def topological_fdr(p_values) -> np.ndarray:
@@ -235,8 +215,8 @@ def topological_fdr(p_values) -> np.ndarray:
     m = p.size
     if m == 0:
         return np.empty(0)
-    if np.any((p < 0) | (p > 1)):
-        raise ValueError("p-values must lie in [0, 1]")
+    if not np.all((p >= 0) & (p <= 1)):
+        raise ValueError("p-values must lie in [0, 1] and not be NaN")
     order = np.argsort(p, kind="stable")
     scaled = p[order] * m / np.arange(1, m + 1)
     q_sorted = np.clip(np.minimum.accumulate(scaled[::-1])[::-1], p[order], 1.0)
@@ -251,10 +231,12 @@ def conditional_peak_p(t_peak, t_feature: float, resels: ReselVector,
     the expected-EC ratio E[EC](t_peak) / E[EC](t_feature), in [0, 1].
 
     A float for a scalar t_peak, an array of its shape for an array.
-    Every value is 1 when E[EC](t_feature) <= 0; a NaN ratio (t_peak at
-    +-inf, or a NaN E[EC](t_feature)) stays NaN.
+    Every value is 1 when E[EC](t_feature) <= 0. A t_peak of +inf gives
+    0, as in :func:`ecd.fwe_p`; a NaN ratio (t_peak at -inf, or a NaN
+    E[EC](t_feature)) stays NaN.
     """
-    num = ecd.expected_ec(resels, field, t_peak)
+    # E[EC](+inf) evaluates inf * 0 in rho_2 and rho_3; its limit is 0
+    num = np.where(np.equal(t_peak, np.inf), 0.0, ecd.expected_ec(resels, field, t_peak))
     den = ecd.expected_ec(resels, field, t_feature)
     p = np.ones_like(num) if den <= 0 else np.clip(num / den, 0.0, 1.0)
     return p if np.ndim(p) else float(p)
@@ -352,7 +334,7 @@ def peak_table(stat: StatField, space, resels: ReselVector, t_feature: float,
     z = np.array([z_equivalent(StatField(t[i:i + 1], field_type))[0] for i in range(t.size)])
     p_unc = np.minimum(sides * ecd.ec_density(field_type, 0, height), 1.0)
     p_fwe = np.maximum(np.minimum(sides * ecd.fwe_p(height, resels, field_type), 1.0), p_unc)
-    # a peak at +-inf has a NaN expected-EC ratio (inf * 0); it counts as 1
+    # NaN only for a NaN E[EC](t_feature), at t_feature = +inf; it counts as 1
     cond_p = np.fmin(conditional_peak_p(height, t_feature, resels, field_type), 1.0)
     q = topological_fdr(cond_p)
 

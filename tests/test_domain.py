@@ -1,9 +1,14 @@
 """Search-space construction, counting and component tests."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy import ndimage
 
 from topostat import (
     build_lattice,
@@ -14,6 +19,7 @@ from topostat import (
     read_mesh,
     write_mesh,
 )
+from topostat.domain import MeshSpace, _simplex_contents
 
 
 def brute_force_cubes(mask):
@@ -55,6 +61,100 @@ def brute_force_flood_fill(mask, connectivity):
                     frontier.append(w)
         comps.append(comp)
     return comps
+
+
+def masked_grid_mesh(mask, lift=None):
+    """One-diagonal triangulation of a 2D grid, (i, j)-(i+1, j+1) the
+    diagonal, restricted to ``mask``; ``lift`` adds a z coordinate."""
+    nx, ny = mask.shape
+    vx, vy = np.meshgrid(np.arange(nx, dtype=float), np.arange(ny, dtype=float),
+                         indexing="ij")
+    verts = np.column_stack([vx.ravel(), vy.ravel()]
+                            + ([] if lift is None else [np.ravel(lift)]))
+    tris = []
+    for i in range(nx - 1):
+        for j in range(ny - 1):
+            a, b, c, d = i * ny + j, (i + 1) * ny + j, i * ny + j + 1, (i + 1) * ny + j + 1
+            tris += [(a, b, d), (a, d, c)]
+    return MeshSpace(verts, np.array(tris, dtype=np.int64).reshape(-1, 3),
+                     vertex_mask=mask.ravel())
+
+
+def reference_edges(mesh):
+    """Per-side pairs, row-wise np.unique, then the mask filter (reference)."""
+    s = mesh.all_simplices
+    pairs = [np.stack([s[:, i], s[:, j]], axis=1)
+             for i, j in itertools.combinations(range(s.shape[1]), 2)]
+    e = np.unique(np.sort(np.concatenate(pairs, axis=0), axis=1), axis=0)
+    return e[mesh.mask_flat[e].all(axis=1)]
+
+
+def reference_boundary_edges(mesh):
+    s = mesh.simplices
+    pairs = [np.stack([s[:, i], s[:, j]], axis=1)
+             for i, j in itertools.combinations(range(3), 2)]
+    uniq, counts = np.unique(np.sort(np.concatenate(pairs, axis=0), axis=1), axis=0,
+                             return_counts=True)
+    return uniq[counts == 1]
+
+
+def reference_content(verts):
+    """D-volume of one simplex from its (D+1, E) coordinates (reference)."""
+    edges = verts[1:] - verts[0]
+    gram = edges @ edges.T
+    det = float(np.linalg.det(gram)) if gram.shape[0] > 1 else float(gram[0, 0])
+    return float(np.sqrt(max(det, 0.0))) / (1.0 if edges.shape[0] == 1 else 2.0)
+
+
+def reference_mesh_mu(mesh):
+    """The per-simplex loops of intrinsic_volumes (reference)."""
+    v, n_v, n_e = mesh.vertices, mesh.n_inside, len(reference_edges(mesh))
+    if mesh.dimension == 1:
+        length = 0.0
+        for a, b in mesh.simplices:
+            length += float(np.linalg.norm(v[b] - v[a]))
+        return (float(n_v - n_e), length)
+    area = sum(reference_content(v[s]) for s in mesh.simplices)
+    boundary = 0.0
+    for a, b in reference_boundary_edges(mesh):
+        boundary += float(np.linalg.norm(v[b] - v[a]))
+    return (float(n_v - n_e + len(mesh.simplices)), 0.5 * boundary, float(area))
+
+
+def reference_mesh_components(mesh, member_mask):
+    """Depth-first flood fill over per-vertex neighbour lists (reference)."""
+    adj = [[] for _ in range(mesh.n_points)]
+    for a, b in reference_edges(mesh):
+        adj[a].append(int(b))
+        adj[b].append(int(a))
+    member = mesh.mask_flat & member_mask
+    seen = np.zeros(mesh.n_points, dtype=bool)
+    comps = []
+    for start in np.flatnonzero(member):
+        if seen[start]:
+            continue
+        stack, comp = [int(start)], []
+        seen[start] = True
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in sorted(adj[v]):
+                if member[w] and not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        comps.append(sorted(comp))
+    return comps
+
+
+def random_masked_meshes(seed, count=12):
+    """Masked triangulated grids of assorted sizes, half lifted to 3D."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        shape = tuple(int(n) for n in rng.integers(2, 16, size=2))
+        mask = rng.random(shape) < rng.uniform(0.5, 1.0)
+        mask.flat[0] = True
+        lift = rng.standard_normal(shape) * 3.0 if k % 2 else None
+        yield masked_grid_mesh(mask, lift), rng
 
 
 class TestLattice:
@@ -251,6 +351,77 @@ class TestConnectedComponents:
         member = np.array([True, True, False, True, True])
         comps = connected_components(space, member_mask=member)
         assert [c.tolist() for c in comps] == [[0, 1], [3, 4]]
+
+
+class TestEdgeArrayMatchesReference:
+    """The edge-array mesh operations equal the loops they replaced, exactly."""
+
+    def test_edges_and_boundary_edges(self):
+        chain = MeshSpace([(float(i), 0.0) for i in range(7)],
+                          [(0, 1), (2, 1), (3, 4), (5, 4), (5, 6)],
+                          vertex_mask=[True, True, True, False, True, True, True])
+        for mesh, _ in [*random_masked_meshes(0), (chain, None)]:
+            np.testing.assert_array_equal(mesh.edges, reference_edges(mesh))
+            assert mesh.edges.dtype == np.int64
+            if mesh.dimension == 2:
+                np.testing.assert_array_equal(mesh.boundary_edges,
+                                              reference_boundary_edges(mesh))
+
+    @pytest.mark.parametrize("embed", [2, 3])
+    def test_simplex_content(self, embed):
+        rng = np.random.default_rng(embed)
+        verts = rng.standard_normal((400, embed)) * rng.choice([1e-3, 1.0, 1e3], (400, 1))
+        for k in (2, 3):
+            rows = np.array([rng.choice(400, k, replace=False) for _ in range(500)])
+            want = [reference_content(verts[r]) for r in rows]
+            assert _simplex_contents(verts, rows).tolist() == want
+
+    def test_intrinsic_volumes(self):
+        chain = build_mesh(np.random.default_rng(4).standard_normal((9, 3)),
+                           [(i, i + 1) for i in range(8)])
+        for mesh, _ in [*random_masked_meshes(1), (chain, None)]:
+            assert intrinsic_volumes(mesh).mu == reference_mesh_mu(mesh)
+
+    def test_components_of_quantised_excursion_sets(self):
+        for mesh, rng in random_masked_meshes(2):
+            values = rng.integers(0, 4, mesh.n_points)
+            for level in range(4):
+                got = connected_components(mesh, member_mask=values >= level)
+                assert [c.tolist() for c in got] == \
+                    reference_mesh_components(mesh, values >= level)
+                assert all(c.dtype == np.int64 for c in got)
+
+    @pytest.mark.parametrize("row", [(0, 1, 0), (1, 1, 2), (2, 0, 0)])
+    def test_degenerate_row_named_wherever_the_repeat_sits(self, row):
+        named = re.escape(f"degenerate simplex {tuple(np.array(row, dtype=np.int64))}")
+        with pytest.raises(ValueError, match=named):
+            build_mesh([(0, 0), (1, 0), (0, 1), (1, 1)], [(0, 1, 2), row, (1, 1, 3)])
+
+    @pytest.mark.parametrize("space", [
+        build_lattice((4, 4), np.ones(16, dtype=bool)),
+        build_mesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)]),
+    ])
+    def test_unknown_connectivity_rejected(self, space):
+        with pytest.raises(ValueError, match="connectivity"):
+            connected_components(space, connectivity="bogus")
+
+
+SIX_NEIGHBOURS = np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]], dtype=bool)
+
+
+@given(hnp.arrays(bool, st.tuples(st.integers(2, 9), st.integers(2, 9))))
+def test_triangulated_grid_matches_six_neighbour_lattice(mask):
+    """The one-diagonal triangulation of a masked grid has the lattice's
+    6-neighbour components, and mu_0 = components - holes."""
+    assume(mask.any())
+    mesh = masked_grid_mesh(mask)
+    labels, n_comp = ndimage.label(mask, structure=SIX_NEIGHBOURS)
+    want = [np.flatnonzero(labels.ravel() == k) for k in range(1, n_comp + 1)]
+    want.sort(key=lambda c: int(c[0]))
+    got = connected_components(mesh)
+    assert [c.tolist() for c in got] == [c.tolist() for c in want]
+    holes = ndimage.label(~np.pad(mask, 1), structure=SIX_NEIGHBOURS)[1] - 1
+    assert intrinsic_volumes(mesh)[0] == n_comp - holes
 
 
 def test_mesh_file_round_trip(tmp_path):

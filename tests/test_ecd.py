@@ -182,16 +182,17 @@ class TestArrayMatchesScalar:
             fwe_p(np.array([5.0, math.nan]), TABLE1, T12)
 
     def test_nan_expected_ec_ratio_stays_nan(self):
-        # E[EC](inf) is NaN (inf * 0 in rho_2, rho_3): the ratio is NaN, not 1
+        # E[EC](inf) is NaN (inf * 0 in rho_2, rho_3): at t_feature = inf the
+        # ratio is NaN, not 1; a t_peak of inf takes E[EC]'s limit 0, as in fwe_p
         with np.errstate(invalid="ignore"):
             assert math.isnan(conditional_peak_p(4.0, math.inf, TABLE1, T12))
-            assert math.isnan(conditional_peak_p(math.inf, 3.0, TABLE1, T12))
+            assert conditional_peak_p(math.inf, 3.0, TABLE1, T12) == 0.0
             np.testing.assert_array_equal(
                 conditional_peak_p(np.array([4.0, math.inf]), math.inf, TABLE1, T12),
                 [math.nan, math.nan])
             np.testing.assert_array_equal(
                 conditional_peak_p(np.array([4.0, math.inf]), 3.0, TABLE1, T12),
-                [conditional_peak_p(4.0, 3.0, TABLE1, T12), math.nan])
+                [conditional_peak_p(4.0, 3.0, TABLE1, T12), 0.0])
 
 
 class TestCorrectedThreshold:

@@ -29,10 +29,11 @@ from topostat import (
     t_map,
     topological_fdr,
 )
-from topostat.domain import IntrinsicVolumes, connected_components
+from topostat.domain import IntrinsicVolumes, LatticeSpace, connected_components
 from topostat.infer import conditional_peak_p, expected_cluster_stats
 from topostat.lkc import lattice_smoothness
 from topostat.simulate import SimConfig, gen_field, generator_resels
+from tests.test_domain import random_masked_meshes, reference_edges
 from tests.test_ecd import GAUSS, T11, T12, TABLE1, TABLE3, box_mu
 from tests.test_lkc import unit_sheet_mesh
 
@@ -59,6 +60,58 @@ def brute_force_maxima(values, dims):
         if is_max:
             out.append(int(np.ravel_multi_index(idx, dims)))
     return sorted(out)
+
+
+def reference_local_maxima(values, space, threshold=-np.inf):
+    """Per-vertex neighbour max over neighbour lists, plateaus resolved by
+    a depth-first search from each tie vertex (reference)."""
+    values = np.asarray(values, dtype=float).ravel()
+    in_mask = space.mask_flat
+    masked = np.where(in_mask, values, -np.inf)
+    if isinstance(space, LatticeSpace):
+        dims = space.dims
+        offsets = [off for off in itertools.product((-1, 0, 1), repeat=len(dims)) if any(off)]
+        lists = []
+        for c in itertools.product(*(range(n) for n in dims)):
+            nbs = (tuple(a + o for a, o in zip(c, off)) for off in offsets)
+            lists.append([int(np.ravel_multi_index(nb, dims)) for nb in nbs
+                          if all(0 <= x < n for x, n in zip(nb, dims))])
+    else:
+        lists = [[] for _ in range(space.n_points)]
+        for a, b in reference_edges(space):
+            lists[a].append(int(b))
+            lists[b].append(int(a))
+    nb_max = np.array([masked[nb].max() if nb else -np.inf for nb in lists])
+    in_exc = in_mask & (values >= threshold)
+    strict = np.flatnonzero(in_exc & (masked > nb_max)).tolist()
+    ties = np.flatnonzero(in_exc & (masked == nb_max)).tolist()
+    visited, kept = set(), []
+    for start in ties:
+        if start in visited:
+            continue
+        level, comp, stack, is_max = masked[start], [start], [start], True
+        visited.add(start)
+        while stack:
+            for w in lists[stack.pop()]:
+                if not in_mask[w]:
+                    continue
+                if masked[w] > level:
+                    is_max = False
+                elif masked[w] == level and w not in visited:
+                    visited.add(w)
+                    comp.append(w)
+                    stack.append(w)
+        if is_max:
+            kept.append(min(comp))
+    return sorted(strict + kept)
+
+
+def quantised_field(rng, n):
+    """Few distinct levels (many plateaus), with some -inf and NaN entries."""
+    values = rng.integers(0, 4, n).astype(float)
+    values[rng.random(n) < 0.05] = -np.inf
+    values[rng.random(n) < 0.02] = np.nan
+    return values
 
 
 class TestExcursion:
@@ -165,6 +218,41 @@ class TestLocalMaxima:
         assert [c.tolist() for c in comp_a] == [c.tolist() for c in comp_b]
 
 
+class TestLocalMaximaMatchReference:
+    """Array neighbour max and graph-labelled plateaus equal the
+    neighbour-list loop and the plateau search they replaced, exactly."""
+
+    @pytest.mark.parametrize("dims", [(40,), (13, 11), (7, 6, 5)])
+    def test_masked_lattices(self, dims):
+        rng = np.random.default_rng(len(dims))
+        for _ in range(15):
+            mask = rng.random(dims) < rng.uniform(0.6, 1.0)
+            mask.flat[0] = True
+            space = build_lattice(dims, mask)
+            values = quantised_field(rng, space.n_points)
+            for threshold in (-np.inf, 1.0, 3.0):
+                with np.errstate(invalid="ignore"):
+                    got = local_maxima(StatField(values, GAUSS), space, threshold)
+                assert got.tolist() == reference_local_maxima(values, space, threshold)
+                assert got.dtype == np.int64
+
+    def test_masked_triangulated_grids(self):
+        for mesh, rng in random_masked_meshes(3, count=20):
+            values = quantised_field(rng, mesh.n_points)
+            for threshold in (-np.inf, 2.0):
+                with np.errstate(invalid="ignore"):
+                    got = local_maxima(StatField(values, GAUSS), mesh, threshold)
+                assert got.tolist() == reference_local_maxima(values, mesh, threshold)
+
+    def test_plateau_beaten_behind_a_nan(self):
+        # the 5-plateau's second vertex sees a NaN and a 9: its neighbour max
+        # is NaN, yet the 9 still beats the plateau (and the NaN hides the 9)
+        space = full_space((3, 3))
+        values = np.array([5.0, 5.0, np.nan, 0.0, 0.0, 9.0, 0.0, 0.0, 0.0])
+        got = local_maxima(StatField(values, GAUSS), space)
+        assert got.tolist() == reference_local_maxima(values, space) == []
+
+
 class TestTopologicalFdr:
     def test_single_peak_q_equals_p(self):
         np.testing.assert_allclose(topological_fdr([0.0321]), [0.0321])
@@ -220,6 +308,10 @@ class TestTopologicalFdr:
     def test_invalid_p_rejected(self):
         with pytest.raises(ValueError):
             topological_fdr([0.5, 1.2])
+
+    def test_nan_p_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            topological_fdr([np.nan, 0.1, 0.2])
 
 
 P_VALUES = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40)
@@ -399,7 +491,7 @@ def per_peak_table(stat, space, resels, t_feature, two_sided):
             p_unc = min(sides * ec_density(ft, 0, h), 1.0)
             e = 0.0 if h == np.inf else _per_peak_expected_ec(resels, ft, h)
             p_fwe = max(min(sides * min(max(e, 0.0), 1.0), 1.0), p_unc)
-            ratio = _per_peak_expected_ec(resels, ft, h) / c if c > 0 else 1.0
+            ratio = e / c if c > 0 else 1.0
             cond = min(1.0, min(max(ratio, 0.0), 1.0))
             rows.append({"vertex": int(v), "coords": list(space.coords_of(int(v))), "t": t,
                          "z": _per_peak_z(t, ft), "p_unc": p_unc, "p_fwe": p_fwe,
@@ -475,6 +567,9 @@ class TestPeakTableMatchesPerPeakPath:
             table = self._assert_same(stat, mesh, ReselVector.from_resels((1.0, 4.0, 9.0)),
                                       1.0, True)
         assert {table.peaks[0].t, table.peaks[-1].t} == {np.inf, -np.inf}
+        # conditional p of an infinite peak is 0, so its q-value is 0 like its p_fwe
+        assert [(p.p_fwe, p.q_fdr) for p in (table.peaks[0], table.peaks[-1])] == \
+            [(0.0, 0.0), (0.0, 0.0)]
 
     def test_empty_table(self):
         stat, space, resels = dense_t_field(dims=(8, 8, 6), n=6)
