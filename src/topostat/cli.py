@@ -117,8 +117,7 @@ def cmd_simulate(args) -> int:
     thresholds = raw.get("thresholds", [2.0, 2.5, 3.0, 3.5])
     alpha = float(raw.get("alpha", 0.05))
 
-    ec_report = simulate.mc_ec(config, thresholds)
-    fwe_report = simulate.mc_fwe(config, alpha)
+    mc = simulate.mc_calibrate(config, thresholds, alpha)
     report = {
         "config": {
             "dims": list(config.dims),
@@ -128,14 +127,14 @@ def cmd_simulate(args) -> int:
             "field": config.field,
             "n_subjects": config.n_subjects,
         },
-        "thresholds": ec_report["thresholds"],
-        "mean_ec": ec_report["mean_ec"],
-        "se": ec_report["se_ec"],
-        "expected_ec": ec_report["expected_ec"],
-        "empirical_fwe": fwe_report["empirical_fwe"],
-        "ci": fwe_report["ci95"],
+        "thresholds": mc["thresholds"],
+        "mean_ec": mc["mean_ec"],
+        "se": mc["se_ec"],
+        "expected_ec": mc["expected_ec"],
+        "empirical_fwe": mc["empirical_fwe"],
+        "ci": mc["ci95"],
         "alpha": alpha,
-        "corrected_threshold": fwe_report["threshold"],
+        "corrected_threshold": mc["threshold"],
     }
     out = Path(args.output)
     _json_dump(report, out)

@@ -7,6 +7,13 @@ topology and maxima, and compares against the closed-form expectations.
 A Student-t mode pushes each realization through the full GLM + LKC +
 threshold pipeline.
 
+One pass over the realizations serves both tallies: each realization is
+drawn (and, in Student-t mode, fitted) once, its excursion-set Euler
+characteristics are counted at every threshold, and its maximum is
+compared with the FWE threshold. :func:`mc_calibrate` runs both tallies;
+:func:`mc_ec` and :func:`mc_fwe` run the same pass with one of them left
+out.
+
 Fields are reproducible by contract: realization ``index`` under seed
 ``s`` uses a counter-based generator keyed by (s, index), so any subset
 of realizations can be regenerated on any platform, in any order.
@@ -15,6 +22,7 @@ of realizations can be regenerated on any platform, in any order.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +42,8 @@ class SimConfig:
     ``field`` selects 'gaussian' (raw unit-variance fields) or
     'student_t' (one-sample t maps over ``n_subjects`` synthetic
     fields). ``fwhm`` is the smoothing-kernel width per axis in voxels;
-    0 means white noise along that axis.
+    0 means white noise along that axis. ``seed`` is an integer in
+    [0, 2**64); it and every count must be integral, not truncated.
     """
 
     dims: tuple[int, ...]
@@ -46,7 +55,7 @@ class SimConfig:
     max_field_bytes: int = 1 << 30
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
+        object.__setattr__(self, "dims", tuple(_whole("dims", n, 1) for n in self.dims))
         fwhm = np.atleast_1d(np.asarray(self.fwhm, dtype=float))
         if fwhm.size == 1:
             fwhm = np.repeat(fwhm, len(self.dims))
@@ -55,12 +64,12 @@ class SimConfig:
         if np.any(fwhm < 0):
             raise ValueError("fwhm must be nonnegative")
         object.__setattr__(self, "fwhm", tuple(float(f) for f in fwhm))
-        if self.n_realizations < 1:
-            raise ValueError("n_realizations must be >= 1")
         if self.field not in ("gaussian", "student_t"):
             raise ValueError(f"unknown field mode {self.field!r}")
-        if self.field == "student_t" and self.n_subjects < 2:
-            raise ValueError("student_t mode needs n_subjects >= 2")
+        for key, lo, hi in (("n_realizations", 1, None), ("seed", 0, 1 << 64),
+                            ("n_subjects", 2 if self.field == "student_t" else 1, None),
+                            ("max_field_bytes", 1, None)):
+            object.__setattr__(self, key, _whole(key, getattr(self, key), lo, hi))
         pads = [_kernel_radius(f) for f in self.fwhm]
         padded = np.prod([n + 2 * p for n, p in zip(self.dims, pads)])
         if 8 * padded > self.max_field_bytes:
@@ -81,11 +90,22 @@ class SimConfig:
                 raise ValueError(f"simulation config missing {key!r}")
         return cls(
             dims=tuple(d["dims"]), fwhm=tuple(np.atleast_1d(d["fwhm"])),
-            n_realizations=int(d["n_realizations"]), seed=int(d["seed"]),
+            n_realizations=d["n_realizations"], seed=d["seed"],
             field=d.get("field", "gaussian"),
-            n_subjects=int(d.get("n_subjects", 13)),
-            max_field_bytes=int(d.get("max_field_bytes", 1 << 30)),
+            n_subjects=d.get("n_subjects", 13),
+            max_field_bytes=d.get("max_field_bytes", 1 << 30),
         )
+
+
+def _whole(key: str, value, lo: int, hi: int | None = None) -> int:
+    """``value`` as an int in [lo, hi); a fraction, a bool or a non-number is an error."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (isinstance(value, numbers.Integral) or float(value).is_integer())):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    if value < lo or (hi is not None and value >= hi):
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi})"
+        raise ValueError(f"{key} must be {bound}, got {value!r}")
+    return int(value)
 
 
 def _rng_for(seed: int, index: int) -> np.random.Generator:
@@ -95,17 +115,19 @@ def _rng_for(seed: int, index: int) -> np.random.Generator:
 
 def _smooth_white_noise(rng: np.random.Generator, dims, fwhm) -> np.ndarray:
     pads = [_kernel_radius(f) for f in fwhm]
-    big = rng.standard_normal(tuple(n + 2 * p for n, p in zip(dims, pads)))
+    field = rng.standard_normal(tuple(n + 2 * p for n, p in zip(dims, pads)))
     norm = 1.0
-    for ax, f in enumerate(fwhm):
+    for ax, (f, p, n) in enumerate(zip(fwhm, pads, dims)):
         if f == 0:
             continue
         k = _gaussian_kernel(f)
-        big = ndimage.convolve1d(big, k, axis=ax, mode="constant")
+        # later axes convolve each line on its own, so cropping this axis
+        # now leaves every kept value as the whole-box convolution has it
+        field = ndimage.convolve1d(field, k, axis=ax, mode="constant")
+        field = field[(slice(None),) * ax + (slice(p, p + n),)]
         norm *= math.sqrt(float((k * k).sum()))
-    crop = tuple(slice(p, p + n) for p, n in zip(pads, dims))
     # dividing by the analytic kernel norm makes marginals exactly N(0,1)
-    return big[crop] / norm
+    return field / norm
 
 
 def gen_field(config: SimConfig, index: int) -> np.ndarray:
@@ -171,45 +193,6 @@ def _t_fit(config: SimConfig, index: int) -> glm.GlmFit:
     return glm.fit(data, design)
 
 
-def _t_realization(config: SimConfig, index: int):
-    """t map and residual set of one student_t realization; the fit is dropped."""
-    fit = _t_fit(config, index)
-    return glm.t_map(fit, [1.0]), glm.normalized_residuals(fit)
-
-
-def _realization_values(config: SimConfig, index: int) -> np.ndarray:
-    if config.field == "gaussian":
-        return gen_field(config, index)
-    return glm.t_map(_t_fit(config, index), [1.0]).values.reshape(config.dims)
-
-
-def mc_ec(config: SimConfig, thresholds) -> dict:
-    """Mean empirical Euler characteristic per threshold.
-
-    The EC of each excursion mask comes from the lattice counting
-    formula; the returned ``expected_ec`` evaluates the closed form at
-    the generator's true resels for comparison.
-    """
-    thresholds = [float(t) for t in np.atleast_1d(thresholds)]
-    resels = generator_resels(config)
-    ftype = _field_type(config)
-    ecs = np.empty((config.n_realizations, len(thresholds)))
-    for i in range(config.n_realizations):
-        vals = _realization_values(config, i)
-        for j, t in enumerate(thresholds):
-            ecs[i, j] = lattice_euler_characteristic(vals >= t)
-    mean = ecs.mean(axis=0)
-    se = (ecs.std(axis=0, ddof=1) / math.sqrt(config.n_realizations)
-          if config.n_realizations > 1 else np.zeros(len(thresholds)))
-    return {
-        "thresholds": thresholds,
-        "mean_ec": mean.tolist(),
-        "se_ec": se.tolist(),
-        "expected_ec": ecd.expected_ec(resels, ftype, np.array(thresholds)).tolist(),
-        "n_realizations": config.n_realizations,
-    }
-
-
 def _wilson_ci(successes: int, n: int, z: float = 1.959963984540054):
     if n == 0:
         return (0.0, 1.0)
@@ -220,38 +203,103 @@ def _wilson_ci(successes: int, n: int, z: float = 1.959963984540054):
     return (center - half, center + half)
 
 
+def _calibrate(config: SimConfig, thresholds, alpha) -> dict:
+    """The one pass over the realizations behind every Monte Carlo report.
+
+    Each realization is drawn, and in student_t mode fitted, once. Its
+    Euler characteristic is counted at every threshold unless
+    ``thresholds`` is None; its maximum is compared with the FWE
+    threshold unless ``alpha`` is None. Inputs are checked before the
+    first realization is drawn.
+    """
+    count_ec, count_fwe = thresholds is not None, alpha is not None
+    thresholds = [float(t) for t in np.atleast_1d(thresholds)] if count_ec else []
+    if not all(map(math.isfinite, thresholds)):
+        raise ValueError(f"thresholds must be finite, got {thresholds}")
+    if count_fwe and not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    student_t = config.field == "student_t"
+    ftype = _field_type(config)
+    threshold = None
+    if count_fwe and student_t:
+        if min(config.dims) < 2:
+            raise ValueError(f"dims {config.dims}: student_t mode estimates smoothness "
+                             "along every axis, so each axis needs >= 2 points")
+        space = build_lattice(config.dims, np.ones(config.dims, dtype=bool))
+        mu = intrinsic_volumes(space)
+    elif count_fwe:
+        threshold = ecd.corrected_threshold(alpha, generator_resels(config), ftype)
+
+    n = config.n_realizations
+    ecs = np.empty((n, len(thresholds)))
+    n_exceed = 0
+    thr = threshold
+    for i in range(n):
+        if student_t:
+            fit = _t_fit(config, i)
+            values = glm.t_map(fit, [1.0]).values.reshape(config.dims)
+        else:
+            values = gen_field(config, i)
+        for j, t in enumerate(thresholds):
+            ecs[i, j] = lattice_euler_characteristic(values >= t)
+        if count_fwe:
+            if student_t:
+                top, fwhm = lkc.lattice_smoothness(glm.normalized_residuals(fit), space)
+                thr = ecd.corrected_threshold(alpha, lkc.lkc_vector(top, mu, fwhm=fwhm), ftype)
+            if values.max() > thr:
+                n_exceed += 1
+
+    report = {}
+    if count_ec:
+        se = (ecs.std(axis=0, ddof=1) / math.sqrt(n) if n > 1
+              else np.zeros(len(thresholds)))
+        report.update({
+            "thresholds": thresholds,
+            "mean_ec": ecs.mean(axis=0).tolist(),
+            "se_ec": se.tolist(),
+            "expected_ec": ecd.expected_ec(generator_resels(config), ftype,
+                                           np.array(thresholds)).tolist(),
+        })
+    if count_fwe:
+        lo, hi = _wilson_ci(n_exceed, n)
+        report.update({
+            "alpha": alpha,
+            "threshold": threshold,
+            "empirical_fwe": n_exceed / n,
+            "ci95": [lo, hi],
+            "n_exceed": n_exceed,
+        })
+    report["n_realizations"] = n
+    return report
+
+
+def mc_calibrate(config: SimConfig, thresholds, alpha: float = 0.05) -> dict:
+    """Mean empirical EC per threshold and empirical FWE, from one pass.
+
+    Each realization is drawn (in student_t mode: fitted) once and
+    serves both tallies; the report holds every key of :func:`mc_ec`
+    and of :func:`mc_fwe`, with the same values.
+    """
+    return _calibrate(config, thresholds, alpha)
+
+
+def mc_ec(config: SimConfig, thresholds) -> dict:
+    """Mean empirical Euler characteristic per threshold.
+
+    The EC of each excursion mask comes from the lattice counting
+    formula; the returned ``expected_ec`` evaluates the closed form at
+    the generator's true resels for comparison. Runs the pass of
+    :func:`mc_calibrate` without the FWE tally.
+    """
+    return _calibrate(config, thresholds, None)
+
+
 def mc_fwe(config: SimConfig, alpha: float = 0.05) -> dict:
     """Empirical family-wise error of the corrected threshold.
 
     Gaussian mode thresholds once from the generator-true resels;
     student_t mode re-estimates smoothness from each realization's GLM
-    residuals and thresholds per realization (the full pipeline).
+    residuals and thresholds per realization (the full pipeline). Runs
+    the pass of :func:`mc_calibrate` without the EC tally.
     """
-    ftype = _field_type(config)
-    n_exceed = 0
-    threshold = None
-    if config.field == "gaussian":
-        resels = generator_resels(config)
-        threshold = ecd.corrected_threshold(alpha, resels, ftype)
-        for i in range(config.n_realizations):
-            if gen_field(config, i).max() > threshold:
-                n_exceed += 1
-    else:
-        space = build_lattice(config.dims, np.ones(config.dims, dtype=bool))
-        mu = intrinsic_volumes(space)
-        for i in range(config.n_realizations):
-            stat, residuals = _t_realization(config, i)
-            top, fwhm = lkc.lattice_smoothness(residuals, space)
-            thr = ecd.corrected_threshold(alpha, lkc.lkc_vector(top, mu, fwhm=fwhm), ftype)
-            if stat.values.max() > thr:
-                n_exceed += 1
-    rate = n_exceed / config.n_realizations
-    lo, hi = _wilson_ci(n_exceed, config.n_realizations)
-    return {
-        "alpha": alpha,
-        "threshold": threshold,
-        "empirical_fwe": rate,
-        "ci95": [lo, hi],
-        "n_exceed": n_exceed,
-        "n_realizations": config.n_realizations,
-    }
+    return _calibrate(config, None, alpha)

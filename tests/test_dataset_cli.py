@@ -245,6 +245,53 @@ class TestSimulateCommand:
         cfg.write_text("{broken")
         assert main(["simulate", str(cfg), "-o", str(tmp_path / "r.json")]) == 2
 
+    @staticmethod
+    def _count_calls(monkeypatch, owner, name):
+        calls = []
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("overrides,key", [
+        ({"seed": -1}, "seed"),
+        ({"seed": 2 ** 64}, "seed"),
+        ({"n_realizations": 2.7}, "n_realizations"),
+        ({"field": "student_t", "n_subjects": 2.5}, "n_subjects"),
+        ({"dims": [24.5, 24]}, "dims"),
+        ({"thresholds": [2.0, float("nan")]}, "thresholds"),
+        ({"thresholds": [float("inf")]}, "thresholds"),
+        ({"field": "student_t", "alpha": 0}, "alpha"),
+        ({"field": "student_t", "dims": [1, 24], "fwhm": [0.0, 4.0]}, "dims"),
+    ])
+    def test_bad_config_exits_2_before_any_draw(self, tmp_path, monkeypatch, capsys,
+                                                overrides, key):
+        cfg = tmp_path / "cfg.json"
+        self._write_config(cfg, **overrides)
+        draws = self._count_calls(monkeypatch, topostat.simulate, "_rng_for")
+        out = tmp_path / "r.json"
+        assert main(["simulate", str(cfg), "-o", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert draws == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field,threshold_calls", [("student_t", 3), ("gaussian", 1)])
+    def test_each_realization_drawn_and_fitted_once(self, tmp_path, monkeypatch,
+                                                    field, threshold_calls):
+        cfg = tmp_path / "cfg.json"
+        self._write_config(cfg, field=field, n_subjects=4, n_realizations=3)
+        draws = self._count_calls(monkeypatch, topostat.simulate, "_rng_for")
+        fits = self._count_calls(monkeypatch, topostat.glm, "fit")
+        thresholds = self._count_calls(monkeypatch, topostat.ecd, "corrected_threshold")
+        assert main(["simulate", str(cfg), "-o", str(tmp_path / "r.json")]) == 0
+        assert len(draws) == 3
+        assert len(fits) == (3 if field == "student_t" else 0)
+        assert len(thresholds) == threshold_calls
+
 
 class TestTfCommand:
     def _signal_dataset(self, path, freq, n_obs=3, sr=100.0, seconds=20.0):

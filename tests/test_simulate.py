@@ -1,21 +1,109 @@
 """Monte Carlo field generator and calibration harness."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from topostat import StatField, build_lattice, expected_ec, local_maxima
+from topostat import corrected_threshold, intrinsic_volumes, lkc_vector
+from topostat import simulate
 from topostat.domain import lattice_euler_characteristic
-from topostat.glm import FieldType
+from topostat.glm import DesignMatrix, FieldType, fit, normalized_residuals, t_map
+from topostat.lkc import lattice_smoothness
+from topostat.preproc import _gaussian_kernel, _kernel_radius
 from topostat.simulate import (
     SimConfig,
     effective_fwhm,
     gen_field,
     generator_resels,
+    mc_calibrate,
     mc_ec,
     mc_fwe,
 )
 
 GAUSS = FieldType.gaussian()
+
+
+def whole_box_smooth(rng, dims, fwhm):
+    """Test-only reference: convolve every axis over the whole padded box,
+    then crop once."""
+    pads = [_kernel_radius(f) for f in fwhm]
+    big = rng.standard_normal(tuple(n + 2 * p for n, p in zip(dims, pads)))
+    norm = 1.0
+    for ax, f in enumerate(fwhm):
+        if f == 0:
+            continue
+        k = _gaussian_kernel(f)
+        big = ndimage.convolve1d(big, k, axis=ax, mode="constant")
+        norm *= math.sqrt(float((k * k).sum()))
+    crop = tuple(slice(p, p + n) for p, n in zip(pads, dims))
+    return big[crop] / norm
+
+
+def reference_values(config, index, with_residuals=False):
+    """Test-only reference: one realization drawn as the separate EC and
+    FWE loops drew it (t map, plus residuals for the FWE loop)."""
+    rng = simulate._rng_for(config.seed, index)
+    if config.field == "gaussian":
+        return whole_box_smooth(rng, config.dims, config.fwhm), None
+    data = np.stack([whole_box_smooth(rng, config.dims, config.fwhm).ravel()
+                     for _ in range(config.n_subjects)])
+    glm_fit = fit(data, DesignMatrix(np.ones((config.n_subjects, 1)), ("mean",)))
+    stat = t_map(glm_fit, [1.0]).values.reshape(config.dims)
+    return stat, normalized_residuals(glm_fit) if with_residuals else None
+
+
+def reference_field_type(config):
+    if config.field == "gaussian":
+        return GAUSS
+    return FieldType.student_t(config.n_subjects - 1)
+
+
+def reference_mc_ec(config, thresholds):
+    """Test-only reference: the EC loop as its own pass over the realizations."""
+    thresholds = [float(t) for t in np.atleast_1d(thresholds)]
+    ecs = np.empty((config.n_realizations, len(thresholds)))
+    for i in range(config.n_realizations):
+        vals, _ = reference_values(config, i)
+        for j, t in enumerate(thresholds):
+            ecs[i, j] = lattice_euler_characteristic(vals >= t)
+    se = (ecs.std(axis=0, ddof=1) / math.sqrt(config.n_realizations)
+          if config.n_realizations > 1 else np.zeros(len(thresholds)))
+    return {
+        "thresholds": thresholds,
+        "mean_ec": ecs.mean(axis=0).tolist(),
+        "se_ec": se.tolist(),
+        "expected_ec": expected_ec(generator_resels(config), reference_field_type(config),
+                                   np.array(thresholds)).tolist(),
+        "n_realizations": config.n_realizations,
+    }
+
+
+def reference_mc_fwe(config, alpha):
+    """Test-only reference: the FWE loop as its own pass over the realizations."""
+    ftype = reference_field_type(config)
+    n_exceed = 0
+    threshold = None
+    if config.field == "gaussian":
+        threshold = corrected_threshold(alpha, generator_resels(config), ftype)
+        for i in range(config.n_realizations):
+            if reference_values(config, i)[0].max() > threshold:
+                n_exceed += 1
+    else:
+        space = build_lattice(config.dims, np.ones(config.dims, dtype=bool))
+        mu = intrinsic_volumes(space)
+        for i in range(config.n_realizations):
+            stat, residuals = reference_values(config, i, with_residuals=True)
+            top, fwhm = lattice_smoothness(residuals, space)
+            thr = corrected_threshold(alpha, lkc_vector(top, mu, fwhm=fwhm), ftype)
+            if stat.max() > thr:
+                n_exceed += 1
+    n = config.n_realizations
+    lo, hi = simulate._wilson_ci(n_exceed, n)
+    return {"alpha": alpha, "threshold": threshold, "empirical_fwe": n_exceed / n,
+            "ci95": [lo, hi], "n_exceed": n_exceed, "n_realizations": n}
 
 
 class TestGenField:
@@ -76,6 +164,58 @@ class TestGenField:
             SimConfig.from_dict({"dims": [8, 8]})
 
 
+class TestPerAxisCropMatchesWholeBox:
+    @pytest.mark.parametrize("dims,fwhm", [
+        ((50,), (3.0,)),
+        ((20, 17), (4.0, 0.0)),
+        ((16, 13), (2.5, 5.0)),
+        ((9, 8, 7), (2.0, 3.0, 0.0)),
+        ((7, 9, 8), (0.0, 2.5, 1.5)),
+        ((6, 5, 4), (0.0, 0.0, 0.0)),
+    ])
+    def test_bit_identical(self, dims, fwhm):
+        for index in range(3):
+            got = simulate._smooth_white_noise(simulate._rng_for(4, index), dims, fwhm)
+            want = whole_box_smooth(simulate._rng_for(4, index), dims, fwhm)
+            assert got.shape == dims
+            assert np.array_equal(got, want)
+
+
+class TestOnePassMatchesSeparateLoops:
+    @pytest.mark.parametrize("kwargs,thresholds,alpha", [
+        (dict(dims=(16, 16), fwhm=(3.0, 3.0), n_realizations=8, seed=21,
+              field="student_t", n_subjects=5), [2.5, -1.0, 0.0, 1.5], 0.5),
+        (dict(dims=(40,), fwhm=(4.0,), n_realizations=6, seed=22,
+              field="student_t", n_subjects=6), [1.0, -2.0], 0.3),
+        (dict(dims=(8, 7, 6), fwhm=(2.0, 0.0, 3.0), n_realizations=4, seed=23,
+              field="student_t", n_subjects=6), [3.0, 1.0], 0.9),
+        (dict(dims=(30, 20), fwhm=(5.0, 3.0), n_realizations=12, seed=24),
+         [2.0, -0.5, 1.0], 0.5),
+        (dict(dims=(24, 24), fwhm=(4.0, 4.0), n_realizations=1, seed=25,
+              field="student_t", n_subjects=5), [2.0, 0.5], 0.9),
+        (dict(dims=(24, 24), fwhm=(4.0, 4.0), n_realizations=1, seed=26),
+         [-1.0, 1.0], 0.9),
+    ])
+    def test_reports_equal_reference(self, kwargs, thresholds, alpha):
+        cfg = SimConfig(**kwargs)
+        want_ec = reference_mc_ec(cfg, thresholds)
+        want_fwe = reference_mc_fwe(cfg, alpha)
+        assert mc_ec(cfg, thresholds) == want_ec
+        assert mc_fwe(cfg, alpha) == want_fwe
+        assert mc_calibrate(cfg, thresholds, alpha) == {**want_ec, **want_fwe}
+        if cfg.n_realizations == 1:
+            assert want_ec["se_ec"] == [0.0] * len(thresholds)
+
+    def test_both_tallies_are_exercised(self):
+        # the cases above would compare nothing if every realization
+        # exceeded (or none did), or every EC were equal
+        cfg = SimConfig(dims=(16, 16), fwhm=(3.0, 3.0), n_realizations=8, seed=21,
+                        field="student_t", n_subjects=5)
+        out = mc_calibrate(cfg, [2.5, -1.0, 0.0, 1.5], 0.5)
+        assert 0 < out["n_exceed"] < cfg.n_realizations
+        assert all(se > 0 for se in out["se_ec"])
+
+
 class TestGeneratorResels:
     def test_isotropic_box(self):
         cfg = SimConfig(dims=(64, 64), fwhm=(6.0, 6.0), n_realizations=1, seed=0)
@@ -103,6 +243,11 @@ class TestMcEc:
         cfg = SimConfig(dims=(24, 24), fwhm=(4.0, 4.0), n_realizations=3, seed=8)
         out = mc_ec(cfg, [1e9])
         assert out["mean_ec"][0] == 0.0
+
+    def test_excursion_set_includes_the_threshold(self):
+        cfg = SimConfig(dims=(24, 24), fwhm=(4.0, 4.0), n_realizations=1, seed=8)
+        top = float(gen_field(cfg, 0).max())
+        assert mc_calibrate(cfg, [top], 0.05)["mean_ec"] == [1.0]
 
     def test_poisson_clumping_regime(self):
         # at high thresholds the EC equals the count of suprathreshold
