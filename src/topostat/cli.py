@@ -51,6 +51,7 @@ def cmd_analyze(args) -> int:
     contrast = glm.read_contrast_csv(args.contrast)
     data = ds.load()
     mask = ds.load_mask()
+    np.copyto(data, 0.0, where=~mask)  # values outside the mask are ignored
     if design.n_obs != ds.n_obs:
         raise ValueError(
             f"design has {design.n_obs} rows but dataset has {ds.n_obs} observations"
@@ -64,6 +65,7 @@ def cmd_analyze(args) -> int:
 
     space = build_lattice(ds.dims, mask, axis_labels=ds.axes, axis_units=ds.units)
     fit = glm.fit(data, design)
+    del data
     stat = glm.t_map(fit, contrast)
     residuals = glm.normalized_residuals(fit)
 
@@ -75,8 +77,6 @@ def cmd_analyze(args) -> int:
         window_bins = [max(lo, 0), min(hi, n_t - 1)]
         if window_bins != [0, n_t - 1]:
             analysis_space = ecd.restrict(space, time_window=(lo, hi))
-        elif lo > hi or hi < 0 or lo >= n_t:
-            raise ValueError(f"empty time window {lo}:{hi}")
 
     mu = intrinsic_volumes(analysis_space)
     top, fwhm_hat = lkc.lattice_smoothness(residuals, space, analysis_space)

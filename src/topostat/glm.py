@@ -2,14 +2,16 @@
 
 Fits an identical design at every vertex of a search space, producing
 t-statistic fields, per-vertex residual variance and the unit-normalized
-residual fields that drive smoothness estimation. All fits are pure and
-vertex-independent.
+residual fields that drive smoothness estimation. All fits are
+vertex-independent. Each residual stack has one owner: :func:`fit`
+allocates it and reduces its sum of squares once, and
+:func:`normalized_residuals` takes it over and divides it into u in place.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -17,6 +19,7 @@ from scipy import special
 
 RANK_RTOL = 1e-10
 ORTHO_RTOL = 1e-8
+SSR_SLAB = 4096  # columns per slab of the sum-of-squares reduction
 
 
 @dataclass(frozen=True)
@@ -93,13 +96,18 @@ class DesignMatrix:
 
 @dataclass
 class GlmFit:
-    """Per-vertex least-squares fit produced by :func:`fit`."""
+    """Per-vertex least-squares fit produced by :func:`fit`; ``residuals``
+    is None once :func:`normalized_residuals` has taken the buffer over."""
 
     design: DesignMatrix
-    betas: np.ndarray      # (n_reg, n_vertices)
-    residuals: np.ndarray  # (n_obs, n_vertices)
-    sigma2: np.ndarray     # (n_vertices,)
+    betas: np.ndarray             # (n_reg, n_vertices)
+    residuals: np.ndarray | None  # (n_obs, n_vertices)
+    ssr: np.ndarray               # (n_vertices,)
     dof: int
+
+    @property
+    def sigma2(self) -> np.ndarray:  # (n_vertices,)
+        return self.ssr / self.dof
 
 
 @dataclass
@@ -136,26 +144,27 @@ def fit(data, design: DesignMatrix) -> GlmFit:
 
     Returns
     -------
-    GlmFit with betas, residuals, per-vertex sigma2 = SSR / dof and
-    dof = n_obs - rank.
+    GlmFit with betas, residuals in a new buffer (``data`` is not
+    written), per-vertex SSR and dof = n_obs - rank.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim == 1:
         data = data[:, None]
     x = design.values
     if data.shape[0] != design.n_obs:
-        raise ValueError(
-            f"data has {data.shape[0]} rows, design has {design.n_obs}"
-        )
+        raise ValueError(f"data has {data.shape[0]} rows, design has {design.n_obs}")
     dof = design.n_obs - design.rank
     if dof < 1:
         raise ValueError(f"no residual degrees of freedom (n_obs={design.n_obs}, "
                          f"rank={design.rank})")
     betas = np.linalg.pinv(x, rcond=RANK_RTOL) @ data
-    residuals = data - x @ betas
-    sigma2 = (residuals * residuals).sum(axis=0) / dof
-    return GlmFit(design=design, betas=betas, residuals=residuals,
-                  sigma2=sigma2, dof=dof)
+    residuals = x @ betas
+    np.subtract(data, residuals, out=residuals)
+    # (r * r).sum(axis=0) over column slabs, to bound the temporary. numpy sums one column
+    # pairwise but wider blocks row by row; near-equal slabs are one column only if r is.
+    slabs = np.array_split(residuals, -(-residuals.shape[1] // SSR_SLAB) or 1, axis=1)
+    ssr = np.concatenate([(s * s).sum(axis=0) for s in slabs])
+    return GlmFit(design=design, betas=betas, residuals=residuals, ssr=ssr, dof=dof)
 
 
 def _contrast_variance_factor(design: DesignMatrix, contrast: np.ndarray) -> float:
@@ -187,23 +196,21 @@ def t_map(glm_fit: GlmFit, contrast) -> StatField:
     effect = contrast @ glm_fit.betas
     denom2 = glm_fit.sigma2 * var_factor
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = effect / np.sqrt(denom2)
-    zero_var = denom2 == 0
-    if np.any(zero_var):
-        t = np.where(zero_var & (effect > 0), np.inf, t)
-        t = np.where(zero_var & (effect < 0), -np.inf, t)
-        t = np.where(zero_var & (effect == 0), 0.0, t)
+        t = effect / np.sqrt(denom2)  # +/-inf where only the variance is zero
+    t[(denom2 == 0) & (effect == 0)] = 0.0
     return StatField(values=t, field_type=FieldType.student_t(glm_fit.dof))
 
 
 def normalized_residuals(glm_fit: GlmFit) -> ResidualSet:
     """Unit-normalize the residual vector at every vertex (zero-residual
-    vertices are flagged, not fatal)."""
-    r = glm_fit.residuals
-    norms = np.sqrt((r * r).sum(axis=0))
+    vertices are flagged, not fatal). Consumes the fit: its residual buffer
+    becomes u, divided in place by sqrt(SSR); a second call raises."""
+    if glm_fit.residuals is None:
+        raise RuntimeError("this fit's residuals were already normalized")
+    u, glm_fit.residuals = glm_fit.residuals, None
+    norms = np.sqrt(glm_fit.ssr)
     flagged = norms == 0.0
-    safe = np.where(flagged, 1.0, norms)
-    u = r / safe
+    u /= np.where(flagged, 1.0, norms)
     u[:, flagged] = 0.0
     return ResidualSet(u=u, norms=norms, flagged=flagged)
 

@@ -88,19 +88,14 @@ def _sqrt_det_gram(diffs: list[np.ndarray], diag: list[np.ndarray]) -> np.ndarra
     return np.sqrt(np.maximum(det, 0.0))
 
 
-def _check_inputs(residuals: ResidualSet, space, norm_mode: str) -> bool:
-    """Validate the shared arguments; True for the symmetric norm mode."""
-    if norm_mode not in ("source", "symmetric"):
-        raise ValueError(f"norm_mode must be 'source' or 'symmetric', got {norm_mode!r}")
+def _check_inputs(residuals: ResidualSet, space) -> None:
     if residuals.u.shape[1] != space.n_points:
-        raise ValueError(
-            f"residuals cover {residuals.u.shape[1]} vertices, space has {space.n_points}"
-        )
-    return norm_mode == "symmetric"
+        raise ValueError(f"residuals cover {residuals.u.shape[1]} vertices, "
+                         f"space has {space.n_points}")
 
 
-def lattice_smoothness(residuals: ResidualSet, space: LatticeSpace, region=None,
-                       *, norm_mode: str = "source") -> tuple[float, np.ndarray]:
+def lattice_smoothness(residuals: ResidualSet, space: LatticeSpace,
+                       region=None) -> tuple[float, np.ndarray]:
     """(l_D over ``region``, per-axis FWHM over ``space``) in one pass.
 
     Equals (:func:`lkc_top` on ``region``, :func:`fwhm_estimate` on
@@ -113,7 +108,7 @@ def lattice_smoothness(residuals: ResidualSet, space: LatticeSpace, region=None,
     """
     if not isinstance(space, LatticeSpace):
         raise TypeError("lattice_smoothness needs a lattice space")
-    symmetric = _check_inputs(residuals, space, norm_mode)
+    _check_inputs(residuals, space)
     d, dims = space.dimension, space.dims
     u = residuals.u.reshape((-1,) + dims)
     norms = residuals.norms.reshape(dims)
@@ -146,8 +141,8 @@ def lattice_smoothness(residuals: ResidualSet, space: LatticeSpace, region=None,
         diffs = []
         for ax, (u_lo, u_hi, n_lo, n_hi, valid) in enumerate(edges):
             n_lo, n_hi = n_lo[rows], n_hi[rows]
-            denom = np.where(valid[rows], 0.5 * (n_lo + n_hi) if symmetric else n_lo, 1.0)
-            delta = u_hi[:, rows] * (n_hi / denom) - u_lo[:, rows] * (n_lo / denom)
+            # (r_hi - r_lo) / |r_lo|; edges off the valid set are never read
+            delta = u_hi[:, rows] * (n_hi / np.where(valid[rows], n_lo, 1.0)) - u_lo[:, rows]
             sq[ax][rows] = (delta * delta).sum(axis=0)
             diffs.append(delta)
         # axis 0 has no edges (and no cubes) past its last plane
@@ -160,7 +155,7 @@ def lattice_smoothness(residuals: ResidualSet, space: LatticeSpace, region=None,
     return float(contrib[cubes].sum()), fwhm
 
 
-def _mesh_lkc_top(res: ResidualSet, space: MeshSpace, symmetric: bool) -> float:
+def _mesh_lkc_top(res: ResidualSet, space: MeshSpace) -> float:
     simplices = space.simplices
     if len(simplices) == 0:
         raise ValueError("no complete components inside the mask")
@@ -174,15 +169,12 @@ def _mesh_lkc_top(res: ResidualSet, space: MeshSpace, symmetric: bool) -> float:
     diffs = []
     for j in range(1, d + 1):
         other = simplices[:, j]
-        n_other = res.norms[other]
-        denom = 0.5 * (n_base + n_other) if symmetric else n_base
-        diffs.append(res.u[:, other] * (n_other / denom)
-                     - res.u[:, base] * (n_base / denom))
+        diffs.append(res.u[:, other] * (res.norms[other] / n_base) - res.u[:, base])
     contrib = _sqrt_det_gram(diffs, [(x * x).sum(axis=0) for x in diffs])
     return float(contrib.sum()) / math.factorial(d)
 
 
-def lkc_top(residuals: ResidualSet, space, *, norm_mode: str = "source") -> float:
+def lkc_top(residuals: ResidualSet, space) -> float:
     """Estimate l_D from finite differences of normalized residuals.
 
     Parameters
@@ -191,10 +183,6 @@ def lkc_top(residuals: ResidualSet, space, *, norm_mode: str = "source") -> floa
         Defined on every vertex of ``space``; flagged vertices and
         components touching them are skipped.
     space : LatticeSpace or MeshSpace
-    norm_mode : {'source', 'symmetric'}
-        Which residual norm divides the raw-residual differences: the
-        component's base vertex (default) or the mean of the two edge
-        endpoints (sensitivity checks only; immaterial to first order).
 
     Returns
     -------
@@ -203,9 +191,10 @@ def lkc_top(residuals: ResidualSet, space, *, norm_mode: str = "source") -> floa
         mesh components are the simplices, with the 1/D! factor.
     """
     if isinstance(space, LatticeSpace):
-        return lattice_smoothness(residuals, space, norm_mode=norm_mode)[0]
+        return lattice_smoothness(residuals, space)[0]
     if isinstance(space, MeshSpace):
-        return _mesh_lkc_top(residuals, space, _check_inputs(residuals, space, norm_mode))
+        _check_inputs(residuals, space)
+        return _mesh_lkc_top(residuals, space)
     raise TypeError(f"not a search space: {type(space).__name__}")
 
 

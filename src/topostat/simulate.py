@@ -225,6 +225,9 @@ def _calibrate(config: SimConfig, thresholds, alpha) -> dict:
         if min(config.dims) < 2:
             raise ValueError(f"dims {config.dims}: student_t mode estimates smoothness "
                              "along every axis, so each axis needs >= 2 points")
+        if config.n_subjects - 1 <= len(config.dims):
+            raise ValueError(f"n_subjects {config.n_subjects}: a student_t field on D axes needs "
+                             f"dof = n_subjects - 1 > D = {len(config.dims)} to bracket alpha")
         space = build_lattice(config.dims, np.ones(config.dims, dtype=bool))
         mu = intrinsic_volumes(space)
     elif count_fwe:

@@ -16,6 +16,19 @@ from topostat.dataset import read_dataset, write_dataset
 from topostat.simulate import SimConfig, gen_field
 
 
+def count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` so that each call appends ``name`` to the returned list."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 @pytest.fixture()
 def effect_dataset(tmp_path):
     """Smooth-noise observations with a strong localized effect, plus
@@ -146,6 +159,7 @@ class TestAnalyze:
         assert "obs0003.bin" in err and f"vertex {vertex} (5, 6, 7)" in err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_outside_mask_accepted(self, effect_dataset, tmp_path):
         ds, design, contrast = effect_dataset
         self._mask_with_nan(ds, (0, 6, 7))
@@ -156,6 +170,14 @@ class TestAnalyze:
             results = json.loads((out / "results.json").read_text())
             assert results["footnote"]["search_volume_bins"] == 11 * 12 * 24
             assert results["peaks"][0]["p_fwe"] < 0.05
+
+    def test_fit_and_normalization_run_once(self, effect_dataset, tmp_path, monkeypatch):
+        ds, design, contrast = effect_dataset
+        fits = count_calls(monkeypatch, topostat.glm, "fit")
+        normalizations = count_calls(monkeypatch, topostat.glm, "normalized_residuals")
+        assert main(["analyze", str(ds), str(design), str(contrast),
+                     "-o", str(tmp_path / "o")]) == 0
+        assert len(fits) == len(normalizations) == 1
 
     @pytest.mark.parametrize("height_p", ["0", "1", "1.5", "nan"])
     def test_height_p_outside_unit_interval_exits_2(self, effect_dataset, tmp_path,
@@ -245,18 +267,6 @@ class TestSimulateCommand:
         cfg.write_text("{broken")
         assert main(["simulate", str(cfg), "-o", str(tmp_path / "r.json")]) == 2
 
-    @staticmethod
-    def _count_calls(monkeypatch, owner, name):
-        calls = []
-        real = getattr(owner, name)
-
-        def counted(*args, **kwargs):
-            calls.append(name)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, counted)
-        return calls
-
     @pytest.mark.parametrize("overrides,key", [
         ({"seed": -1}, "seed"),
         ({"seed": 2 ** 64}, "seed"),
@@ -267,12 +277,14 @@ class TestSimulateCommand:
         ({"thresholds": [float("inf")]}, "thresholds"),
         ({"field": "student_t", "alpha": 0}, "alpha"),
         ({"field": "student_t", "dims": [1, 24], "fwhm": [0.0, 4.0]}, "dims"),
+        ({"field": "student_t", "dims": [8, 7, 6], "fwhm": 4.0, "n_subjects": 4},
+         "n_subjects"),
     ])
     def test_bad_config_exits_2_before_any_draw(self, tmp_path, monkeypatch, capsys,
                                                 overrides, key):
         cfg = tmp_path / "cfg.json"
         self._write_config(cfg, **overrides)
-        draws = self._count_calls(monkeypatch, topostat.simulate, "_rng_for")
+        draws = count_calls(monkeypatch, topostat.simulate, "_rng_for")
         out = tmp_path / "r.json"
         assert main(["simulate", str(cfg), "-o", str(out)]) == 2
         assert key in capsys.readouterr().err
@@ -284,9 +296,9 @@ class TestSimulateCommand:
                                                     field, threshold_calls):
         cfg = tmp_path / "cfg.json"
         self._write_config(cfg, field=field, n_subjects=4, n_realizations=3)
-        draws = self._count_calls(monkeypatch, topostat.simulate, "_rng_for")
-        fits = self._count_calls(monkeypatch, topostat.glm, "fit")
-        thresholds = self._count_calls(monkeypatch, topostat.ecd, "corrected_threshold")
+        draws = count_calls(monkeypatch, topostat.simulate, "_rng_for")
+        fits = count_calls(monkeypatch, topostat.glm, "fit")
+        thresholds = count_calls(monkeypatch, topostat.ecd, "corrected_threshold")
         assert main(["simulate", str(cfg), "-o", str(tmp_path / "r.json")]) == 0
         assert len(draws) == 3
         assert len(fits) == (3 if field == "student_t" else 0)

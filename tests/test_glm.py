@@ -1,7 +1,12 @@
 """GLM fitting, t maps, normalized residuals and Z equivalents."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 from topostat import (
@@ -9,6 +14,7 @@ from topostat import (
     FieldType,
     StatField,
     fit,
+    glm,
     normalized_residuals,
     t_map,
     z_equivalent,
@@ -17,6 +23,108 @@ from topostat import (
 
 def ones_design(n):
     return DesignMatrix(np.ones((n, 1)), ("mean",))
+
+
+def reference_fit_and_normalize(data, design):
+    """The two-call path with its own buffers: a full ``x @ betas``
+    temporary, ``r * r`` reduced once for sigma2 and once for the norms,
+    and u a new array. Returns (betas, residuals, sigma2, u, norms,
+    flagged)."""
+    data = np.asarray(data, dtype=float)
+    if data.ndim == 1:
+        data = data[:, None]
+    x = design.values
+    betas = np.linalg.pinv(x, rcond=glm.RANK_RTOL) @ data
+    r = data - x @ betas
+    sigma2 = (r * r).sum(axis=0) / (design.n_obs - design.rank)
+    norms = np.sqrt((r * r).sum(axis=0))
+    flagged = norms == 0.0
+    u = r / np.where(flagged, 1.0, norms)
+    u[:, flagged] = 0.0
+    return betas, r, sigma2, u, norms, flagged
+
+
+def assert_matches_reference(data, design):
+    betas, r, sigma2, u, norms, flagged = reference_fit_and_normalize(data, design)
+    before = np.array(data, copy=True)
+    out = fit(data, design)
+    np.testing.assert_array_equal(data, before)  # the caller's array is not written
+    assert np.array_equal(out.betas, betas)
+    assert np.array_equal(out.residuals, r)
+    assert np.array_equal(out.sigma2, sigma2)
+    rs = normalized_residuals(out)
+    assert np.array_equal(rs.u, u)
+    assert np.array_equal(rs.norms, norms)
+    assert np.array_equal(rs.flagged, flagged)
+    return rs
+
+
+class TestOneResidualOwner:
+    @given(seed=st.integers(0, 2**32 - 1), n_obs=st.integers(2, 40),
+           n_vert=st.integers(1, 60), n_reg=st.integers(1, 3),
+           slab=st.sampled_from([3, 4, 7, glm.SSR_SLAB]))
+    def test_bit_identical_to_two_call_path(self, seed, n_obs, n_vert, n_reg, slab):
+        rng = np.random.default_rng(seed)
+        n_reg = min(n_reg, n_obs - 1)
+        design = DesignMatrix(rng.standard_normal((n_obs, n_reg)),
+                              tuple(f"x{i}" for i in range(n_reg)))
+        data = rng.standard_normal((n_obs, n_vert)) * 10.0 ** rng.uniform(
+            -6, 6, (n_obs, n_vert))
+        with mock.patch.object(glm, "SSR_SLAB", slab):
+            assert_matches_reference(data, design)
+
+    def test_zero_residual_columns(self):
+        rng = np.random.default_rng(21)
+        data = rng.standard_normal((9, 30))
+        data[:, [0, 7, 29]] = 0.0
+        rs = assert_matches_reference(data, ones_design(9))
+        assert rs.flagged.nonzero()[0].tolist() == [0, 7, 29]
+
+    def test_rank_deficient_design(self):
+        rng = np.random.default_rng(22)
+        x = np.column_stack([np.ones(11), np.ones(11), np.arange(11.0)])
+        design = DesignMatrix(x, ("a", "b", "ramp"))
+        assert design.rank == 2
+        assert_matches_reference(rng.standard_normal((11, 25)), design)
+
+    @pytest.mark.parametrize("n_obs", [3, 8, 20, 40])
+    def test_1d_data(self, n_obs):
+        data = np.random.default_rng(23).standard_normal(n_obs) * 1e3
+        assert_matches_reference(data, ones_design(n_obs))
+
+    def test_no_second_stack(self):
+        rng = np.random.default_rng(24)
+        n_obs, n_vert = 40, 100_000
+        data = rng.standard_normal((n_obs, n_vert))
+        design = DesignMatrix(np.column_stack([np.ones(n_obs), np.arange(n_obs)]),
+                              ("mean", "ramp"))
+        assert design.rank == 2  # computed and cached before tracing
+        vector = 8 * n_vert
+        tracemalloc.start()
+        try:
+            out = fit(data, design)
+            fit_peak = tracemalloc.get_traced_memory()[1]
+            buffer = out.residuals
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            rs = normalized_residuals(out)
+            norm_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        # residuals, betas, the SSR pieces and one slab of squares
+        assert fit_peak <= (data.nbytes + (design.n_reg + 4) * vector
+                            + 8 * n_obs * glm.SSR_SLAB)
+        assert norm_peak <= 4 * vector
+        assert rs.u is buffer and out.residuals is None
+
+    def test_fit_is_normalized_once(self):
+        out = fit(np.random.default_rng(25).standard_normal((6, 10)), ones_design(6))
+        rs = normalized_residuals(out)
+        u = rs.u.copy()
+        with pytest.raises(RuntimeError, match="already normalized"):
+            normalized_residuals(out)
+        np.testing.assert_array_equal(rs.u, u)
+        assert np.array_equal(out.sigma2, out.ssr / out.dof)
 
 
 class TestFit:

@@ -57,7 +57,7 @@ def reference_gram_sqrt_det(diffs):
     return np.sqrt(np.maximum(det, 0.0))
 
 
-def reference_lattice_lkc_top(res, space, symmetric=False):
+def reference_lattice_lkc_top(res, space):
     """Two-pass l_D: one whole-volume difference stack per axis."""
     d, dims = space.dimension, space.dims
     base_shape = tuple(n - 1 for n in dims)
@@ -76,8 +76,7 @@ def reference_lattice_lkc_top(res, space, symmetric=False):
     diffs = []
     for ax in range(d):
         n_nb = norms[shifts[ax]]
-        denom = 0.5 * (n_base + n_nb) if symmetric else n_base
-        denom = np.where(valid, denom, 1.0)
+        denom = np.where(valid, n_base, 1.0)
         delta = (u[(slice(None),) + shifts[ax]] * (n_nb / denom)
                  - u_base * (n_base / denom))
         diffs.append(delta.reshape(u.shape[0], -1))
@@ -188,22 +187,6 @@ class TestLkcTop:
         ])
         for coords in (warped2d, warped3d):
             assert lkc_top(res, build_mesh(coords, tris)) == reference
-
-    def test_norm_mode_symmetric_first_order_equal(self):
-        space = build_lattice((16, 16), np.ones(256, dtype=bool))
-        cfg = SimConfig(dims=(16, 16), fwhm=(4.0, 4.0), n_realizations=12, seed=3)
-        raw = np.stack([gen_field(cfg, i).ravel() for i in range(12)])
-        res = residual_set_from_raw(raw - raw.mean(axis=0))
-        a = lkc_top(res, space, norm_mode="source")
-        b = lkc_top(res, space, norm_mode="symmetric")
-        assert a != b
-        assert b == pytest.approx(a, rel=0.05)
-
-    def test_bad_norm_mode(self):
-        space = build_lattice((3,), np.ones(3, dtype=bool))
-        res = residual_set_from_raw(np.ones((2, 3)))
-        with pytest.raises(ValueError, match="norm_mode"):
-            lkc_top(res, space, norm_mode="other")
 
 
 class TestLkcVector:
@@ -316,15 +299,13 @@ class TestLatticeSmoothness:
         assert res.flagged.sum() == 6 + 9
         return res, build_lattice(self.DIMS, mask)
 
-    @pytest.mark.parametrize("norm_mode", ["source", "symmetric"])
-    def test_3d_across_slabs(self, monkeypatch, norm_mode):
+    def test_3d_across_slabs(self, monkeypatch):
         res, space = self._case(monkeypatch)
-        top, fwhm = lattice_smoothness(res, space, norm_mode=norm_mode)
-        assert top == reference_lattice_lkc_top(res, space, norm_mode == "symmetric")
-        if norm_mode == "source":
-            np.testing.assert_array_equal(fwhm, reference_fwhm(res, space))
-            assert lkc_top(res, space) == top
-            np.testing.assert_array_equal(fwhm_estimate(res, space), fwhm)
+        top, fwhm = lattice_smoothness(res, space)
+        assert top == reference_lattice_lkc_top(res, space)
+        np.testing.assert_array_equal(fwhm, reference_fwhm(res, space))
+        assert lkc_top(res, space) == top
+        np.testing.assert_array_equal(fwhm_estimate(res, space), fwhm)
 
     def test_3d_time_window_region(self, monkeypatch):
         res, space = self._case(monkeypatch)
