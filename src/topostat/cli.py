@@ -22,12 +22,14 @@ from .domain import build_lattice, intrinsic_volumes
 from .infer import peak_table
 
 
-def _parse_fwhm(text: str, n_axes: int) -> list[float]:
+def _parse_fwhm(text: str, n_axes: int, option: str) -> list[float]:
     parts = [float(x) for x in text.split(",")]
     if len(parts) == 1:
         parts = parts * n_axes
     if len(parts) != n_axes:
-        raise ValueError(f"--smooth expects {n_axes} comma-separated widths")
+        raise ValueError(f"{option} expects {n_axes} comma-separated widths")
+    if not all(0.0 <= f < np.inf for f in parts):
+        raise ValueError(f"{option} widths must be finite and nonnegative, got {text!r}")
     return parts
 
 
@@ -46,6 +48,8 @@ def _json_dump(obj, path: Path) -> None:
 def cmd_analyze(args) -> int:
     if not 0.0 < args.height_p < 1.0:
         raise ValueError(f"--height-p must lie in (0, 1), got {args.height_p}")
+    if not 0.0 < args.alpha <= 1.0:
+        raise ValueError(f"--alpha must lie in (0, 1], got {args.alpha}")
     ds = read_dataset(args.dataset)
     design = glm.DesignMatrix.from_csv(args.design)
     contrast = glm.read_contrast_csv(args.contrast)
@@ -57,13 +61,13 @@ def cmd_analyze(args) -> int:
             f"design has {design.n_obs} rows but dataset has {ds.n_obs} observations"
         )
 
-    smooth_fwhm = (_parse_fwhm(args.smooth, len(ds.dims)) if args.smooth
+    smooth_fwhm = (_parse_fwhm(args.smooth, len(ds.dims), "--smooth") if args.smooth
                    else [0.0] * len(ds.dims))
     if any(f > 0 for f in smooth_fwhm):
         data = preproc.gaussian_smooth(data.reshape((ds.n_obs,) + ds.dims), smooth_fwhm,
                                        mask=mask.reshape(ds.dims)).reshape(ds.n_obs, -1)
 
-    space = build_lattice(ds.dims, mask, axis_labels=ds.axes, axis_units=ds.units)
+    space = build_lattice(ds.dims, mask)
     fit = glm.fit(data, design)
     del data
     stat = glm.t_map(fit, contrast)
@@ -143,11 +147,15 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_tf(args) -> int:
+    if not 0.0 < args.srate < np.inf:
+        raise ValueError(f"--srate must be positive and finite, got {args.srate}")
     ds = read_dataset(args.dataset)
     if len(ds.dims) != 1:
         raise ValueError(f"tf needs 1D time-series observations, got dims {ds.dims}")
     lo, _, hi = args.freqs.partition(":")
     freqs = np.arange(float(lo), float(hi) + 1.0)
+    if freqs.size == 0 or freqs[0] <= 0:
+        raise ValueError(f"--freqs expects positive LO:HI with LO <= HI, got {args.freqs!r}")
     b_lo, _, b_hi = args.band.partition(":")
     band = (float(b_lo), float(b_hi))
     if band[0] < freqs[0] or band[1] > freqs[-1]:
@@ -168,7 +176,7 @@ def cmd_tf(args) -> int:
 
 def cmd_smooth(args) -> int:
     ds = read_dataset(args.dataset)
-    fwhm = _parse_fwhm(args.fwhm, len(ds.dims))
+    fwhm = _parse_fwhm(args.fwhm, len(ds.dims), "--fwhm")
     data = ds.load()
     mask = ds.load_mask().reshape(ds.dims)
     smoothed = preproc.gaussian_smooth(data.reshape((ds.n_obs,) + ds.dims), fwhm, mask=mask)

@@ -70,12 +70,9 @@ class LatticeSpace:
     mask : ndarray of bool
         In-region indicator, either shaped ``dims`` or flat of length
         prod(dims). Must contain at least one True entry.
-    axis_labels, axis_units : sequences of str, optional
-        Descriptive metadata; physical units live here only (all
-        geometry is computed in voxel units).
     """
 
-    def __init__(self, dims, mask, axis_labels=None, axis_units=None):
+    def __init__(self, dims, mask):
         dims = tuple(int(n) for n in dims)
         if len(dims) == 0:
             raise ValueError("lattice needs at least one axis")
@@ -96,12 +93,6 @@ class LatticeSpace:
         self.dims = dims
         self.mask = mask
         self.mask.setflags(write=False)
-        self.axis_labels = tuple(axis_labels) if axis_labels else tuple(
-            f"axis{i}" for i in range(len(dims))
-        )
-        self.axis_units = tuple(axis_units) if axis_units else ("bins",) * len(dims)
-        if len(self.axis_labels) != len(dims) or len(self.axis_units) != len(dims):
-            raise ValueError("axis metadata length must match number of axes")
 
     @property
     def dimension(self) -> int:
@@ -127,7 +118,7 @@ class LatticeSpace:
         new_mask = self.mask & sub_mask
         if not new_mask.any():
             raise ValueError("restriction is empty")
-        return LatticeSpace(self.dims, new_mask, self.axis_labels, self.axis_units)
+        return LatticeSpace(self.dims, new_mask)
 
     def coords_of(self, vertex: int) -> tuple[int, ...]:
         """Grid coordinates of a linear vertex index."""
@@ -229,9 +220,9 @@ class MeshSpace:
                 f"simplices={len(self.simplices)})")
 
 
-def build_lattice(dims, mask, axis_labels=None, axis_units=None) -> LatticeSpace:
+def build_lattice(dims, mask) -> LatticeSpace:
     """Build a masked lattice search space. See :class:`LatticeSpace`."""
-    return LatticeSpace(dims, mask, axis_labels, axis_units)
+    return LatticeSpace(dims, mask)
 
 
 def build_mesh(vertices, simplices) -> MeshSpace:
@@ -314,19 +305,17 @@ def _sorted_groups(labels: np.ndarray, member: np.ndarray) -> list[np.ndarray]:
     return groups
 
 
-def connected_components(space, member_mask=None, connectivity: str = "full"):
+def connected_components(space, member_mask=None):
     """Partition in-mask vertices into maximal connected sets.
 
     Parameters
     ----------
     space : LatticeSpace or MeshSpace
-        Lattices connect via the chosen neighborhood ('face' = 2D/3D
-        von Neumann, 'full' = 8/26 neighbors); meshes always use their
-        edge array, whichever of the two is named.
+        Lattice vertices connect to all 2/8/26 neighbours that share a
+        point (full connectivity); mesh vertices along their edge array.
     member_mask : ndarray of bool, optional
         Further restriction (e.g. an excursion set) over vertices;
         flat or lattice-shaped.
-    connectivity : {'full', 'face'}
 
     Returns
     -------
@@ -336,8 +325,6 @@ def connected_components(space, member_mask=None, connectivity: str = "full"):
     """
     if not isinstance(space, (LatticeSpace, MeshSpace)):
         raise TypeError(f"not a search space: {type(space).__name__}")
-    if connectivity not in ("face", "full"):
-        raise ValueError(f"connectivity must be 'face' or 'full', got {connectivity!r}")
     member = space.mask_flat
     if member_mask is not None:
         member = member & np.asarray(member_mask, dtype=bool).ravel()
@@ -345,9 +332,8 @@ def connected_components(space, member_mask=None, connectivity: str = "full"):
         a, b = space.edges.T
         both = member[a] & member[b]
         return _sorted_groups(_graph_labels(space.n_points, a[both], b[both]), member)
-    rank = 1 if connectivity == "face" else space.dimension
-    labels = ndimage.label(member.reshape(space.dims),
-                           structure=ndimage.generate_binary_structure(space.dimension, rank))[0]
+    full = ndimage.generate_binary_structure(space.dimension, space.dimension)
+    labels = ndimage.label(member.reshape(space.dims), structure=full)[0]
     return _sorted_groups(labels.ravel(), member)
 
 

@@ -15,12 +15,14 @@ import warnings
 import numpy as np
 from scipy import special
 
-from .domain import LatticeSpace, MeshSpace
+from .domain import LatticeSpace
 from .glm import FieldType
 from .lkc import FOUR_LOG2, ReselVector
 
 #: lower edge of the strictly-decreasing region used for threshold search
 THRESHOLD_FLOOR = 2.0
+#: width of the final bisection bracket around the corrected threshold
+THRESHOLD_TOL = 1e-6
 
 
 def _gaussian_density(d: int, t: np.ndarray) -> np.ndarray:
@@ -97,28 +99,27 @@ def fwe_p(peak_height, resels: ReselVector, field: FieldType):
     return p if p.ndim else float(p)
 
 
-def corrected_threshold(alpha: float, resels: ReselVector, field: FieldType,
-                        *, t_lo: float = THRESHOLD_FLOOR,
-                        tol: float = 1e-6) -> float:
+def corrected_threshold(alpha: float, resels: ReselVector, field: FieldType) -> float:
     """Height threshold t* with E[EC](t*) = alpha, by bisection.
 
-    The search runs on t >= t_lo where E[EC] is strictly decreasing for
-    the supported fields. A pure point search (all higher resel counts
-    zero) is monotone everywhere, so its bracket may extend below the
-    floor, recovering the single-test quantile. Otherwise, if
-    E[EC](t_lo) < alpha the target cannot be bracketed and t_lo is
+    The search runs on t >= THRESHOLD_FLOOR, where E[EC] is strictly
+    decreasing for the supported fields, down to a bracket of width
+    THRESHOLD_TOL. A pure point search (all higher resel counts zero) is
+    monotone everywhere, so its bracket may extend below the floor,
+    recovering the single-test quantile. Otherwise, if E[EC] at the floor
+    is below alpha the target cannot be bracketed and the floor is
     returned with a warning. alpha = 1 is a degenerate request (the
     clamped p-value equals 1 on a whole interval of thresholds) answered
-    with the bracketing floor t_lo.
+    with the floor.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     if not all(map(math.isfinite, resels.resels)):
         raise ValueError(f"resels must be finite, got {resels.resels}")
     if alpha == 1.0:
-        return float(t_lo)
+        return THRESHOLD_FLOOR
 
-    lo = float(t_lo)
+    lo = THRESHOLD_FLOOR
     hi = None
     if expected_ec(resels, field, lo) < alpha:
         point_search = all(r == 0.0 for r in resels.resels[1:])
@@ -136,7 +137,7 @@ def corrected_threshold(alpha: float, resels: ReselVector, field: FieldType,
                 f"alpha={alpha} exceeds the point-search ceiling; "
                 "threshold not bracketed", stacklevel=2,
             )
-            return float(t_lo)
+            return THRESHOLD_FLOOR
     if hi is None:
         hi = lo + 1.0
         while expected_ec(resels, field, hi) > alpha:
@@ -144,7 +145,7 @@ def corrected_threshold(alpha: float, resels: ReselVector, field: FieldType,
             hi = 2.0 * hi
             if hi > 1e6:
                 raise RuntimeError("failed to bracket the corrected threshold")
-    while hi - lo > tol:
+    while hi - lo > THRESHOLD_TOL:
         mid = 0.5 * (lo + hi)
         if expected_ec(resels, field, mid) > alpha:
             lo = mid
@@ -153,35 +154,19 @@ def corrected_threshold(alpha: float, resels: ReselVector, field: FieldType,
     return 0.5 * (lo + hi)
 
 
-def restrict(space, sub_mask=None, time_window=None):
-    """Restrict a search space for small-volume correction.
-
-    Parameters
-    ----------
-    space : LatticeSpace or MeshSpace
-    sub_mask : ndarray of bool, optional
-        Vertex mask intersected with the existing one.
-    time_window : (lo, hi), optional
-        Inclusive bin range along the last lattice axis; convenience for
-        peristimulus-time windows.
-
-    Returns
-    -------
-    A new search space over the sub-region. Downstream curvature and
-    p-values are then computed over the smaller volume from the same
-    residuals.
+def restrict(space, time_window):
+    """Restrict a lattice to a peristimulus-time window for small-volume
+    correction: ``time_window`` is an inclusive (lo, hi) bin range on the
+    last axis, clipped to it. Curvatures and p-values over the returned
+    space come from the same residuals; other sub-regions come from
+    ``space.restricted(sub_mask)``.
     """
-    if sub_mask is None and time_window is None:
-        raise ValueError("need sub_mask or time_window")
-    if time_window is not None:
-        if not isinstance(space, LatticeSpace):
-            raise TypeError("time_window restriction needs a lattice space")
-        lo, hi = int(time_window[0]), int(time_window[1])
-        n_t = space.dims[-1]
-        if lo > hi or hi < 0 or lo >= n_t:
-            raise ValueError(f"empty time window {lo}:{hi} on axis of {n_t} bins")
-        window = np.zeros(space.dims, dtype=bool)
-        window[..., max(lo, 0):hi + 1] = True
-        sub_mask = window if sub_mask is None else (
-            np.asarray(sub_mask, dtype=bool).reshape(space.dims) & window)
-    return space.restricted(sub_mask)
+    if not isinstance(space, LatticeSpace):
+        raise TypeError("time_window restriction needs a lattice space")
+    lo, hi = int(time_window[0]), int(time_window[1])
+    n_t = space.dims[-1]
+    if lo > hi or hi < 0 or lo >= n_t:
+        raise ValueError(f"empty time window {lo}:{hi} on axis of {n_t} bins")
+    window = np.zeros(space.dims, dtype=bool)
+    window[..., max(lo, 0):hi + 1] = True
+    return space.restricted(window)

@@ -234,12 +234,15 @@ def z_equivalent(stat: StatField) -> np.ndarray:
 
 
 def read_contrast_csv(path) -> np.ndarray:
-    """Read a contrast row vector from CSV (single numeric row)."""
+    """Read a contrast row vector from CSV (single row of finite numbers)."""
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if len(rows) != 1:
         raise ValueError(f"{path}: expected a single contrast row, got {len(rows)}")
     try:
-        return np.array([float(x) for x in rows[0]])
+        contrast = np.array([float(x) for x in rows[0]])
     except ValueError as exc:
         raise ValueError(f"{path}: non-numeric contrast entry ({exc})") from None
+    if not np.isfinite(contrast).all():
+        raise ValueError(f"{path}: contrast entries must be finite, got {rows[0]}")
+    return contrast

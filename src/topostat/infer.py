@@ -263,8 +263,7 @@ def _label_clusters(stat: StatField, space, t_feature: float, expected_size: flo
     from ``first_id``, each peak being the component's highest vertex
     (smallest index on ties) with t = ``sign`` * value and NaN p-values."""
     values = np.asarray(stat.values, dtype=float).ravel()
-    comps = connected_components(space, member_mask=excursion_set(stat, space, t_feature),
-                                 connectivity="full")
+    comps = connected_components(space, member_mask=excursion_set(stat, space, t_feature))
     labels = np.zeros(space.n_points, dtype=np.int64)
     records, nan = [], float("nan")
     for k, comp in enumerate(comps, start=first_id):

@@ -150,7 +150,7 @@ def _gaussian_kernel(fwhm: float) -> np.ndarray:
     return np.exp(-x * x / (2.0 * sigma * sigma))
 
 
-def gaussian_smooth(volume, fwhm, mask=None, boundary: str = "renormalize"):
+def gaussian_smooth(volume, fwhm, mask=None):
     """Separable Gaussian smoothing with mask-renormalized boundaries.
 
     Parameters
@@ -160,15 +160,12 @@ def gaussian_smooth(volume, fwhm, mask=None, boundary: str = "renormalize"):
         (n_obs, *mask.shape) stack whose observations are smoothed
         independently (the mask normalizer is built once per stack).
     fwhm : sequence of float
-        Kernel width per axis in bins; 0 skips an axis.
+        Finite kernel width per axis in bins; 0 skips an axis.
     mask : ndarray of bool, optional
         Data outside the mask neither contributes nor receives; in-mask
         values are divided by the smoothed mask indicator so constants
         pass through exactly. Without a mask the array border acts as
         the mask boundary.
-    boundary : {'renormalize', 'wrap'}
-        'wrap' does periodic convolution without renormalization
-        (mask must be None).
     """
     volume = np.asarray(volume, dtype=float)
     stack = mask is not None and np.shape(mask) == volume.shape[1:]
@@ -178,20 +175,10 @@ def gaussian_smooth(volume, fwhm, mask=None, boundary: str = "renormalize"):
         fwhm = fwhm * len(dims)
     if len(fwhm) != len(dims):
         raise ValueError(f"need one fwhm per axis ({len(dims)}), got {len(fwhm)}")
-    if any(f < 0 for f in fwhm):
-        raise ValueError("fwhm must be nonnegative")
-    if boundary not in ("renormalize", "wrap"):
-        raise ValueError(f"unknown boundary mode {boundary!r}")
+    if not all(0.0 <= f < math.inf for f in fwhm):
+        raise ValueError(f"fwhm must be finite and nonnegative, got {fwhm}")
     kernels = [(ax, _gaussian_kernel(f)) for ax, f in enumerate(fwhm) if f > 0]
     kernels = [(ax, k / k.sum()) for ax, k in kernels]
-    if boundary == "wrap":
-        if mask is not None:
-            raise ValueError("wrap boundary does not support a mask")
-        out = volume.copy()
-        for ax, k in kernels:
-            out = ndimage.convolve1d(out, k, axis=ax, mode="wrap")
-        return out
-
     mask_arr = np.ones(dims, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     if mask_arr.shape != dims:
         raise ValueError("mask shape must match volume")

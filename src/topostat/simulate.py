@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 from scipy import ndimage
@@ -34,6 +34,9 @@ from .glm import DesignMatrix, FieldType
 from .lkc import FOUR_LOG2, ReselVector
 from .preproc import _gaussian_kernel, _kernel_radius
 
+#: two-sided 95% standard-normal quantile of the Wilson interval
+WILSON_Z = 1.959963984540054
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -41,8 +44,8 @@ class SimConfig:
 
     ``field`` selects 'gaussian' (raw unit-variance fields) or
     'student_t' (one-sample t maps over ``n_subjects`` synthetic
-    fields). ``fwhm`` is the smoothing-kernel width per axis in voxels;
-    0 means white noise along that axis. ``seed`` is an integer in
+    fields). ``fwhm`` is the finite smoothing-kernel width per axis in
+    voxels; 0 means white noise along that axis. ``seed`` is an integer in
     [0, 2**64); it and every count must be integral, not truncated.
     """
 
@@ -61,8 +64,8 @@ class SimConfig:
             fwhm = np.repeat(fwhm, len(self.dims))
         if fwhm.size != len(self.dims):
             raise ValueError("need one fwhm per axis")
-        if np.any(fwhm < 0):
-            raise ValueError("fwhm must be nonnegative")
+        if not np.all((fwhm >= 0) & (fwhm < math.inf)):
+            raise ValueError(f"fwhm must be finite and nonnegative, got {fwhm.tolist()}")
         object.__setattr__(self, "fwhm", tuple(float(f) for f in fwhm))
         if self.field not in ("gaussian", "student_t"):
             raise ValueError(f"unknown field mode {self.field!r}")
@@ -80,21 +83,14 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
-        known = {"dims", "fwhm", "n_realizations", "seed", "field",
-                 "n_subjects", "max_field_bytes"}
-        unknown = set(d) - known - {"thresholds", "alpha"}
+        names = [f.name for f in fields(cls)]
+        unknown = set(d) - set(names) - {"thresholds", "alpha"}
         if unknown:
             raise ValueError(f"unknown simulation config keys: {sorted(unknown)}")
-        for key in ("dims", "fwhm", "n_realizations", "seed"):
-            if key not in d:
-                raise ValueError(f"simulation config missing {key!r}")
-        return cls(
-            dims=tuple(d["dims"]), fwhm=tuple(np.atleast_1d(d["fwhm"])),
-            n_realizations=d["n_realizations"], seed=d["seed"],
-            field=d.get("field", "gaussian"),
-            n_subjects=d.get("n_subjects", 13),
-            max_field_bytes=d.get("max_field_bytes", 1 << 30),
-        )
+        for f in fields(cls):
+            if f.default is MISSING and f.name not in d:
+                raise ValueError(f"simulation config missing {f.name!r}")
+        return cls(**{key: d[key] for key in names if key in d})
 
 
 def _whole(key: str, value, lo: int, hi: int | None = None) -> int:
@@ -193,7 +189,8 @@ def _t_fit(config: SimConfig, index: int) -> glm.GlmFit:
     return glm.fit(data, design)
 
 
-def _wilson_ci(successes: int, n: int, z: float = 1.959963984540054):
+def _wilson_ci(successes: int, n: int):
+    z = WILSON_Z
     if n == 0:
         return (0.0, 1.0)
     phat = successes / n
@@ -203,14 +200,16 @@ def _wilson_ci(successes: int, n: int, z: float = 1.959963984540054):
     return (center - half, center + half)
 
 
-def _calibrate(config: SimConfig, thresholds, alpha) -> dict:
-    """The one pass over the realizations behind every Monte Carlo report.
+def mc_calibrate(config: SimConfig, thresholds, alpha: float | None = 0.05) -> dict:
+    """Mean empirical EC per threshold and empirical FWE, from the one
+    pass over the realizations behind every Monte Carlo report.
 
     Each realization is drawn, and in student_t mode fitted, once. Its
     Euler characteristic is counted at every threshold unless
     ``thresholds`` is None; its maximum is compared with the FWE
-    threshold unless ``alpha`` is None. Inputs are checked before the
-    first realization is drawn.
+    threshold unless ``alpha`` is None. The report holds every key of
+    :func:`mc_ec` and of :func:`mc_fwe`, with the same values. Inputs are
+    checked before the first realization is drawn.
     """
     count_ec, count_fwe = thresholds is not None, alpha is not None
     thresholds = [float(t) for t in np.atleast_1d(thresholds)] if count_ec else []
@@ -276,16 +275,6 @@ def _calibrate(config: SimConfig, thresholds, alpha) -> dict:
     return report
 
 
-def mc_calibrate(config: SimConfig, thresholds, alpha: float = 0.05) -> dict:
-    """Mean empirical EC per threshold and empirical FWE, from one pass.
-
-    Each realization is drawn (in student_t mode: fitted) once and
-    serves both tallies; the report holds every key of :func:`mc_ec`
-    and of :func:`mc_fwe`, with the same values.
-    """
-    return _calibrate(config, thresholds, alpha)
-
-
 def mc_ec(config: SimConfig, thresholds) -> dict:
     """Mean empirical Euler characteristic per threshold.
 
@@ -294,7 +283,7 @@ def mc_ec(config: SimConfig, thresholds) -> dict:
     the generator's true resels for comparison. Runs the pass of
     :func:`mc_calibrate` without the FWE tally.
     """
-    return _calibrate(config, thresholds, None)
+    return mc_calibrate(config, thresholds, None)
 
 
 def mc_fwe(config: SimConfig, alpha: float = 0.05) -> dict:
@@ -305,4 +294,4 @@ def mc_fwe(config: SimConfig, alpha: float = 0.05) -> dict:
     residuals and thresholds per realization (the full pipeline). Runs
     the pass of :func:`mc_calibrate` without the EC tally.
     """
-    return _calibrate(config, None, alpha)
+    return mc_calibrate(config, None, alpha)

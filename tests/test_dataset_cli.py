@@ -279,6 +279,8 @@ class TestSimulateCommand:
         ({"field": "student_t", "dims": [1, 24], "fwhm": [0.0, 4.0]}, "dims"),
         ({"field": "student_t", "dims": [8, 7, 6], "fwhm": 4.0, "n_subjects": 4},
          "n_subjects"),
+        ({"fwhm": "inf"}, "fwhm"),
+        ({"fwhm": [4.0, float("nan")]}, "fwhm"),
     ])
     def test_bad_config_exits_2_before_any_draw(self, tmp_path, monkeypatch, capsys,
                                                 overrides, key):
@@ -375,6 +377,32 @@ class TestSmoothAndInfo:
         obs = ds / "obs0000.bin"
         obs.write_bytes(obs.read_bytes()[:-1])
         assert main(["info", str(ds)]) == 2
+
+
+@pytest.mark.parametrize("command,extra,option", [
+    ("analyze", ["--alpha", "7"], "--alpha"),
+    ("analyze", ["--smooth", "nan"], "--smooth"),
+    ("analyze", ["--smooth", "inf"], "--smooth"),
+    ("analyze", [], "contrast entries"),
+    ("smooth", ["--fwhm", "nan"], "--fwhm"),
+    ("smooth", ["--fwhm", "inf"], "--fwhm"),
+    ("tf", ["--freqs", "30:5"], "--freqs"),
+    ("tf", ["--srate", "0"], "--srate"),
+    ("tf", ["--srate", "-100"], "--srate"),
+], ids=["alpha-7", "smooth-nan", "smooth-inf", "contrast-nan", "fwhm-nan", "fwhm-inf",
+        "freqs-30:5", "srate-0", "srate--100"])
+def test_bad_numeric_input_exits_2_without_output(effect_dataset, tmp_path, capsys,
+                                                  command, extra, option):
+    ds, design, contrast = effect_dataset
+    if option == "contrast entries":
+        contrast.write_text("nan\n")
+    signal = tmp_path / "signal"
+    write_dataset(signal, np.zeros((1, 2000)), axes=("time",), units=("ms",))
+    inputs = {"analyze": [ds, design, contrast], "smooth": [ds], "tf": [signal]}[command]
+    out = tmp_path / "o"
+    assert main([command, *map(str, inputs), "-o", str(out), *extra]) == 2
+    assert option in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

@@ -35,15 +35,11 @@ def brute_force_cubes(mask):
     return count
 
 
-def brute_force_flood_fill(mask, connectivity):
-    """Independent oracle: python-set BFS over the neighbor offsets."""
+def brute_force_flood_fill(mask):
+    """Independent oracle: python-set BFS over the full-connectivity
+    neighbor offsets."""
     dims = mask.shape
-    if connectivity == "face":
-        offsets = [off for off in itertools.product((-1, 0, 1), repeat=mask.ndim)
-                   if sum(abs(o) for o in off) == 1]
-    else:
-        offsets = [off for off in itertools.product((-1, 0, 1), repeat=mask.ndim)
-                   if any(off)]
+    offsets = [off for off in itertools.product((-1, 0, 1), repeat=mask.ndim) if any(off)]
     unvisited = {tuple(c) for c in np.argwhere(mask)}
     comps = []
     while unvisited:
@@ -308,17 +304,15 @@ class TestConnectedComponents:
         mask = np.zeros((4, 4), dtype=bool)
         mask[1, 1] = mask[2, 2] = True
         space = build_lattice((4, 4), mask)
-        assert len(connected_components(space, connectivity="face")) == 2
-        assert len(connected_components(space, connectivity="full")) == 1
+        assert len(connected_components(space)) == 1
 
-    @pytest.mark.parametrize("connectivity", ["face", "full"])
-    def test_random_mask_matches_flood_fill(self, connectivity):
+    def test_random_mask_matches_flood_fill(self):
         rng = np.random.default_rng(123)
         mask = rng.random((16, 16)) < 0.45
         mask[0, 0] = True
         space = build_lattice((16, 16), mask)
-        comps = connected_components(space, connectivity=connectivity)
-        oracle = brute_force_flood_fill(mask, connectivity)
+        comps = connected_components(space)
+        oracle = brute_force_flood_fill(mask)
         assert len(comps) == len(oracle)
         got = {frozenset(int(v) for v in comp) for comp in comps}
         want = {frozenset(np.ravel_multi_index(tuple(zip(*sorted(c))), mask.shape)
@@ -396,14 +390,6 @@ class TestEdgeArrayMatchesReference:
         named = re.escape(f"degenerate simplex {tuple(np.array(row, dtype=np.int64))}")
         with pytest.raises(ValueError, match=named):
             build_mesh([(0, 0), (1, 0), (0, 1), (1, 1)], [(0, 1, 2), row, (1, 1, 3)])
-
-    @pytest.mark.parametrize("space", [
-        build_lattice((4, 4), np.ones(16, dtype=bool)),
-        build_mesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)]),
-    ])
-    def test_unknown_connectivity_rejected(self, space):
-        with pytest.raises(ValueError, match="connectivity"):
-            connected_components(space, connectivity="bogus")
 
 
 SIX_NEIGHBOURS = np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]], dtype=bool)

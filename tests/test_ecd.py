@@ -249,7 +249,7 @@ class TestRestrict:
         dims = (10, 10, 16)
         space = build_lattice(dims, np.ones(int(np.prod(dims)), bool))
         res = self._smooth_residuals(dims, (4.0, 4.0, 4.0), 10, 21)
-        sub = restrict(space, sub_mask=np.ones(dims, dtype=bool))
+        sub = space.restricted(np.ones(dims, dtype=bool))
         assert lkc_top(res, sub) == lkc_top(res, space)
         mu_a, mu_b = intrinsic_volumes(space), intrinsic_volumes(sub)
         assert mu_a.mu == mu_b.mu
@@ -275,7 +275,7 @@ class TestRestrict:
         space = build_lattice(dims, np.ones(216, bool))
         keep = np.zeros(dims, dtype=bool)
         keep[3, 3, 3] = True
-        sub = restrict(space, sub_mask=keep)
+        sub = space.restricted(keep)
         assert sub.n_inside == 1
         assert intrinsic_volumes(sub).mu == (1.0, 0.0, 0.0, 0.0)
         # a point search reduces the corrected p to the plain tail
@@ -286,7 +286,7 @@ class TestRestrict:
     def test_empty_restriction_rejected(self):
         space = build_lattice((4, 4), np.ones(16, bool))
         with pytest.raises(ValueError, match="empty"):
-            restrict(space, sub_mask=np.zeros((4, 4), dtype=bool))
+            space.restricted(np.zeros((4, 4), dtype=bool))
         with pytest.raises(ValueError, match="window"):
             restrict(space, time_window=(9, 4))
 
@@ -296,7 +296,7 @@ class TestRestrict:
         verts, tris = unit_sheet_mesh(6, 6)
         mesh = build_mesh(verts, tris)
         keep = verts[:, 0] <= 2.0
-        sub = restrict(mesh, sub_mask=keep)
+        sub = mesh.restricted(keep)
         assert sub.n_inside == 18
         assert len(sub.simplices) < len(mesh.simplices)
         mu = intrinsic_volumes(sub)

@@ -1,15 +1,18 @@
-"""Golden outputs: small seeded `analyze` and `simulate` runs against
-committed results.
+"""Golden outputs: small seeded `analyze`, `simulate` and `smooth` runs
+against committed results.
 
 Each case rebuilds its inputs from a fixed seed, runs the CLI and
 compares the output with ``tests/data/golden/`` the way the benchmark
 compares with its reference: keys, lengths, integers and strings
 exactly, every float within 1e-12 relative; ``report.txt`` exactly.
+The ``smooth`` case writes a dataset, which must match byte for byte:
+``tests/data/golden/smooth/SHA256SUMS`` holds the digest of each file.
 Refactors that claim identical outputs keep this test passing
 unedited. After a declared behaviour change, regenerate the files with
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -35,6 +38,7 @@ SIMULATE = {
     "simulate_gaussian": {"dims": [24, 24], "fwhm": 3.0, "n_realizations": 4,
                           "seed": 3, "thresholds": [1.5, 2.5, 3.5]},
 }
+SMOOTH_FWHM = "2,2,2"
 
 
 def write_analyze_inputs(dest: Path) -> list[str]:
@@ -73,6 +77,17 @@ def run_case(name: str, work: Path) -> dict[str, str]:
     return {f: (out / f).read_text().replace(str(work), "WORK") for f in files}
 
 
+def smooth_digests(work: Path) -> str:
+    """``topostat smooth`` on the ``analyze`` dataset; the SHA-256 of
+    every written file, one ``<hex>  <name>`` line each."""
+    work.mkdir(parents=True, exist_ok=True)
+    dataset = write_analyze_inputs(work)[0]
+    out = work / "smoothed"
+    assert main(["smooth", dataset, "-o", str(out), "--fwhm", SMOOTH_FWHM]) == 0
+    return "".join(f"{hashlib.sha256(f.read_bytes()).hexdigest()}  {f.name}\n"
+                   for f in sorted(out.iterdir()))
+
+
 def mismatches(got, want, path: str = "") -> list[str]:
     if isinstance(want, dict) and isinstance(got, dict):
         if set(got) != set(want):
@@ -101,6 +116,10 @@ def test_matches_golden(name, tmp_path):
         assert got["report.txt"] == want["report.txt"]
 
 
+def test_smooth_matches_golden(tmp_path):
+    assert smooth_digests(tmp_path) == (GOLDEN / "smooth" / "SHA256SUMS").read_text()
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -109,3 +128,5 @@ if __name__ == "__main__":
             (GOLDEN / case).mkdir(parents=True, exist_ok=True)
             for fname, text in run_case(case, Path(tmp) / case).items():
                 (GOLDEN / case / fname).write_text(text)
+        (GOLDEN / "smooth").mkdir(exist_ok=True)
+        (GOLDEN / "smooth" / "SHA256SUMS").write_text(smooth_digests(Path(tmp) / "smooth"))

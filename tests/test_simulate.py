@@ -162,6 +162,9 @@ class TestGenField:
                                  "n_realizations": 1, "seed": 0, "bogus": 1})
         with pytest.raises(ValueError, match="missing"):
             SimConfig.from_dict({"dims": [8, 8]})
+        for bad in (-1.0, math.nan, math.inf, "inf"):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                SimConfig(dims=(8, 8), fwhm=(2.0, bad), n_realizations=1, seed=0)
 
 
 class TestPerAxisCropMatchesWholeBox:
