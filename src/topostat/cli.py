@@ -22,8 +22,15 @@ from .domain import build_lattice, intrinsic_volumes
 from .infer import peak_table
 
 
+def _parse_float(text: str, option: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{option} expects numbers, got {text!r}") from None
+
+
 def _parse_fwhm(text: str, n_axes: int, option: str) -> list[float]:
-    parts = [float(x) for x in text.split(",")]
+    parts = [_parse_float(x, option) for x in text.split(",")]
     if len(parts) == 1:
         parts = parts * n_axes
     if len(parts) != n_axes:
@@ -53,19 +60,21 @@ def cmd_analyze(args) -> int:
     ds = read_dataset(args.dataset)
     design = glm.DesignMatrix.from_csv(args.design)
     contrast = glm.read_contrast_csv(args.contrast)
-    data = ds.load()
-    mask = ds.load_mask()
-    np.copyto(data, 0.0, where=~mask)  # values outside the mask are ignored
     if design.n_obs != ds.n_obs:
         raise ValueError(
             f"design has {design.n_obs} rows but dataset has {ds.n_obs} observations"
         )
-
     smooth_fwhm = (_parse_fwhm(args.smooth, len(ds.dims), "--smooth") if args.smooth
                    else [0.0] * len(ds.dims))
+    window = _parse_window(args.window) if args.window else None
+
+    # One stack from here on: smoothed in place, then turned into residuals and into u.
+    data = ds.load()
+    mask = ds.load_mask()
+    np.copyto(data, 0.0, where=~mask)  # values outside the mask are ignored
     if any(f > 0 for f in smooth_fwhm):
-        data = preproc.gaussian_smooth(data.reshape((ds.n_obs,) + ds.dims), smooth_fwhm,
-                                       mask=mask.reshape(ds.dims)).reshape(ds.n_obs, -1)
+        preproc.gaussian_smooth(data.reshape((ds.n_obs,) + ds.dims), smooth_fwhm,
+                                mask=mask.reshape(ds.dims))
 
     space = build_lattice(ds.dims, mask)
     fit = glm.fit(data, design)
@@ -76,8 +85,8 @@ def cmd_analyze(args) -> int:
     n_t = ds.dims[-1]
     window_bins = [0, n_t - 1]
     analysis_space = space
-    if args.window:
-        lo, hi = _parse_window(args.window)
+    if window:
+        lo, hi = window
         window_bins = [max(lo, 0), min(hi, n_t - 1)]
         if window_bins != [0, n_t - 1]:
             analysis_space = ecd.restrict(space, time_window=(lo, hi))
@@ -153,11 +162,11 @@ def cmd_tf(args) -> int:
     if len(ds.dims) != 1:
         raise ValueError(f"tf needs 1D time-series observations, got dims {ds.dims}")
     lo, _, hi = args.freqs.partition(":")
-    freqs = np.arange(float(lo), float(hi) + 1.0)
+    freqs = np.arange(_parse_float(lo, "--freqs"), _parse_float(hi, "--freqs") + 1.0)
     if freqs.size == 0 or freqs[0] <= 0:
         raise ValueError(f"--freqs expects positive LO:HI with LO <= HI, got {args.freqs!r}")
     b_lo, _, b_hi = args.band.partition(":")
-    band = (float(b_lo), float(b_hi))
+    band = (_parse_float(b_lo, "--band"), _parse_float(b_hi, "--band"))
     if band[0] < freqs[0] or band[1] > freqs[-1]:
         raise ValueError(f"band {args.band} outside frequency range {args.freqs}")
     data = ds.load()

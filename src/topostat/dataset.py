@@ -39,10 +39,14 @@ class Dataset:
     def load(self) -> np.ndarray:
         """All observations as an (n_obs, n_points) float64 array.
 
-        A non-finite value inside the mask is rejected, naming its file
-        and vertex; outside the mask any value is accepted.
+        Each file is read straight into its row of one new array, which
+        the caller owns; ``analyze`` smooths and fits that array in place,
+        so it is the only observation stack the pipeline holds. A file
+        whose size is not exactly one volume is rejected. A non-finite
+        value inside the mask is rejected, naming its file and vertex;
+        outside the mask any value is accepted.
         """
-        out = np.empty((self.n_obs, self.n_points))
+        out = np.empty((self.n_obs, self.n_points), dtype="<f8")
         mask = self.load_mask()
         for i, name in enumerate(self.files):
             _read_volume(self.path / name, out[i])
@@ -68,13 +72,14 @@ class Dataset:
 
 
 def _read_volume(path: Path, out: np.ndarray) -> None:
-    data = path.read_bytes()
-    if len(data) != out.nbytes:
+    with open(path, "rb") as fh:
+        n_read = fh.readinto(out)
+        trailing = fh.read(1)
+    if n_read != out.nbytes or trailing:
         raise ValueError(
-            f"{path}: {len(data)} bytes, expected {out.nbytes} "
+            f"{path}: {path.stat().st_size} bytes, expected {out.nbytes} "
             f"(no silent truncation)"
         )
-    out[:] = np.frombuffer(data, dtype="<f8")
 
 
 def read_dataset(path) -> Dataset:

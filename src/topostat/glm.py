@@ -3,9 +3,11 @@
 Fits an identical design at every vertex of a search space, producing
 t-statistic fields, per-vertex residual variance and the unit-normalized
 residual fields that drive smoothness estimation. All fits are
-vertex-independent. Each residual stack has one owner: :func:`fit`
-allocates it and reduces its sum of squares once, and
-:func:`normalized_residuals` takes it over and divides it into u in place.
+vertex-independent. One buffer carries a stack from data to u: :func:`fit`
+takes over the caller's float64 data and subtracts the fitted values from
+it in place, so the data become the residuals, whose sum of squares is
+reduced once; :func:`normalized_residuals` then takes the residuals over
+and divides them into u in place.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from scipy import special
 
 RANK_RTOL = 1e-10
 ORTHO_RTOL = 1e-8
-SSR_SLAB = 4096  # columns per slab of the sum-of-squares reduction
+SSR_SLAB = 4096  # columns per slab of the residual subtraction and its sum of squares
 
 
 @dataclass(frozen=True)
@@ -134,18 +136,22 @@ class ResidualSet:
 
 
 def fit(data, design: DesignMatrix) -> GlmFit:
-    """Fit the design at every vertex by least squares.
+    """Fit the design at every vertex by least squares, in place.
 
     Parameters
     ----------
     data : ndarray
-        Shape (n_obs, n_vertices); one column per vertex.
+        Shape (n_obs, n_vertices), or (n_obs,) for one vertex; one column
+        per vertex. A float64 array is taken over: it is overwritten with
+        the residuals and becomes ``GlmFit.residuals``, so the caller must
+        not read it as data afterwards. Any other input is first converted
+        to a new float64 array.
     design : DesignMatrix
 
     Returns
     -------
-    GlmFit with betas, residuals in a new buffer (``data`` is not
-    written), per-vertex SSR and dof = n_obs - rank.
+    GlmFit with betas, the residuals (in ``data``'s buffer), per-vertex
+    SSR and dof = n_obs - rank.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim == 1:
@@ -158,13 +164,16 @@ def fit(data, design: DesignMatrix) -> GlmFit:
         raise ValueError(f"no residual degrees of freedom (n_obs={design.n_obs}, "
                          f"rank={design.rank})")
     betas = np.linalg.pinv(x, rcond=RANK_RTOL) @ data
-    residuals = x @ betas
-    np.subtract(data, residuals, out=residuals)
-    # (r * r).sum(axis=0) over column slabs, to bound the temporary. numpy sums one column
-    # pairwise but wider blocks row by row; near-equal slabs are one column only if r is.
-    slabs = np.array_split(residuals, -(-residuals.shape[1] // SSR_SLAB) or 1, axis=1)
-    ssr = np.concatenate([(s * s).sum(axis=0) for s in slabs])
-    return GlmFit(design=design, betas=betas, residuals=residuals, ssr=ssr, dof=dof)
+    # Residuals and (r * r).sum(axis=0) one column slab at a time, to bound the temporaries.
+    # numpy sums one column pairwise but wider blocks row by row; near-equal slabs are one
+    # column only if r is. With one regressor a slab of x @ betas is the full product's.
+    ssr = np.empty(data.shape[1])
+    n_slabs = -(-data.shape[1] // SSR_SLAB) or 1
+    for r, b, ssr_slab in zip(*(np.array_split(a, n_slabs, axis=-1)
+                                for a in (data, betas, ssr))):
+        r -= x @ b
+        (r * r).sum(axis=0, out=ssr_slab)
+    return GlmFit(design=design, betas=betas, residuals=data, ssr=ssr, dof=dof)
 
 
 def _contrast_variance_factor(design: DesignMatrix, contrast: np.ndarray) -> float:
@@ -211,7 +220,7 @@ def normalized_residuals(glm_fit: GlmFit) -> ResidualSet:
     norms = np.sqrt(glm_fit.ssr)
     flagged = norms == 0.0
     u /= np.where(flagged, 1.0, norms)
-    u[:, flagged] = 0.0
+    np.copyto(u, 0.0, where=flagged)
     return ResidualSet(u=u, norms=norms, flagged=flagged)
 
 

@@ -151,7 +151,7 @@ def _gaussian_kernel(fwhm: float) -> np.ndarray:
 
 
 def gaussian_smooth(volume, fwhm, mask=None):
-    """Separable Gaussian smoothing with mask-renormalized boundaries.
+    """Separable Gaussian smoothing with mask-renormalized boundaries, in place.
 
     Parameters
     ----------
@@ -159,13 +159,17 @@ def gaussian_smooth(volume, fwhm, mask=None):
         One volume, or with a ``mask`` of shape ``volume.shape[1:]`` an
         (n_obs, *mask.shape) stack whose observations are smoothed
         independently (the mask normalizer is built once per stack).
+        A float64 array is overwritten with its smoothed values and
+        returned: the caller's buffer becomes the output, and the extra
+        memory is a few volumes whatever the number of observations.
+        Any other input is first converted to a new float64 array.
     fwhm : sequence of float
         Finite kernel width per axis in bins; 0 skips an axis.
     mask : ndarray of bool, optional
         Data outside the mask neither contributes nor receives; in-mask
         values are divided by the smoothed mask indicator so constants
-        pass through exactly. Without a mask the array border acts as
-        the mask boundary.
+        pass through exactly, and everything else is set to 0. Without a
+        mask the array border acts as the mask boundary.
     """
     volume = np.asarray(volume, dtype=float)
     stack = mask is not None and np.shape(mask) == volume.shape[1:]
@@ -185,14 +189,20 @@ def gaussian_smooth(volume, fwhm, mask=None):
     den = mask_arr.astype(float)
     for ax, k in kernels:
         den = ndimage.convolve1d(den, k, axis=ax, mode="constant")
+    outside_mask = ~mask_arr
     inside = mask_arr & (den > 0)
-    out = np.zeros_like(volume)
-    for vol, smoothed in zip(volume.reshape((-1,) + dims), out.reshape((-1,) + dims)):
-        num = np.where(mask_arr, vol, 0.0)
-        for ax, k in kernels:
-            num = ndimage.convolve1d(num, k, axis=ax, mode="constant")
-        np.divide(num, den, out=smoothed, where=inside)
-    return out
+    outside = ~inside
+    # Two scratch volumes shared by every observation; each pass reads one, writes the other.
+    scratch = (np.empty(dims), np.empty(dims))
+    for vol in volume if stack else volume[None]:
+        np.copyto(vol, 0.0, where=outside_mask)
+        num = vol
+        for i, (ax, k) in enumerate(kernels):
+            num = ndimage.convolve1d(num, k, axis=ax, mode="constant",
+                                     output=scratch[i % 2])
+        np.divide(num, den, out=vol, where=inside)
+        np.copyto(vol, 0.0, where=outside)
+    return volume
 
 
 def laplacian_smooth(space: MeshSpace, data, steps: int, rate: float):

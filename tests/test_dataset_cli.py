@@ -73,6 +73,15 @@ class TestDataset:
         with pytest.raises(ValueError, match="bytes"):
             read_dataset(tmp_path / "d")
 
+    @pytest.mark.parametrize("change", [lambda b: b[:-8], lambda b: b + b"\0" * 8],
+                             ids=["shorter", "longer"])
+    def test_file_resized_after_open_rejected_at_load(self, tmp_path, change):
+        ds = write_dataset(tmp_path / "d", np.zeros((2, 4, 4)))
+        obs = tmp_path / "d" / "obs0001.bin"
+        obs.write_bytes(change(obs.read_bytes()))
+        with pytest.raises(ValueError, match="obs0001.bin: .* bytes, expected 128"):
+            ds.load()
+
     def test_missing_meta_rejected(self, tmp_path):
         (tmp_path / "d").mkdir()
         with pytest.raises(ValueError, match="meta.json"):
@@ -173,11 +182,16 @@ class TestAnalyze:
 
     def test_fit_and_normalization_run_once(self, effect_dataset, tmp_path, monkeypatch):
         ds, design, contrast = effect_dataset
+        loads = count_calls(monkeypatch, topostat.dataset.Dataset, "load")
         fits = count_calls(monkeypatch, topostat.glm, "fit")
         normalizations = count_calls(monkeypatch, topostat.glm, "normalized_residuals")
+        for bad in (["--smooth", "2,x"], ["--window", "3:x"]):
+            assert main(["analyze", str(ds), str(design), str(contrast),
+                         "-o", str(tmp_path / "bad"), *bad]) == 2
+        assert len(loads) == len(fits) == 0  # bad options exit before the data are read
         assert main(["analyze", str(ds), str(design), str(contrast),
                      "-o", str(tmp_path / "o")]) == 0
-        assert len(fits) == len(normalizations) == 1
+        assert len(loads) == len(fits) == len(normalizations) == 1
 
     @pytest.mark.parametrize("height_p", ["0", "1", "1.5", "nan"])
     def test_height_p_outside_unit_interval_exits_2(self, effect_dataset, tmp_path,
@@ -389,8 +403,11 @@ class TestSmoothAndInfo:
     ("tf", ["--freqs", "30:5"], "--freqs"),
     ("tf", ["--srate", "0"], "--srate"),
     ("tf", ["--srate", "-100"], "--srate"),
+    ("analyze", ["--smooth", "2,x"], "--smooth"),
+    ("smooth", ["--fwhm", ""], "--fwhm"),
+    ("tf", ["--freqs", "a:5"], "--freqs"),
 ], ids=["alpha-7", "smooth-nan", "smooth-inf", "contrast-nan", "fwhm-nan", "fwhm-inf",
-        "freqs-30:5", "srate-0", "srate--100"])
+        "freqs-30:5", "srate-0", "srate--100", "smooth-2,x", "fwhm-empty", "freqs-a:5"])
 def test_bad_numeric_input_exits_2_without_output(effect_dataset, tmp_path, capsys,
                                                   command, extra, option):
     ds, design, contrast = effect_dataset

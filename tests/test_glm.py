@@ -25,32 +25,44 @@ def ones_design(n):
     return DesignMatrix(np.ones((n, 1)), ("mean",))
 
 
-def reference_fit_and_normalize(data, design):
-    """The two-call path with its own buffers: a full ``x @ betas``
-    temporary, ``r * r`` reduced once for sigma2 and once for the norms,
-    and u a new array. Returns (betas, residuals, sigma2, u, norms,
-    flagged)."""
+def reference_fit(data, design):
+    """The out-of-place fit: a full ``x @ betas`` temporary subtracted into
+    new residuals, ``data`` left as it is. Returns (betas, residuals)."""
     data = np.asarray(data, dtype=float)
     if data.ndim == 1:
         data = data[:, None]
     x = design.values
     betas = np.linalg.pinv(x, rcond=glm.RANK_RTOL) @ data
-    r = data - x @ betas
+    return betas, data - x @ betas
+
+
+def reference_normalize(r, design):
+    """``r * r`` reduced once for sigma2 and once for the norms, and u a
+    new array. Returns (sigma2, u, norms, flagged)."""
     sigma2 = (r * r).sum(axis=0) / (design.n_obs - design.rank)
     norms = np.sqrt((r * r).sum(axis=0))
     flagged = norms == 0.0
     u = r / np.where(flagged, 1.0, norms)
     u[:, flagged] = 0.0
-    return betas, r, sigma2, u, norms, flagged
+    return sigma2, u, norms, flagged
 
 
 def assert_matches_reference(data, design):
-    betas, r, sigma2, u, norms, flagged = reference_fit_and_normalize(data, design)
-    before = np.array(data, copy=True)
+    betas, r = reference_fit(data, design)
     out = fit(data, design)
-    np.testing.assert_array_equal(data, before)  # the caller's array is not written
+    # a float64 input becomes the residuals; anything else is converted first
+    owned = out.residuals is data or out.residuals.base is data
+    assert owned == (np.asarray(data).dtype == float)
     assert np.array_equal(out.betas, betas)
+    if design.n_reg > 1:
+        # A slab of x @ betas may round differently from the full product: allow
+        # the dot-product error bound, then hold the rest to the fit's own residuals.
+        eps = np.finfo(float).eps
+        bound = 2 * design.n_reg * eps * (np.abs(design.values) @ np.abs(betas))
+        assert (np.abs(out.residuals - r) <= bound).all()
+        r = out.residuals.copy()
     assert np.array_equal(out.residuals, r)
+    sigma2, u, norms, flagged = reference_normalize(r, design)
     assert np.array_equal(out.sigma2, sigma2)
     rs = normalized_residuals(out)
     assert np.array_equal(rs.u, u)
@@ -61,17 +73,27 @@ def assert_matches_reference(data, design):
 
 class TestOneResidualOwner:
     @given(seed=st.integers(0, 2**32 - 1), n_obs=st.integers(2, 40),
-           n_vert=st.integers(1, 60), n_reg=st.integers(1, 3),
-           slab=st.sampled_from([3, 4, 7, glm.SSR_SLAB]))
-    def test_bit_identical_to_two_call_path(self, seed, n_obs, n_vert, n_reg, slab):
+           n_vert=st.integers(0, 60), n_reg=st.integers(1, 3),
+           slab=st.sampled_from([3, 4, 7, glm.SSR_SLAB]),
+           layout=st.sampled_from(["contiguous", "strided", "int"]))
+    def test_bit_identical_to_two_call_path(self, seed, n_obs, n_vert, n_reg, slab, layout):
         rng = np.random.default_rng(seed)
         n_reg = min(n_reg, n_obs - 1)
         design = DesignMatrix(rng.standard_normal((n_obs, n_reg)),
                               tuple(f"x{i}" for i in range(n_reg)))
-        data = rng.standard_normal((n_obs, n_vert)) * 10.0 ** rng.uniform(
-            -6, 6, (n_obs, n_vert))
+        data = rng.standard_normal((n_obs, 2 * n_vert)) * 10.0 ** rng.uniform(
+            -6, 6, (n_obs, 2 * n_vert))
+        data = {"contiguous": data[:, :n_vert].copy(), "strided": data[:, ::2],
+                "int": np.rint(data[:, :n_vert]).astype(np.int64)}[layout]
         with mock.patch.object(glm, "SSR_SLAB", slab):
             assert_matches_reference(data, design)
+
+    def test_large_n_slabs_exact_for_one_regressor(self):
+        rng = np.random.default_rng(26)
+        n_obs, n_vert = 20, 300_007  # 74 near-equal slabs
+        design = DesignMatrix(rng.standard_normal((n_obs, 1)), ("x",))
+        data = rng.standard_normal((n_obs, n_vert)) + rng.standard_normal((n_obs, 1)) * 4.0
+        assert_matches_reference(data, design)
 
     def test_zero_residual_columns(self):
         rng = np.random.default_rng(21)
@@ -111,11 +133,10 @@ class TestOneResidualOwner:
             norm_peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
-        # residuals, betas, the SSR pieces and one slab of squares
-        assert fit_peak <= (data.nbytes + (design.n_reg + 4) * vector
-                            + 8 * n_obs * glm.SSR_SLAB)
+        # betas, the SSR pieces and one slab of fitted values or squares
+        assert fit_peak <= (design.n_reg + 4) * vector + 8 * n_obs * glm.SSR_SLAB
         assert norm_peak <= 4 * vector
-        assert rs.u is buffer and out.residuals is None
+        assert buffer is data and rs.u is data and out.residuals is None
 
     def test_fit_is_normalized_once(self):
         out = fit(np.random.default_rng(25).standard_normal((6, 10)), ones_design(6))
@@ -147,8 +168,8 @@ class TestFit:
         rng = np.random.default_rng(2)
         x = rng.standard_normal((10, 3))
         data = rng.standard_normal((10, 40))
-        out = fit(data, DesignMatrix(x, ("a", "b", "c")))
         oracle = np.linalg.solve(x.T @ x, x.T @ data)
+        out = fit(data, DesignMatrix(x, ("a", "b", "c")))
         np.testing.assert_allclose(out.betas, oracle, atol=1e-8)
 
     def test_residuals_orthogonal_to_design(self):
@@ -202,8 +223,8 @@ class TestTMap:
         rng = np.random.default_rng(6)
         data = rng.standard_normal((7, 15))
         design = ones_design(7)
-        t1 = t_map(fit(data, design), [1.0]).values
         t2 = t_map(fit(data * 3.7, design), [1.0]).values
+        t1 = t_map(fit(data, design), [1.0]).values
         np.testing.assert_allclose(t1, t2, rtol=1e-12)
 
     def test_shift_by_column_space(self):
@@ -212,8 +233,8 @@ class TestTMap:
         design = DesignMatrix(x, ("a", "b"))
         data = rng.standard_normal((9, 12))
         v = np.array([2.0, -1.0])
-        f1 = fit(data, design)
         f2 = fit(data + (x @ v)[:, None], design)
+        f1 = fit(data, design)
         np.testing.assert_allclose(f2.betas, f1.betas + v[:, None], atol=1e-10)
         np.testing.assert_allclose(f2.residuals, f1.residuals, atol=1e-10)
         np.testing.assert_allclose(f2.sigma2, f1.sigma2, atol=1e-12)

@@ -1,13 +1,18 @@
 """Interpolation, stacking, smoothing and time-frequency decomposition."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy import ndimage
 
 from topostat import build_mesh
 from topostat.preproc import (
     SensorLayout,
+    _gaussian_kernel,
     _kernel_radius,
     band_average,
     gaussian_smooth,
@@ -109,7 +114,79 @@ class TestStack:
             stack_time([np.zeros((3, 3)), np.zeros((4, 3))])
 
 
+def reference_smooth(volume, fwhm, mask=None):
+    """The out-of-place smoothing path: a new output stack, and a masked
+    copy of each observation convolved into new arrays; ``volume`` is not
+    written. It walks the observations instead of reshaping to
+    (-1, *dims), which fails on zero-size volumes."""
+    volume = np.asarray(volume, dtype=float)
+    stack = mask is not None and np.shape(mask) == volume.shape[1:]
+    dims = volume.shape[1:] if stack else volume.shape
+    kernels = [(ax, _gaussian_kernel(f)) for ax, f in enumerate(fwhm) if f > 0]
+    kernels = [(ax, k / k.sum()) for ax, k in kernels]
+    mask_arr = np.ones(dims, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    den = mask_arr.astype(float)
+    for ax, k in kernels:
+        den = ndimage.convolve1d(den, k, axis=ax, mode="constant")
+    inside = mask_arr & (den > 0)
+    out = np.zeros_like(volume)
+    for vol, smoothed in zip(volume if stack else volume[None], out if stack else out[None]):
+        num = np.where(mask_arr, vol, 0.0)
+        for ax, k in kernels:
+            num = ndimage.convolve1d(num, k, axis=ax, mode="constant")
+        np.divide(num, den, out=smoothed, where=inside)
+    return out
+
+
+@st.composite
+def smoothing_cases(draw):
+    """(volume, fwhm, mask): one volume or a stack of 0-3, 1-3 axes of
+    0-7 points, masks with holes and NaN outside them, and float, strided
+    float or int input."""
+    n_axes = draw(st.integers(1, 3))
+    dims = tuple(draw(st.lists(st.integers(0, 7), min_size=n_axes, max_size=n_axes)))
+    fwhm = draw(st.lists(st.sampled_from([0.0, 0.7, 1.5, 3.0]),
+                         min_size=n_axes, max_size=n_axes))
+    n_obs = draw(st.none() | st.integers(0, 3))
+    masked = n_obs is not None or draw(st.booleans())
+    layout = draw(st.sampled_from(["contiguous", "strided", "int"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = dims if n_obs is None else (n_obs,) + dims
+    wide = rng.standard_normal(shape[:-1] + (2 * shape[-1],)) * 10.0
+    volume = {"contiguous": wide[..., :shape[-1]].copy(), "strided": wide[..., ::2],
+              "int": np.rint(wide[..., :shape[-1]]).astype(np.int64)}[layout]
+    mask = rng.random(dims) < 0.7 if masked else None
+    if masked and layout != "int":
+        np.copyto(volume, np.nan, where=~mask)
+    return volume, fwhm, mask
+
+
 class TestGaussianSmooth:
+    @given(case=smoothing_cases())
+    def test_in_place_matches_out_of_place(self, case):
+        volume, fwhm, mask = case
+        expected = reference_smooth(volume, fwhm, mask)
+        got = gaussian_smooth(volume, fwhm, mask=mask)
+        assert np.array_equal(got, expected)
+        # a float64 input is the output; anything else is converted first
+        assert (got is volume) == (volume.dtype == float)
+
+    def test_extra_memory_independent_of_n_obs(self):
+        rng = np.random.default_rng(5)
+        dims = (24, 24, 24)
+        mask = rng.random(dims) < 0.9
+        volume_bytes = 8 * mask.size
+        for n_obs in (2, 16):
+            stack = rng.standard_normal((n_obs,) + dims)
+            tracemalloc.start()
+            try:
+                gaussian_smooth(stack, (3.0, 3.0, 4.0), mask=mask)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # two scratch volumes, the normalizer and its convolution, and the masks
+            assert peak <= 4 * volume_bytes
+
     def test_constant_volume_unchanged(self):
         vol = np.full((12, 12, 8), 3.5)
         out = gaussian_smooth(vol, (6.0, 6.0, 4.0))
@@ -127,7 +204,7 @@ class TestGaussianSmooth:
     def test_zero_fwhm_is_identity(self):
         rng = np.random.default_rng(1)
         vol = rng.standard_normal((6, 7))
-        np.testing.assert_array_equal(gaussian_smooth(vol, (0.0, 0.0)), vol)
+        np.testing.assert_array_equal(gaussian_smooth(vol.copy(), (0.0, 0.0)), vol)
 
     def test_delta_impulse_peak_and_width(self):
         n = 41
@@ -184,10 +261,10 @@ class TestGaussianSmooth:
         rng = np.random.default_rng(4)
         stack = rng.standard_normal((5,) + dims)
         mask = rng.random(dims) < 0.8
-        out = gaussian_smooth(stack, fwhm, mask=mask)
+        out = gaussian_smooth(stack.copy(), fwhm, mask=mask)
         assert out.shape == stack.shape
         for vol, got in zip(stack, out):
-            np.testing.assert_array_equal(got, gaussian_smooth(vol, fwhm, mask=mask))
+            np.testing.assert_array_equal(got, gaussian_smooth(vol.copy(), fwhm, mask=mask))
 
 
 def grid_graph_mesh(n):
