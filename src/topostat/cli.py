@@ -64,38 +64,39 @@ def cmd_analyze(args) -> int:
         raise ValueError(
             f"design has {design.n_obs} rows but dataset has {ds.n_obs} observations"
         )
+    dof = design.dof
+    design.variance_factor(contrast)  # a contrast that does not fit exits here
     smooth_fwhm = (_parse_fwhm(args.smooth, len(ds.dims), "--smooth") if args.smooth
                    else [0.0] * len(ds.dims))
-    window = _parse_window(args.window) if args.window else None
-
-    # One stack from here on: smoothed in place, then turned into residuals and into u.
-    data = ds.load()
     mask = ds.load_mask()
+    space = build_lattice(ds.dims, mask)
+    n_t = ds.dims[-1]
+    window_bins = [0, n_t - 1]
+    analysis_space = space
+    if args.window:
+        lo, hi = _parse_window(args.window)
+        window_bins = [max(lo, 0), min(hi, n_t - 1)]
+        if window_bins != [0, n_t - 1]:
+            analysis_space = ecd.restrict(space, time_window=(lo, hi))
+
+    # Every input is checked by now. One stack from here on: smoothed in place,
+    # then turned into residuals and into u.
+    data = ds.load()
     np.copyto(data, 0.0, where=~mask)  # values outside the mask are ignored
     if any(f > 0 for f in smooth_fwhm):
         preproc.gaussian_smooth(data.reshape((ds.n_obs,) + ds.dims), smooth_fwhm,
                                 mask=mask.reshape(ds.dims))
 
-    space = build_lattice(ds.dims, mask)
     fit = glm.fit(data, design)
     del data
     stat = glm.t_map(fit, contrast)
     residuals = glm.normalized_residuals(fit)
 
-    n_t = ds.dims[-1]
-    window_bins = [0, n_t - 1]
-    analysis_space = space
-    if window:
-        lo, hi = window
-        window_bins = [max(lo, 0), min(hi, n_t - 1)]
-        if window_bins != [0, n_t - 1]:
-            analysis_space = ecd.restrict(space, time_window=(lo, hi))
-
     mu = intrinsic_volumes(analysis_space)
     top, fwhm_hat = lkc.lattice_smoothness(residuals, space, analysis_space)
     resels = lkc.lkc_vector(top, mu, fwhm=fwhm_hat)
 
-    t_feature = float(-special.stdtrit(fit.dof, args.height_p))
+    t_feature = float(-special.stdtrit(dof, args.height_p))
     table = peak_table(stat, analysis_space, resels, t_feature,
                        alpha=args.alpha, two_sided=args.two_sided)
 
@@ -111,7 +112,7 @@ def cmd_analyze(args) -> int:
         "smooth_fwhm": smooth_fwhm,
         "window_bins": window_bins,
         "two_sided": args.two_sided,
-        "dof": fit.dof,
+        "dof": dof,
     }
     _json_dump(results, out / "results.json")
     (out / "report.txt").write_text(table.to_text())

@@ -74,6 +74,32 @@ class DesignMatrix:
     def n_reg(self) -> int:
         return self.values.shape[1]
 
+    @property
+    def dof(self) -> int:
+        """Residual degrees of freedom, n_obs - rank; ValueError if there are none."""
+        dof = self.n_obs - self.rank
+        if dof < 1:
+            raise ValueError(f"no residual degrees of freedom (n_obs={self.n_obs}, "
+                             f"rank={self.rank})")
+        return dof
+
+    def variance_factor(self, contrast) -> float:
+        """c' (X'X)^+ c for a contrast of the regressors; ValueError if its
+        length is wrong or, for a rank-deficient design, it is not estimable."""
+        contrast = np.asarray(contrast, dtype=float).ravel()
+        if contrast.shape[0] != self.n_reg:
+            raise ValueError(
+                f"contrast length {contrast.shape[0]} != {self.n_reg} regressors")
+        x = self.values
+        xtx = x.T @ x
+        xtx_pinv = np.linalg.pinv(xtx, rcond=RANK_RTOL)
+        c_norm = np.linalg.norm(contrast)
+        if c_norm > 0:
+            reachable = xtx @ (xtx_pinv @ contrast)
+            if np.linalg.norm(reachable - contrast) > ORTHO_RTOL * c_norm:
+                raise ValueError("contrast is not estimable under this design")
+        return float(contrast @ xtx_pinv @ contrast)
+
     @cached_property
     def rank(self) -> int:
         s = np.linalg.svd(self.values, compute_uv=False)
@@ -159,10 +185,7 @@ def fit(data, design: DesignMatrix) -> GlmFit:
     x = design.values
     if data.shape[0] != design.n_obs:
         raise ValueError(f"data has {data.shape[0]} rows, design has {design.n_obs}")
-    dof = design.n_obs - design.rank
-    if dof < 1:
-        raise ValueError(f"no residual degrees of freedom (n_obs={design.n_obs}, "
-                         f"rank={design.rank})")
+    dof = design.dof
     betas = np.linalg.pinv(x, rcond=RANK_RTOL) @ data
     # Residuals and (r * r).sum(axis=0) one column slab at a time, to bound the temporaries.
     # numpy sums one column pairwise but wider blocks row by row; near-equal slabs are one
@@ -176,19 +199,6 @@ def fit(data, design: DesignMatrix) -> GlmFit:
     return GlmFit(design=design, betas=betas, residuals=data, ssr=ssr, dof=dof)
 
 
-def _contrast_variance_factor(design: DesignMatrix, contrast: np.ndarray) -> float:
-    """c' (X'X)^+ c, with an estimability check for rank-deficient designs."""
-    x = design.values
-    xtx = x.T @ x
-    xtx_pinv = np.linalg.pinv(xtx, rcond=RANK_RTOL)
-    c_norm = np.linalg.norm(contrast)
-    if c_norm > 0:
-        reachable = xtx @ (xtx_pinv @ contrast)
-        if np.linalg.norm(reachable - contrast) > ORTHO_RTOL * c_norm:
-            raise ValueError("contrast is not estimable under this design")
-    return float(contrast @ xtx_pinv @ contrast)
-
-
 def t_map(glm_fit: GlmFit, contrast) -> StatField:
     """t statistic field for a contrast of regression coefficients.
 
@@ -197,11 +207,7 @@ def t_map(glm_fit: GlmFit, contrast) -> StatField:
     when the effect is also zero.
     """
     contrast = np.asarray(contrast, dtype=float).ravel()
-    if contrast.shape[0] != glm_fit.design.n_reg:
-        raise ValueError(
-            f"contrast length {contrast.shape[0]} != {glm_fit.design.n_reg} regressors"
-        )
-    var_factor = _contrast_variance_factor(glm_fit.design, contrast)
+    var_factor = glm_fit.design.variance_factor(contrast)
     effect = contrast @ glm_fit.betas
     denom2 = glm_fit.sigma2 * var_factor
     with np.errstate(divide="ignore", invalid="ignore"):

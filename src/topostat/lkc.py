@@ -6,8 +6,9 @@ space: one term per simplex on meshes (with a 1/D! factor), one term per
 unit lattice cube (volume 1, no factorial). Differences of raw residuals
 are divided by the residual norm at the component's base vertex, the
 approximation du ~= dr / ||r|| that holds when the error variance varies
-smoothly. On lattices one slab-streamed pass over these differences
-gives l_D (from each unit cube's Gram matrix) and the per-axis FWHM.
+smoothly. On lattices one pass over these differences gives l_D (from
+each unit cube's Gram matrix) and the per-axis FWHM; it runs in blocks of
+the first two axes, small enough for a core's cache, on worker threads.
 Lower-order curvatures follow the isotropic power-law interpolation
 l_d = mu_d (l_D / mu_D)^(d/D).
 
@@ -18,17 +19,20 @@ bit-identical.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._parallel import _each, _split
 from .domain import IntrinsicVolumes, LatticeSpace, MeshSpace
 from .glm import ResidualSet
 
 FOUR_LOG2 = 4.0 * math.log(2.0)
-#: bytes per difference stack of one slab in :func:`lattice_smoothness` (stays in cache)
-SLAB_BYTES = 2 << 20
+#: bytes of residual stack per block of :func:`lattice_smoothness`: about the size
+#: of each of a block's difference stacks, a few of which share a core's L2 cache
+BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -88,6 +92,20 @@ def _sqrt_det_gram(diffs: list[np.ndarray], diag: list[np.ndarray]) -> np.ndarra
     return np.sqrt(np.maximum(det, 0.0))
 
 
+def _blocks(dims, n: int) -> list[tuple[slice, ...]]:
+    """Index tuples of near-equal blocks over the first two lattice axes, each
+    holding about BLOCK_BYTES of an ``n``-deep stack. An axis is cut only into
+    pieces of >= 3 planes, so that clipping a block's last plane still leaves
+    every difference and cube stack >= 2 vertices wide: numpy sums a lone
+    vertex's column pairwise, which can change the last bit."""
+    wanted = -(-8 * n * math.prod(dims) // BLOCK_BYTES)
+    cuts = []
+    for m in dims[:2]:
+        cuts.append(_split(m, min(wanted, m // 3)))
+        wanted = -(-wanted // len(cuts[-1]))
+    return list(itertools.product(*cuts))
+
+
 def _check_inputs(residuals: ResidualSet, space) -> None:
     if residuals.u.shape[1] != space.n_points:
         raise ValueError(f"residuals cover {residuals.u.shape[1]} vertices, "
@@ -101,10 +119,11 @@ def lattice_smoothness(residuals: ResidualSet, space: LatticeSpace,
     Equals (:func:`lkc_top` on ``region``, :func:`fwhm_estimate` on
     ``space``) bit for bit; ``region`` (default ``space``) is a
     restriction of ``space`` such as a time window. The forward
-    differences along every axis are formed once per slab of planes
-    along axis 0 (reading one plane past the slab); their squared sums
-    give the FWHM and, with the cross products, each unit cube's Gram
-    matrix G, whose sqrt|G| sums to l_D.
+    differences along every axis are formed once per block of the first
+    two axes (reading one plane past it); their squared sums give the
+    FWHM and, with the cross products, each unit cube's Gram matrix G,
+    whose sqrt|G| sums to l_D. Blocks run on the worker threads; a stack
+    that fits in one block runs on the calling thread.
     """
     if not isinstance(space, LatticeSpace):
         raise TypeError("lattice_smoothness needs a lattice space")
@@ -131,25 +150,27 @@ def lattice_smoothness(residuals: ResidualSet, space: LatticeSpace,
     if not cubes.any():
         raise ValueError("no complete components inside the mask")
 
-    # Per-slab values land in full-size arrays reduced once at the end,
+    # Per-block values land in full-size arrays reduced once at the end,
     # so the sums run in the same order as over whole-volume stacks.
     sq = [np.empty(valid.shape) for *_, valid in edges]
     contrib = np.empty(cubes.shape)
-    height = max(1, SLAB_BYTES // (8 * u[:, 0].size))
-    for start in range(0, dims[0], height):
-        rows = slice(start, start + height)
+
+    def block(blk):
+        stack = (slice(None),) + blk
         diffs = []
         for ax, (u_lo, u_hi, n_lo, n_hi, valid) in enumerate(edges):
-            n_lo, n_hi = n_lo[rows], n_hi[rows]
             # (r_hi - r_lo) / |r_lo|; edges off the valid set are never read
-            delta = u_hi[:, rows] * (n_hi / np.where(valid[rows], n_lo, 1.0)) - u_lo[:, rows]
-            sq[ax][rows] = (delta * delta).sum(axis=0)
+            delta = u_hi[stack] * (n_hi[blk] / np.where(valid[blk], n_lo[blk], 1.0))
+            delta -= u_lo[stack]
+            sq[ax][blk] = (delta * delta).sum(axis=0)
             diffs.append(delta)
-        # axis 0 has no edges (and no cubes) past its last plane
-        cube = (slice(0, diffs[0].shape[1]),) + base[1:]
-        contrib[rows] = _sqrt_det_gram([x[(slice(None),) + cube] for x in diffs],
-                                       [s[rows][cube] for s in sq])
+        # an axis has no edges (and no cubes) past its last plane
+        cube = (tuple(slice(0, diffs[a].shape[a + 1]) for a in range(len(blk)))
+                + base[len(blk):])
+        contrib[blk] = _sqrt_det_gram([x[(slice(None),) + cube] for x in diffs],
+                                      [s[blk][cube] for s in sq])
 
+    _each(block, _blocks(dims, u.shape[0]))
     lam = [float(s[valid].mean()) for s, (*_, valid) in zip(sq, edges)]
     fwhm = np.array([np.inf if x == 0 else math.sqrt(FOUR_LOG2 / x) for x in lam])
     return float(contrib[cubes].sum()), fwhm

@@ -17,6 +17,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial import Delaunay, QhullError
 
+from . import _parallel
 from .domain import MeshSpace
 
 SIGMA_PER_FWHM = 1.0 / math.sqrt(8.0 * math.log(2.0))
@@ -150,6 +151,13 @@ def _gaussian_kernel(fwhm: float) -> np.ndarray:
     return np.exp(-x * x / (2.0 * sigma * sigma))
 
 
+def _pieces(dims, axis: int) -> list[tuple]:
+    """Index tuples of near-equal pieces of a ``dims`` volume across ``axis``,
+    one per worker."""
+    cuts = _parallel._split(dims[axis], _parallel.WORKERS)
+    return [(slice(None),) * axis + (s,) for s in cuts]
+
+
 def gaussian_smooth(volume, fwhm, mask=None):
     """Separable Gaussian smoothing with mask-renormalized boundaries, in place.
 
@@ -160,8 +168,10 @@ def gaussian_smooth(volume, fwhm, mask=None):
         (n_obs, *mask.shape) stack whose observations are smoothed
         independently (the mask normalizer is built once per stack).
         A float64 array is overwritten with its smoothed values and
-        returned: the caller's buffer becomes the output, and the extra
-        memory is a few volumes whatever the number of observations.
+        returned: the caller's buffer becomes the output. The extra
+        memory is a few volumes whatever the number of observations or
+        of worker threads, which split each observation's passes and
+        share its two scratch volumes.
         Any other input is first converted to a new float64 array.
     fwhm : sequence of float
         Finite kernel width per axis in bins; 0 skips an axis.
@@ -192,16 +202,34 @@ def gaussian_smooth(volume, fwhm, mask=None):
     outside_mask = ~mask_arr
     inside = mask_arr & (den > 0)
     outside = ~inside
-    # Two scratch volumes shared by every observation; each pass reads one, writes the other.
+    # Two scratch volumes shared by every observation; each pass reads one, writes the
+    # other. The worker threads split each observation: the first pass on pieces across
+    # the last axis (axis 0 if the pass runs along the last), then the later passes,
+    # never along axis 0, and the division on pieces across axis 0. Every convolved line
+    # lies inside one piece, so the pieces write disjoint parts of the same volumes.
     scratch = (np.empty(dims), np.empty(dims))
-    for vol in volume if stack else volume[None]:
-        np.copyto(vol, 0.0, where=outside_mask)
-        num = vol
-        for i, (ax, k) in enumerate(kernels):
+    first, rest = kernels[:1], kernels[1:]
+    along = first[0][0] if first else None
+    across = 0 if along == len(dims) - 1 else len(dims) - 1
+    head_pieces = _pieces(dims, across) if dims and across != along else [...]
+    tail_pieces = _pieces(dims, 0) if dims else [...]
+
+    def head(p):
+        np.copyto(vol[p], 0.0, where=outside_mask[p])
+        for ax, k in first:
+            ndimage.convolve1d(vol[p], k, axis=ax, mode="constant", output=scratch[0][p])
+
+    def tail(p):
+        num = scratch[0][p] if first else vol[p]
+        for i, (ax, k) in enumerate(rest, 1):
             num = ndimage.convolve1d(num, k, axis=ax, mode="constant",
-                                     output=scratch[i % 2])
-        np.divide(num, den, out=vol, where=inside)
-        np.copyto(vol, 0.0, where=outside)
+                                     output=scratch[i % 2][p])
+        np.divide(num, den[p], out=vol[p], where=inside[p])
+        np.copyto(vol[p], 0.0, where=outside[p])
+
+    for vol in volume if stack else volume[None]:
+        _parallel._each(head, head_pieces)
+        _parallel._each(tail, tail_pieces)
     return volume
 
 

@@ -1,16 +1,20 @@
 """On-disk dataset format and the command-line pipeline."""
 
+import functools
+import inspect
 import json
 import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import topostat
+from topostat import _parallel
 from topostat.cli import main
 from topostat.dataset import read_dataset, write_dataset
 from topostat.simulate import SimConfig, gen_field
@@ -180,18 +184,77 @@ class TestAnalyze:
             assert results["footnote"]["search_volume_bins"] == 11 * 12 * 24
             assert results["peaks"][0]["p_fwe"] < 0.05
 
-    def test_fit_and_normalization_run_once(self, effect_dataset, tmp_path, monkeypatch):
+    def test_fit_and_normalization_run_once(self, effect_dataset, tmp_path, monkeypatch,
+                                            capsys):
         ds, design, contrast = effect_dataset
         loads = count_calls(monkeypatch, topostat.dataset.Dataset, "load")
         fits = count_calls(monkeypatch, topostat.glm, "fit")
         normalizations = count_calls(monkeypatch, topostat.glm, "normalized_residuals")
-        for bad in (["--smooth", "2,x"], ["--window", "3:x"]):
-            assert main(["analyze", str(ds), str(design), str(contrast),
+        n_obs = len(design.read_text().split()) - 1
+        long_contrast = tmp_path / "long_contrast.csv"
+        long_contrast.write_text("1,0\n")
+        twins = tmp_path / "twins.csv"  # two equal columns: only a + b is estimable
+        twins.write_text("a,b\n" + "1,1\n" * n_obs)
+        saturated = tmp_path / "saturated.csv"  # one regressor per observation: dof 0
+        saturated.write_text(",".join(f"r{i}" for i in range(n_obs)) + "\n" + "".join(
+            ",".join("1" if j == i else "0" for j in range(n_obs)) + "\n"
+            for i in range(n_obs)))
+        saturated_contrast = tmp_path / "saturated_contrast.csv"
+        saturated_contrast.write_text(",".join(["1"] * n_obs) + "\n")
+        for files, bad, message in [
+                ((design, contrast), ["--smooth", "2,x"], "--smooth"),
+                ((design, contrast), ["--window", "3:x"], "--window"),
+                ((design, contrast), ["--window", "9:3"], "empty time window"),
+                ((design, contrast), ["--window", "24:30", "--smooth", "2"],
+                 "empty time window"),
+                ((design, long_contrast), [], "contrast length"),
+                ((twins, long_contrast), [], "not estimable"),
+                ((saturated, saturated_contrast), [], "degrees of freedom")]:
+            assert main(["analyze", str(ds), *map(str, files),
                          "-o", str(tmp_path / "bad"), *bad]) == 2
-        assert len(loads) == len(fits) == 0  # bad options exit before the data are read
+            assert message in capsys.readouterr().err
+        assert len(loads) == len(fits) == 0  # bad input exits before the data are read
         assert main(["analyze", str(ds), str(design), str(contrast),
                      "-o", str(tmp_path / "o")]) == 0
         assert len(loads) == len(fits) == len(normalizations) == 1
+
+    def test_public_functions_run_on_the_calling_thread(self, effect_dataset, tmp_path,
+                                                        monkeypatch, workers):
+        # wrap every public function in every topostat namespace that binds it,
+        # and Dataset.load, as the benchmark's tracer does: its span stack is
+        # not thread-safe, and worker time must count as the caller's
+        threads = []
+
+        def recorded(name, func):
+            @functools.wraps(func)
+            def wrapper(*args, **kwargs):
+                threads.append((name, threading.get_ident()))
+                return func(*args, **kwargs)
+            return wrapper
+
+        modules = {name: mod for name, mod in sys.modules.items()
+                   if name.startswith("topostat.")}
+        for modname, mod in modules.items():
+            for attr, obj in list(vars(mod).items()):
+                if (attr.startswith("_") or not inspect.isfunction(obj)
+                        or obj.__module__ != modname):
+                    continue
+                wrapped = recorded(f"{modname}.{attr}", obj)
+                for other in [topostat, *modules.values()]:
+                    for bound, value in list(vars(other).items()):
+                        if value is obj:
+                            monkeypatch.setattr(other, bound, wrapped)
+        monkeypatch.setattr(topostat.dataset.Dataset, "load",
+                            recorded("Dataset.load", topostat.dataset.Dataset.load))
+        ds, design, contrast = effect_dataset
+        with workers(3):
+            assert main(["analyze", str(ds), str(design), str(contrast), "-o",
+                         str(tmp_path / "o"), "--smooth", "3", "--window", "4:20"]) == 0
+            assert _parallel._pool is not None  # the passes did run on workers
+        names = {name for name, _ in threads}
+        assert {"topostat.preproc.gaussian_smooth", "topostat.lkc.lattice_smoothness",
+                "Dataset.load"} <= names
+        assert {ident for _, ident in threads} == {threading.get_ident()}
 
     @pytest.mark.parametrize("height_p", ["0", "1", "1.5", "nan"])
     def test_height_p_outside_unit_interval_exits_2(self, effect_dataset, tmp_path,

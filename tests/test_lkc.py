@@ -1,10 +1,15 @@
 """Curvature estimation: hand values, recovery on simulated fields,
 coordinate invariance and the resel-convention consistency."""
 
+import itertools
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from topostat import (
     DesignMatrix,
@@ -275,61 +280,150 @@ class TestFwhmEstimate:
 
 
 class TestLatticeSmoothness:
-    """The slab-streamed kernel against the two-pass reference, exactly."""
+    """The block-parallel kernel against the two-pass reference, exactly,
+    on 1-3 worker threads."""
 
     N_RES = 7
-    DIMS = (11, 9, 8)
-    HEIGHT = 3  # planes per slab: boundaries between planes 2|3, 5|6, 8|9
+    DIMS = (12, 9, 8)
+    # two planes' worth of stack per block: rows 0-2 | 3-5 | 6-8 | 9-11 (the
+    # last block has the fewest planes a cut piece may have: 3, so 2 rows of
+    # cubes), columns 0-3 | 4-8
+    ROWS = [slice(0, 3), slice(3, 6), slice(6, 9), slice(9, 12)]
+    COLS = [slice(0, 4), slice(4, 9)]
 
     def _case(self, monkeypatch):
         plane_bytes = 8 * self.N_RES * self.DIMS[1] * self.DIMS[2]
-        monkeypatch.setattr(lkc, "SLAB_BYTES", self.HEIGHT * plane_bytes)
+        monkeypatch.setattr(lkc, "BLOCK_BYTES", 2 * plane_bytes)
+        assert lkc._blocks(self.DIMS, self.N_RES) == list(
+            itertools.product(self.ROWS, self.COLS))
         rng = np.random.default_rng(11)
         raw = rng.standard_normal((self.N_RES,) + self.DIMS)
-        for plane in (2, 3, 8):  # zero residuals on both sides of boundaries
+        for plane in (2, 3, 9):  # zero residuals on both sides of row edges ...
             raw[:, plane, 4, 2] = 0.0
             raw[:, plane, 0, 5] = 0.0
-        raw[:, 6, :, 7] = 0.0
+        raw[:, 6, 3, :] = 0.0  # ... and of a column edge
+        raw[:, 7, 4, :] = 0.0
         mask = np.ones(self.DIMS, dtype=bool)
-        mask[5, 1:4, 3] = False  # holes on the last plane of a slab ...
-        mask[6, 7, :] = False    # ... and on the first plane of the next
-        mask[9, 2, 2] = False
-        mask[10, 0, 0] = False
+        mask[5, 1:4, 3] = False  # holes on the last plane of a block ...
+        mask[6, 7, :] = False    # ... on the first plane of the next
+        mask[2:9, 3, 6] = False  # ... along a column edge
+        mask[11, 0, 0] = False   # ... and in the last block
         res = residual_set_from_raw(raw.reshape(self.N_RES, -1))
-        assert res.flagged.sum() == 6 + 9
+        assert res.flagged.sum() == 6 + 2 * 8
         return res, build_lattice(self.DIMS, mask)
 
-    def test_3d_across_slabs(self, monkeypatch):
+    def test_3d_across_slabs(self, monkeypatch, workers):
         res, space = self._case(monkeypatch)
-        top, fwhm = lattice_smoothness(res, space)
-        assert top == reference_lattice_lkc_top(res, space)
-        np.testing.assert_array_equal(fwhm, reference_fwhm(res, space))
-        assert lkc_top(res, space) == top
-        np.testing.assert_array_equal(fwhm_estimate(res, space), fwhm)
+        want = (reference_lattice_lkc_top(res, space), reference_fwhm(res, space))
+        for n_workers in (1, 2, 3):
+            with workers(n_workers):
+                top, fwhm = lattice_smoothness(res, space)
+                assert top == want[0]
+                np.testing.assert_array_equal(fwhm, want[1])
+                assert lkc_top(res, space) == top
+                np.testing.assert_array_equal(fwhm_estimate(res, space), fwhm)
 
-    def test_3d_time_window_region(self, monkeypatch):
+    def test_3d_time_window_region(self, monkeypatch, workers):
         res, space = self._case(monkeypatch)
         region = restrict(space, time_window=(2, 5))
-        top, fwhm = lattice_smoothness(res, space, region)
-        assert top == reference_lattice_lkc_top(res, region)
-        assert top < reference_lattice_lkc_top(res, space)
-        np.testing.assert_array_equal(fwhm, reference_fwhm(res, space))
+        for n_workers in (1, 2, 3):
+            with workers(n_workers):
+                top, fwhm = lattice_smoothness(res, space, region)
+            assert top == reference_lattice_lkc_top(res, region)
+            assert top < reference_lattice_lkc_top(res, space)
+            np.testing.assert_array_equal(fwhm, reference_fwhm(res, space))
 
     @pytest.mark.parametrize("dims", [(40,), (17, 13)])
-    def test_1d_2d(self, monkeypatch, dims):
+    def test_1d_2d(self, monkeypatch, workers, dims):
         rng = np.random.default_rng(12)
-        raw = rng.standard_normal((5,) + dims)
+        raw = rng.standard_normal((12,) + dims)
         raw[(slice(None),) + tuple(n // 2 for n in dims)] = 0.0
         mask = np.ones(dims, dtype=bool)
         mask[(3,) * len(dims)] = False
-        res = residual_set_from_raw(raw.reshape(5, -1))
+        res = residual_set_from_raw(raw.reshape(12, -1))
         space = build_lattice(dims, mask)
         want = (reference_lattice_lkc_top(res, space), reference_fwhm(res, space))
-        for slab_bytes in (lkc.SLAB_BYTES, 8 * 5 * int(np.prod(dims[1:]))):
-            monkeypatch.setattr(lkc, "SLAB_BYTES", slab_bytes)
-            top, fwhm = lattice_smoothness(res, space)
-            assert top == want[0]
-            np.testing.assert_array_equal(fwhm, want[1])
+        # one block, then the fewest vertices a block may hold
+        for block_bytes in (lkc.BLOCK_BYTES, 8):
+            monkeypatch.setattr(lkc, "BLOCK_BYTES", block_bytes)
+            for n_workers in (1, 2, 3):
+                with workers(n_workers):
+                    top, fwhm = lattice_smoothness(res, space)
+                assert top == want[0]
+                np.testing.assert_array_equal(fwhm, want[1])
+
+    @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(dims=st.lists(st.integers(2, 9), min_size=1, max_size=3),
+           n_res=st.integers(1, 24), n_blocks=st.integers(1, 100),
+           holes=st.sampled_from([0.0, 0.1]), n_workers=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_any_blocking_exact(self, monkeypatch, workers, dims, n_res, n_blocks,
+                                holes, n_workers, seed):
+        # n_res >= 8 is where numpy would sum a lone vertex's column pairwise.
+        # With a single cube the reference itself sums its lone column so.
+        dims = tuple(dims)
+        assume(len(dims) == 1 or max(dims) > 2)
+        rng = np.random.default_rng(seed)
+        raw = rng.standard_normal((n_res,) + dims)
+        raw[:, rng.random(dims) < holes] = 0.0
+        mask = rng.random(dims) >= holes
+        mask.flat[0] = True
+        space = build_lattice(dims, mask)
+        res = residual_set_from_raw(raw.reshape(n_res, -1))
+        stack_bytes = 8 * n_res * math.prod(dims)
+        monkeypatch.setattr(lkc, "BLOCK_BYTES", max(1, stack_bytes // n_blocks))
+        blocks = lkc._blocks(dims, n_res)
+        for axis, cut in enumerate(zip(*blocks)):
+            pieces = sorted({(p.start, p.stop) for p in cut})
+            assert [a for a, _ in pieces[1:]] == [b for _, b in pieces[:-1]]
+            assert pieces[0][0] == 0 and pieces[-1][1] == dims[axis]
+            assert len(pieces) == 1 or min(b - a for a, b in pieces) >= 3
+        with workers(n_workers):
+            try:
+                top, fwhm = lattice_smoothness(res, space)
+            except ValueError:
+                assert reference_lattice_lkc_top(res, space) == 0.0  # no complete cube
+                return
+        assert top == reference_lattice_lkc_top(res, space)
+        np.testing.assert_array_equal(fwhm, reference_fwhm(res, space))
+
+    def test_many_workers_short_switch_interval(self, monkeypatch, workers):
+        # more workers than cores and a thread switch every microsecond: a
+        # block writing outside its own part of the outputs changes the bits
+        rng = np.random.default_rng(14)
+        dims = (13, 11, 9)
+        res = residual_set_from_raw(rng.standard_normal((12, math.prod(dims))))
+        space = build_lattice(dims, rng.random(dims) < 0.95)
+        want = (reference_lattice_lkc_top(res, space), reference_fwhm(res, space))
+        monkeypatch.setattr(lkc, "BLOCK_BYTES", 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with workers(8):
+                for _ in range(5):
+                    top, fwhm = lattice_smoothness(res, space)
+                    assert top == want[0]
+                    np.testing.assert_array_equal(fwhm, want[1])
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_temporaries_bounded_by_blocks(self, workers):
+        # past the per-vertex outputs (four float volumes, their masks and the
+        # final reductions' copies), the memory is a few blocks per worker,
+        # however large the lattice
+        for n_workers, dims in itertools.product((1, 4), [(24, 24, 40), (96, 48, 40)]):
+            n_vertices = int(np.prod(dims))
+            rng = np.random.default_rng(13)
+            res = residual_set_from_raw(rng.standard_normal((20, n_vertices)))
+            space = build_lattice(dims, np.ones(dims, dtype=bool))
+            with workers(n_workers):
+                tracemalloc.start()
+                try:
+                    lattice_smoothness(res, space)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert peak <= 5 * 8 * n_vertices + 6 * n_workers * lkc.BLOCK_BYTES
 
 
 class TestRecovery:

@@ -1,11 +1,14 @@
 """Interpolation, stacking, smoothing and time-frequency decomposition."""
 
+import itertools
 import math
+import multiprocessing
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
@@ -140,9 +143,9 @@ def reference_smooth(volume, fwhm, mask=None):
 
 @st.composite
 def smoothing_cases(draw):
-    """(volume, fwhm, mask): one volume or a stack of 0-3, 1-3 axes of
-    0-7 points, masks with holes and NaN outside them, and float, strided
-    float or int input."""
+    """(make_volume, fwhm, mask): make_volume() returns a fresh copy of one
+    volume or a stack of 0-3, 1-3 axes of 0-7 points, masks with holes and
+    NaN outside them, and float, strided float or int input."""
     n_axes = draw(st.integers(1, 3))
     dims = tuple(draw(st.lists(st.integers(0, 7), min_size=n_axes, max_size=n_axes)))
     fwhm = draw(st.lists(st.sampled_from([0.0, 0.7, 1.5, 3.0]),
@@ -153,38 +156,66 @@ def smoothing_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shape = dims if n_obs is None else (n_obs,) + dims
     wide = rng.standard_normal(shape[:-1] + (2 * shape[-1],)) * 10.0
-    volume = {"contiguous": wide[..., :shape[-1]].copy(), "strided": wide[..., ::2],
-              "int": np.rint(wide[..., :shape[-1]]).astype(np.int64)}[layout]
     mask = rng.random(dims) < 0.7 if masked else None
-    if masked and layout != "int":
-        np.copyto(volume, np.nan, where=~mask)
-    return volume, fwhm, mask
+
+    def make_volume():
+        fresh = wide.copy()
+        volume = {"contiguous": fresh[..., :shape[-1]].copy(), "strided": fresh[..., ::2],
+                  "int": np.rint(fresh[..., :shape[-1]]).astype(np.int64)}[layout]
+        if masked and layout != "int":
+            np.copyto(volume, np.nan, where=~mask)
+        return volume
+
+    return make_volume, fwhm, mask
 
 
 class TestGaussianSmooth:
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(case=smoothing_cases())
-    def test_in_place_matches_out_of_place(self, case):
-        volume, fwhm, mask = case
-        expected = reference_smooth(volume, fwhm, mask)
-        got = gaussian_smooth(volume, fwhm, mask=mask)
-        assert np.array_equal(got, expected)
-        # a float64 input is the output; anything else is converted first
-        assert (got is volume) == (volume.dtype == float)
+    def test_in_place_matches_out_of_place(self, case, workers):
+        make_volume, fwhm, mask = case
+        expected = reference_smooth(make_volume(), fwhm, mask)
+        for n_workers in (1, 2, 3):
+            volume = make_volume()
+            with workers(n_workers):
+                got = gaussian_smooth(volume, fwhm, mask=mask)
+            assert np.array_equal(got, expected)
+            # a float64 input is the output; anything else is converted first
+            assert (got is volume) == (volume.dtype == float)
 
-    def test_extra_memory_independent_of_n_obs(self):
+    def test_many_workers_short_switch_interval(self, workers):
+        # more workers than cores and a thread switch every microsecond: a
+        # piece writing outside its own part of a volume changes the bits
+        rng = np.random.default_rng(7)
+        stack = rng.standard_normal((3, 17, 13, 11))
+        mask = rng.random((17, 13, 11)) < 0.9
+        want = reference_smooth(stack, (2.0, 0.0, 3.0), mask)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with workers(8):
+                for _ in range(5):
+                    got = gaussian_smooth(stack.copy(), (2.0, 0.0, 3.0), mask=mask)
+                    assert np.array_equal(got, want)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_extra_memory_independent_of_n_obs(self, workers):
         rng = np.random.default_rng(5)
         dims = (24, 24, 24)
         mask = rng.random(dims) < 0.9
         volume_bytes = 8 * mask.size
-        for n_obs in (2, 16):
+        for n_workers, n_obs in itertools.product((1, 4), (2, 16)):
             stack = rng.standard_normal((n_obs,) + dims)
-            tracemalloc.start()
-            try:
-                gaussian_smooth(stack, (3.0, 3.0, 4.0), mask=mask)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            # two scratch volumes, the normalizer and its convolution, and the masks
+            with workers(n_workers):
+                tracemalloc.start()
+                try:
+                    gaussian_smooth(stack, (3.0, 3.0, 4.0), mask=mask)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            # two scratch volumes, shared by the workers, the normalizer and
+            # its convolution, and the masks
             assert peak <= 4 * volume_bytes
 
     def test_constant_volume_unchanged(self):
@@ -265,6 +296,19 @@ class TestGaussianSmooth:
         assert out.shape == stack.shape
         for vol, got in zip(stack, out):
             np.testing.assert_array_equal(got, gaussian_smooth(vol.copy(), fwhm, mask=mask))
+
+
+def _smoothed_sum(volume):
+    return float(gaussian_smooth(volume, 2.0).sum())
+
+
+def test_forked_child_smooths_without_the_parents_pool(workers):
+    # a forked child inherits the pool object but none of its threads
+    volume = np.random.default_rng(6).standard_normal((8, 8, 8))
+    with workers(2):
+        want = _smoothed_sum(volume.copy())  # starts the pool
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            assert pool.apply_async(_smoothed_sum, (volume.copy(),)).get(timeout=60) == want
 
 
 def grid_graph_mesh(n):
