@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
-from scipy.spatial import Delaunay, QhullError
 
 from . import _parallel
 from .domain import MeshSpace
@@ -77,6 +76,7 @@ def interpolate_to_grid(layout: SensorLayout, values, grid_shape=(64, 64)):
     -------
     (grid, mask) : 2D float array and matching bool validity mask.
     """
+    from scipy.spatial import Delaunay, QhullError  # only user; keeps it off the CLI import
     values = np.asarray(values, dtype=float).ravel()
     pos = layout.positions
     if values.shape[0] != pos.shape[0]:

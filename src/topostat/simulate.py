@@ -14,6 +14,12 @@ compared with the FWE threshold. :func:`mc_calibrate` runs both tallies;
 :func:`mc_ec` and :func:`mc_fwe` run the same pass with one of them left
 out.
 
+One set of buffers serves every realization: white noise is drawn into one
+padded volume, each axis pass convolves into one of two more, and the
+division by the kernel norm writes each field into its row of one
+(n_fields, n_points) data buffer. In Student-t mode :func:`glm.fit` takes
+that buffer over (data -> residuals -> u) until the next realization.
+
 Fields are reproducible by contract: realization ``index`` under seed
 ``s`` uses a counter-based generator keyed by (s, index), so any subset
 of realizations can be regenerated on any platform, in any order.
@@ -109,21 +115,30 @@ def _rng_for(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _smooth_white_noise(rng: np.random.Generator, dims, fwhm) -> np.ndarray:
-    pads = [_kernel_radius(f) for f in fwhm]
-    field = rng.standard_normal(tuple(n + 2 * p for n, p in zip(dims, pads)))
-    norm = 1.0
-    for ax, (f, p, n) in enumerate(zip(fwhm, pads, dims)):
-        if f == 0:
-            continue
-        k = _gaussian_kernel(f)
-        # later axes convolve each line on its own, so cropping this axis
-        # now leaves every kept value as the whole-box convolution has it
-        field = ndimage.convolve1d(field, k, axis=ax, mode="constant")
-        field = field[(slice(None),) * ax + (slice(p, p + n),)]
-        norm *= math.sqrt(float((k * k).sum()))
+def _field_drawer(config: SimConfig):
+    """``draw(rng, out)`` fills each row of the (n_fields, n_points) ``out`` with
+    the next smooth field from ``rng``. The padded noise, the two convolution
+    outputs, the kernels and their norm are made here once, for every field."""
+    pads = [_kernel_radius(f) for f in config.fwhm]
+    noise = np.empty(tuple(n + 2 * p for n, p in zip(config.dims, pads)))
+    axes = [(ax, _gaussian_kernel(f), p, n)
+            for ax, (f, p, n) in enumerate(zip(config.fwhm, pads, config.dims)) if f != 0]
+    passes = [np.empty(noise.size) for _ in axes[:2]]
     # dividing by the analytic kernel norm makes marginals exactly N(0,1)
-    return field / norm
+    norm = math.prod(math.sqrt(float((k * k).sum())) for _, k, _, _ in axes)
+
+    def draw(rng: np.random.Generator, out: np.ndarray) -> None:
+        for row in out:
+            field = rng.standard_normal(out=noise)
+            for i, (ax, k, p, n) in enumerate(axes):
+                conv = passes[i % 2][:field.size].reshape(field.shape)
+                ndimage.convolve1d(field, k, axis=ax, output=conv, mode="constant")
+                # later axes convolve each line on its own, so cropping this axis
+                # now leaves every kept value as the whole-box convolution has it
+                field = conv[(slice(None),) * ax + (slice(p, p + n),)]
+            np.divide(field, norm, out=row.reshape(config.dims))
+
+    return draw
 
 
 def gen_field(config: SimConfig, index: int) -> np.ndarray:
@@ -131,8 +146,9 @@ def gen_field(config: SimConfig, index: int) -> np.ndarray:
 
     Deterministic per (seed, index); unit pointwise variance.
     """
-    rng = _rng_for(config.seed, index)
-    return _smooth_white_noise(rng, config.dims, config.fwhm)
+    out = np.empty((1, math.prod(config.dims)))
+    _field_drawer(config)(_rng_for(config.seed, index), out)
+    return out.reshape(config.dims)
 
 
 def effective_fwhm(config: SimConfig) -> np.ndarray:
@@ -176,17 +192,6 @@ def _field_type(config: SimConfig) -> FieldType:
     if config.field == "gaussian":
         return FieldType.gaussian()
     return FieldType.student_t(config.n_subjects - 1)
-
-
-def _t_fit(config: SimConfig, index: int) -> glm.GlmFit:
-    """One-sample GLM fit over ``n_subjects`` fields for the student_t mode."""
-    rng = _rng_for(config.seed, index)
-    data = np.stack([
-        _smooth_white_noise(rng, config.dims, config.fwhm).ravel()
-        for _ in range(config.n_subjects)
-    ])
-    design = DesignMatrix(np.ones((config.n_subjects, 1)), ("mean",))
-    return glm.fit(data, design)
 
 
 def _wilson_ci(successes: int, n: int):
@@ -236,12 +241,16 @@ def mc_calibrate(config: SimConfig, thresholds, alpha: float | None = 0.05) -> d
     ecs = np.empty((n, len(thresholds)))
     n_exceed = 0
     thr = threshold
+    draw = _field_drawer(config)
+    data = np.empty((config.n_subjects if student_t else 1, math.prod(config.dims)))
+    design = DesignMatrix(np.ones((config.n_subjects, 1)), ("mean",))
     for i in range(n):
+        draw(_rng_for(config.seed, i), data)
         if student_t:
-            fit = _t_fit(config, i)
+            fit = glm.fit(data, design)  # data -> residuals, then u below
             values = glm.t_map(fit, [1.0]).values.reshape(config.dims)
         else:
-            values = gen_field(config, i)
+            values = data.reshape(config.dims)
         for j, t in enumerate(thresholds):
             ecs[i, j] = lattice_euler_characteristic(values >= t)
         if count_fwe:

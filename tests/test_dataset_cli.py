@@ -486,10 +486,12 @@ def test_bad_numeric_input_exits_2_without_output(effect_dataset, tmp_path, caps
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
+    # neither is reached by any subcommand; scipy.spatial only by interpolate_to_grid
     src = str(Path(topostat.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, topostat.cli; print('scipy.stats' in sys.modules)"
+    code = ("import sys, topostat.cli; "
+            "print([m in sys.modules for m in ('scipy.stats', 'scipy.spatial')])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[False, False]"

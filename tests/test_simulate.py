@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
 from topostat import StatField, build_lattice, expected_ec, local_maxima
 from topostat import corrected_threshold, intrinsic_volumes, lkc_vector
-from topostat import simulate
+from topostat import glm, simulate
 from topostat.domain import lattice_euler_characteristic
 from topostat.glm import DesignMatrix, FieldType, fit, normalized_residuals, t_map
 from topostat.lkc import lattice_smoothness
@@ -40,6 +42,32 @@ def whole_box_smooth(rng, dims, fwhm):
         norm *= math.sqrt(float((k * k).sum()))
     crop = tuple(slice(p, p + n) for p, n in zip(pads, dims))
     return big[crop] / norm
+
+
+def per_field_smooth(rng, dims, fwhm):
+    """Test-only reference: one field drawn into fresh arrays, the padded
+    noise and each axis pass's output, with each axis cropped right after
+    its pass."""
+    pads = [_kernel_radius(f) for f in fwhm]
+    field = rng.standard_normal(tuple(n + 2 * p for n, p in zip(dims, pads)))
+    norm = 1.0
+    for ax, (f, p, n) in enumerate(zip(fwhm, pads, dims)):
+        if f == 0:
+            continue
+        k = _gaussian_kernel(f)
+        field = ndimage.convolve1d(field, k, axis=ax, mode="constant")
+        field = field[(slice(None),) * ax + (slice(p, p + n),)]
+        norm *= math.sqrt(float((k * k).sum()))
+    return field / norm
+
+
+def reference_fit(config, index):
+    """Test-only reference: a student_t realization's fields drawn one by one
+    into fresh arrays, stacked, and fitted afresh; returns (data, fit)."""
+    rng = simulate._rng_for(config.seed, index)
+    data = np.stack([per_field_smooth(rng, config.dims, config.fwhm).ravel()
+                     for _ in range(config.n_subjects)])
+    return data.copy(), fit(data, DesignMatrix(np.ones((config.n_subjects, 1)), ("mean",)))
 
 
 def reference_values(config, index, with_residuals=False):
@@ -178,10 +206,61 @@ class TestPerAxisCropMatchesWholeBox:
     ])
     def test_bit_identical(self, dims, fwhm):
         for index in range(3):
-            got = simulate._smooth_white_noise(simulate._rng_for(4, index), dims, fwhm)
+            got = gen_field(SimConfig(dims=dims, fwhm=fwhm, n_realizations=3, seed=4), index)
             want = whole_box_smooth(simulate._rng_for(4, index), dims, fwhm)
             assert got.shape == dims
             assert np.array_equal(got, want)
+
+
+class TestReusedBuffersMatchFreshArrays:
+    @settings(max_examples=60)
+    @given(dims=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+           fwhm=st.lists(st.one_of(st.just(0.0), st.floats(0.5, 5.0)), min_size=3, max_size=3),
+           n_fields=st.integers(1, 13), seed=st.integers(0, 2**64 - 1))
+    def test_bit_identical(self, dims, fwhm, n_fields, seed):
+        # one field is a gaussian realization; more are a student_t one's subjects
+        cfg = SimConfig(dims=tuple(dims), fwhm=tuple(fwhm[:len(dims)]), n_realizations=3,
+                        seed=seed, field="gaussian" if n_fields == 1 else "student_t",
+                        n_subjects=max(n_fields, 2))
+        for index in range(cfg.n_realizations):
+            want = per_field_smooth(simulate._rng_for(seed, index), cfg.dims, cfg.fwhm)
+            assert np.array_equal(gen_field(cfg, index), want)
+        if n_fields == 1:
+            return
+        seen = []
+        fit_afresh = glm.fit
+
+        def spy(data, design):
+            got = data.copy()
+            out = fit_afresh(data, design)
+            seen.append((got, out.betas.copy(), out.ssr.copy(), out.residuals.copy()))
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(glm, "fit", spy)
+            mc_ec(cfg, [0.0])
+        assert len(seen) == cfg.n_realizations
+        for index, (data, betas, ssr, residuals) in enumerate(seen):
+            want_data, want = reference_fit(cfg, index)
+            assert np.array_equal(data, want_data)
+            assert np.array_equal(betas, want.betas)
+            assert np.array_equal(ssr, want.ssr)
+            assert np.array_equal(residuals, want.residuals)
+
+    def test_one_data_buffer_for_every_realization(self, monkeypatch):
+        cfg = SimConfig(dims=(16, 16), fwhm=(3.0, 3.0), n_realizations=6, seed=21,
+                        field="student_t", n_subjects=5)
+        stacks = []  # each kept alive, so a fresh stack per realization gets a new address
+        fit_afresh = glm.fit
+
+        def spy(data, design):
+            stacks.append(data)
+            return fit_afresh(data, design)
+
+        monkeypatch.setattr(glm, "fit", spy)
+        mc_calibrate(cfg, [0.0], 0.5)
+        assert len(stacks) == cfg.n_realizations
+        assert len({x.ctypes.data for x in stacks}) == 1
 
 
 class TestOnePassMatchesSeparateLoops:
