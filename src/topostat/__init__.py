@@ -14,6 +14,7 @@ from .domain import (
     build_mesh,
     connected_components,
     intrinsic_volumes,
+    lattice_ec_curve,
     lattice_euler_characteristic,
     read_mesh,
     write_mesh,
@@ -54,7 +55,7 @@ __version__ = "0.1.0"
 __all__ = [
     "IntrinsicVolumes", "LatticeSpace", "MeshSpace", "build_lattice",
     "build_mesh", "connected_components", "intrinsic_volumes",
-    "lattice_euler_characteristic", "read_mesh", "write_mesh",
+    "lattice_ec_curve", "lattice_euler_characteristic", "read_mesh", "write_mesh",
     "corrected_threshold", "ec_density", "expected_ec",
     "fwe_p", "restrict",
     "DesignMatrix", "FieldType", "GlmFit", "ResidualSet", "StatField",

@@ -6,7 +6,9 @@ faces and cubes on a lattice; simplices on a mesh) and the intrinsic
 volumes of the region. Statistic and residual values are stored as flat
 vertex arrays; lattices use C-order linear indexing over the grid. A
 mesh's adjacency is its sorted array of unique edges: components,
-neighbour maxima and smoothing all work on that one array.
+neighbour maxima and smoothing all work on that one array. Lattice cell
+counts, intrinsic volumes and excursion-set Euler characteristics share one
+primitive, the minimum over each unit cell's corners (``_cell_minima``).
 """
 
 from __future__ import annotations
@@ -40,24 +42,23 @@ class IntrinsicVolumes:
         return self.mu[d]
 
 
-def _count_subfaces(mask: np.ndarray, axes: tuple[int, ...]) -> int:
-    """Count unit faces spanning ``axes`` whose corners are all in-mask."""
-    m = mask
-    for ax in axes:
-        lo = tuple(slice(0, -1) if a == ax else slice(None) for a in range(m.ndim))
-        hi = tuple(slice(1, None) if a == ax else slice(None) for a in range(m.ndim))
-        m = m[lo] & m[hi]
-    return int(m.sum())
+def _cell_minima(values: np.ndarray, k: int) -> np.ndarray:
+    """Minimum over the 2**k corners of every unit k-cell of ``values``, over
+    all orientations, flat. On a boolean mask the minimum is a logical AND."""
+    parts = []
+    for axes in itertools.combinations(range(values.ndim), k):
+        m = values
+        for ax in axes:
+            m = np.minimum(m[(slice(None),) * ax + (slice(0, -1),)],
+                           m[(slice(None),) * ax + (slice(1, None),)])
+        parts.append(m.ravel())
+    return np.concatenate(parts)
 
 
-def _lattice_counts(mask: np.ndarray) -> tuple[int, int, int, int]:
-    """In-mask points P, and unit edges E, squares F and cubes C with all
-    corners in-mask, each summed over axes (0 above the mask's dimension)."""
-    return tuple(
-        sum(_count_subfaces(mask, axes)
-            for axes in itertools.combinations(range(mask.ndim), k))
-        for k in range(4)
-    )
+def _lattice_counts(mask: np.ndarray) -> list[int]:
+    """N_0..N_D: in-mask points, then unit edges, squares and cubes with all
+    corners in-mask, each summed over orientations."""
+    return [int(np.count_nonzero(_cell_minima(mask, k))) for k in range(mask.ndim + 1)]
 
 
 class LatticeSpace:
@@ -157,6 +158,9 @@ class MeshSpace:
         dim = simplices.shape[1] - 1
         if dim > 2:
             raise ValueError(f"mesh dimension {dim} not supported (edges or triangles)")
+        if vertices.shape[1] < dim:
+            raise ValueError(f"a {dim}-D mesh needs >= {dim} coordinates per vertex, "
+                             f"got {vertices.shape[1]}")
         n_vert = vertices.shape[0]
         if simplices.size and (simplices.min() < 0 or simplices.max() >= n_vert):
             raise ValueError("simplex index out of range")
@@ -243,25 +247,19 @@ def _simplex_contents(vertices: np.ndarray, simplices: np.ndarray) -> np.ndarray
 def intrinsic_volumes(space) -> IntrinsicVolumes:
     """Intrinsic volumes mu_0..mu_D of a search space.
 
-    Lattices use the open-box counting formulas over in-mask tiling
-    components (3D: mu_0 = P - sum E + sum F - C, mu_1 = sum E - 2 sum F + 3C,
-    mu_2 = sum F - 3C, mu_3 = C, with the obvious 1D/2D analogues).
+    Lattices use the open-box counting formula over the N_k in-mask unit
+    k-cells, mu_j = sum_{k >= j} (-1)^(k-j) C(k, j) N_k (3D: mu_0 =
+    P - E + F - C, mu_1 = E - 2F + 3C, mu_2 = F - 3C, mu_3 = C).
     Meshes use the alternating simplex count for mu_0, the summed simplex
     content for mu_D and, for triangle meshes, half the total boundary
     edge length for mu_1 (zero on closed surfaces; mean-curvature terms
     are deliberately omitted, a documented approximation).
     """
     if isinstance(space, LatticeSpace):
-        p, e, f, c = _lattice_counts(space.mask)
-        d = space.dimension
-        if d == 1:
-            mu = (float(p - e), float(e))
-        elif d == 2:
-            mu = (float(p - e + f), float(e - 2 * f), float(f))
-        else:
-            mu = (float(p - e + f - c), float(e - 2 * f + 3 * c),
-                  float(f - 3 * c), float(c))
-        return IntrinsicVolumes(mu)
+        n = _lattice_counts(space.mask)
+        return IntrinsicVolumes(tuple(
+            float(sum((-1) ** (k - j) * math.comb(k, j) * n[k] for k in range(j, len(n))))
+            for j in range(len(n))))
     if isinstance(space, MeshSpace):
         n_v, n_e, n_f = space.n_inside, len(space.edges), len(space.simplices)
         # summed in simplex order, one float at a time
@@ -274,13 +272,24 @@ def intrinsic_volumes(space) -> IntrinsicVolumes:
 
 
 def lattice_euler_characteristic(mask: np.ndarray) -> int:
-    """Euler characteristic of a boolean lattice mask by direct counting.
+    """Euler characteristic of a boolean lattice mask by direct counting;
+    equals ``intrinsic_volumes(...)[0]`` for the same mask."""
+    n = _lattice_counts(np.asarray(mask, dtype=bool))
+    return sum((-1) ** k * n_k for k, n_k in enumerate(n))
 
-    Fast path used for excursion-set topology; equals
-    ``intrinsic_volumes(...)[0]`` for the same mask.
-    """
-    p, e, f, c = _lattice_counts(np.asarray(mask, dtype=bool))
-    return p - e + f - c
+
+def lattice_ec_curve(values, thresholds) -> np.ndarray:
+    """Euler characteristic of ``values >= t`` at every ``t`` in ``thresholds``:
+    a k-cell is in that set when its corner minimum is, so each k's minima are
+    sorted once and counted with ``searchsorted``. A NaN vertex is outside at
+    every t, so a masked caller passes ``np.where(mask, values, nan)``."""
+    values, t = np.asarray(values, dtype=float), np.asarray(thresholds, dtype=float)
+    ec = np.zeros(t.shape, dtype=np.int64)
+    for k in range(values.ndim + 1):
+        mins = _cell_minima(values, k)
+        mins = np.sort(mins[~np.isnan(mins)])
+        ec += (-1) ** k * (mins.size - np.searchsorted(mins, t))
+    return ec
 
 
 def _graph_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -64,14 +64,6 @@ class ReselVector:
         lkc = tuple(v * FOUR_LOG2 ** (d / 2.0) for d, v in enumerate(resels))
         return cls(lkc=lkc, resels=resels, fwhm=tuple(fwhm) if fwhm is not None else None)
 
-    @classmethod
-    def from_top_resels(cls, resels_top: float, mu: IntrinsicVolumes,
-                        fwhm=None) -> "ReselVector":
-        """Fill sub-dimensional resel counts from a known top count by the
-        same power-law interpolation used for curvature estimates."""
-        top_lkc = float(resels_top) * FOUR_LOG2 ** (mu.dimension / 2.0)
-        return lkc_vector(top_lkc, mu, fwhm=fwhm)
-
 
 def _sqrt_det_gram(diffs: list[np.ndarray], diag: list[np.ndarray]) -> np.ndarray:
     """sqrt|G| per component for D in {1,2,3}, G_ij = sum_n diffs[i] diffs[j];

@@ -9,10 +9,10 @@ threshold pipeline.
 
 One pass over the realizations serves both tallies: each realization is
 drawn (and, in Student-t mode, fitted) once, its excursion-set Euler
-characteristics are counted at every threshold, and its maximum is
-compared with the FWE threshold. :func:`mc_calibrate` runs both tallies;
-:func:`mc_ec` and :func:`mc_fwe` run the same pass with one of them left
-out.
+characteristics at every threshold are read from one sorted EC curve, and
+its maximum is compared with the FWE threshold. :func:`mc_calibrate` runs
+both tallies; :func:`mc_ec` and :func:`mc_fwe` run the same pass with one
+of them left out.
 
 One set of buffers serves every realization: white noise is drawn into one
 padded volume, each axis pass convolves into one of two more, and the
@@ -35,7 +35,7 @@ import numpy as np
 from scipy import ndimage
 
 from . import ecd, glm, lkc
-from .domain import build_lattice, intrinsic_volumes, lattice_euler_characteristic
+from .domain import build_lattice, intrinsic_volumes, lattice_ec_curve
 from .glm import DesignMatrix, FieldType
 from .lkc import FOUR_LOG2, ReselVector
 from .preproc import _gaussian_kernel, _kernel_radius
@@ -196,8 +196,6 @@ def _field_type(config: SimConfig) -> FieldType:
 
 def _wilson_ci(successes: int, n: int):
     z = WILSON_Z
-    if n == 0:
-        return (0.0, 1.0)
     phat = successes / n
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom
@@ -210,11 +208,11 @@ def mc_calibrate(config: SimConfig, thresholds, alpha: float | None = 0.05) -> d
     pass over the realizations behind every Monte Carlo report.
 
     Each realization is drawn, and in student_t mode fitted, once. Its
-    Euler characteristic is counted at every threshold unless
-    ``thresholds`` is None; its maximum is compared with the FWE
-    threshold unless ``alpha`` is None. The report holds every key of
-    :func:`mc_ec` and of :func:`mc_fwe`, with the same values. Inputs are
-    checked before the first realization is drawn.
+    Euler characteristics at every threshold are read from one sorted
+    :func:`lattice_ec_curve` unless ``thresholds`` is None; its maximum is
+    compared with the FWE threshold unless ``alpha`` is None. The report
+    holds every key of :func:`mc_ec` and of :func:`mc_fwe`, with the same
+    values. Inputs are checked before the first realization is drawn.
     """
     count_ec, count_fwe = thresholds is not None, alpha is not None
     thresholds = [float(t) for t in np.atleast_1d(thresholds)] if count_ec else []
@@ -251,8 +249,8 @@ def mc_calibrate(config: SimConfig, thresholds, alpha: float | None = 0.05) -> d
             values = glm.t_map(fit, [1.0]).values.reshape(config.dims)
         else:
             values = data.reshape(config.dims)
-        for j, t in enumerate(thresholds):
-            ecs[i, j] = lattice_euler_characteristic(values >= t)
+        if count_ec:
+            ecs[i] = lattice_ec_curve(values, thresholds)
         if count_fwe:
             if student_t:
                 top, fwhm = lkc.lattice_smoothness(glm.normalized_residuals(fit), space)
@@ -287,9 +285,9 @@ def mc_calibrate(config: SimConfig, thresholds, alpha: float | None = 0.05) -> d
 def mc_ec(config: SimConfig, thresholds) -> dict:
     """Mean empirical Euler characteristic per threshold.
 
-    The EC of each excursion mask comes from the lattice counting
-    formula; the returned ``expected_ec`` evaluates the closed form at
-    the generator's true resels for comparison. Runs the pass of
+    The EC of each excursion set comes from the lattice EC curve; the
+    returned ``expected_ec`` evaluates the closed form at the generator's
+    true resels for comparison. Runs the pass of
     :func:`mc_calibrate` without the FWE tally.
     """
     return mc_calibrate(config, thresholds, None)

@@ -15,6 +15,7 @@ from topostat import (
     build_mesh,
     connected_components,
     intrinsic_volumes,
+    lattice_ec_curve,
     lattice_euler_characteristic,
     read_mesh,
     write_mesh,
@@ -236,6 +237,17 @@ class TestMesh:
         with pytest.raises(ValueError, match="degenerate"):
             build_mesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 1)])
 
+    def test_triangle_on_a_line_rejected(self):
+        with pytest.raises(ValueError, match="2 coordinates per vertex, got 1"):
+            build_mesh([(0.0,), (1.0,), (2.0,)], [(0, 1, 2)])
+
+    def test_mesh_file_without_coordinates_rejected(self, tmp_path):
+        # three vertices, one triangle, no coordinate lines
+        path = tmp_path / "bare.mesh"
+        path.write_text("2 3 1\n0 1 2\n")
+        with pytest.raises(ValueError, match="got 0"):
+            read_mesh(path)
+
 
 class TestIntrinsicVolumes:
     def test_full_box_closed_form(self):
@@ -390,6 +402,51 @@ class TestEdgeArrayMatchesReference:
         named = re.escape(f"degenerate simplex {tuple(np.array(row, dtype=np.int64))}")
         with pytest.raises(ValueError, match=named):
             build_mesh([(0, 0), (1, 0), (0, 1), (1, 1)], [(0, 1, 2), row, (1, 1, 3)])
+
+
+def reference_lattice_mu(mask):
+    """The per-dimension open-box formulas over in-mask points P, and unit
+    edges E, squares F and cubes C with every corner in-mask (reference)."""
+    def count(axes):
+        m = mask
+        for ax in axes:
+            lo = tuple(slice(0, -1) if a == ax else slice(None) for a in range(m.ndim))
+            hi = tuple(slice(1, None) if a == ax else slice(None) for a in range(m.ndim))
+            m = m[lo] & m[hi]
+        return int(m.sum())
+
+    p, e, f, c = (sum(count(axes) for axes in itertools.combinations(range(mask.ndim), k))
+                  for k in range(4))
+    if mask.ndim == 1:
+        return (float(p - e), float(e))
+    if mask.ndim == 2:
+        return (float(p - e + f), float(e - 2 * f), float(f))
+    return (float(p - e + f - c), float(e - 2 * f + 3 * c), float(f - 3 * c), float(c))
+
+
+LATTICE_SHAPES = hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=7)
+# quantised so that vertices tie with each other and with the thresholds
+LEVELS = [-np.inf, -1.0, -0.5, 0.0, 0.5, 1.0, np.inf, np.nan]
+
+
+@given(LATTICE_SHAPES, st.floats(0.3, 0.9), st.integers(0, 2 ** 32 - 1))
+def test_binomial_intrinsic_volumes_match_per_dimension_formulas(shape, density, seed):
+    """Random 1-3D masks with holes: the binomial sum over cell counts gives
+    exactly the open-box formulas written out per dimension."""
+    mask = np.random.default_rng(seed).random(shape) < density
+    mask.flat[-1] = True
+    assert intrinsic_volumes(build_lattice(mask.shape, mask)).mu == \
+        reference_lattice_mu(mask)
+
+
+@given(hnp.arrays(float, LATTICE_SHAPES, elements=st.sampled_from(LEVELS)),
+       st.lists(st.floats(-1.5, 1.5), max_size=3))
+def test_ec_curve_matches_per_threshold_count(values, between):
+    """One sorted pass gives every threshold's EC, with ties at t, NaN
+    vertices (outside at any t), +-inf vertices and NaN or +-inf thresholds."""
+    ts = np.concatenate([np.unique(values), [-np.inf, np.inf, np.nan], between])
+    want = [lattice_euler_characteristic(values >= t) for t in ts]
+    assert lattice_ec_curve(values, ts).tolist() == want
 
 
 SIX_NEIGHBOURS = np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]], dtype=bool)

@@ -26,6 +26,7 @@ from topostat import (
 )
 from topostat.domain import IntrinsicVolumes
 from topostat.infer import conditional_peak_p
+from topostat.lkc import FOUR_LOG2
 from topostat.simulate import SimConfig, gen_field
 from tests.test_lkc import residual_set_from_raw
 
@@ -41,9 +42,9 @@ def box_mu(n_bins: float) -> IntrinsicVolumes:
     return IntrinsicVolumes((1.0, a + b + c, a * b + (a + b) * c, a * b * c))
 
 
-TABLE1 = ReselVector.from_top_resels(230.3, box_mu(1_808_083))
-TABLE2 = ReselVector.from_top_resels(11.5, box_mu(82_340))
-TABLE3 = ReselVector.from_top_resels(149.4, box_mu(1_808_083))
+TABLE1 = lkc_vector(230.3 * FOUR_LOG2 ** 1.5, box_mu(1_808_083))
+TABLE2 = lkc_vector(11.5 * FOUR_LOG2 ** 1.5, box_mu(82_340))
+TABLE3 = lkc_vector(149.4 * FOUR_LOG2 ** 1.5, box_mu(1_808_083))
 POINT = ReselVector.from_resels((1.0, 0.0, 0.0, 0.0))
 # what a NaN residual inside the mask turns a 2D search into
 NAN_RESELS = ReselVector.from_resels((1.0, math.nan, math.nan))

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from topostat import (
     DesignMatrix,
     ResidualSet,
-    ReselVector,
     build_lattice,
     build_mesh,
     fit,
@@ -227,7 +226,7 @@ class TestLkcVector:
         scale = (230.3 / mu3) ** (1.0 / 3.0)
         want = (1.0, mu1 * scale, mu2 * scale ** 2, 230.3)
         space = build_lattice((64, 64, 442), np.ones(64 * 64 * 442, dtype=bool))
-        rv = ReselVector.from_top_resels(230.3, intrinsic_volumes(space))
+        rv = lkc_vector(230.3 * FOUR_LOG2 ** 1.5, intrinsic_volumes(space))
         np.testing.assert_allclose(rv.resels, want, rtol=1e-12)
         # the reported rounded values
         assert rv.resels[2] == pytest.approx(153, abs=1.5)
