@@ -53,6 +53,12 @@ def _json_dump(obj, path: Path) -> None:
 
 
 def cmd_analyze(args) -> int:
+    """Fit the GLM, estimate smoothness and write the peak and cluster tables.
+
+    Every input is checked before the observations are read into one stack that
+    :func:`preproc.gaussian_smooth` masks with ``ds.mask`` and smooths in place
+    (zero widths only mask it) and :func:`glm.fit` turns into residuals and u.
+    """
     if not 0.0 < args.height_p < 1.0:
         raise ValueError(f"--height-p must lie in (0, 1), got {args.height_p}")
     if not 0.0 < args.alpha <= 1.0:
@@ -68,8 +74,7 @@ def cmd_analyze(args) -> int:
     design.variance_factor(contrast)  # a contrast that does not fit exits here
     smooth_fwhm = (_parse_fwhm(args.smooth, len(ds.dims), "--smooth") if args.smooth
                    else [0.0] * len(ds.dims))
-    mask = ds.load_mask()
-    space = build_lattice(ds.dims, mask)
+    space = build_lattice(ds.dims, ds.mask)
     n_t = ds.dims[-1]
     window_bins = [0, n_t - 1]
     analysis_space = space
@@ -79,13 +84,8 @@ def cmd_analyze(args) -> int:
         if window_bins != [0, n_t - 1]:
             analysis_space = ecd.restrict(space, time_window=(lo, hi))
 
-    # Every input is checked by now. One stack from here on: smoothed in place,
-    # then turned into residuals and into u.
     data = ds.load()
-    np.copyto(data, 0.0, where=~mask)  # values outside the mask are ignored
-    if any(f > 0 for f in smooth_fwhm):
-        preproc.gaussian_smooth(data.reshape((ds.n_obs,) + ds.dims), smooth_fwhm,
-                                mask=mask.reshape(ds.dims))
+    preproc.gaussian_smooth(data.reshape((ds.n_obs,) + ds.dims), smooth_fwhm, space.mask)
 
     fit = glm.fit(data, design)
     del data
@@ -127,9 +127,16 @@ def cmd_simulate(args) -> int:
         raw = json.loads(cfg_path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ValueError(f"{cfg_path}: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ValueError(f"{cfg_path}: a simulation config is a JSON object, got {raw!r}")
     config = simulate.SimConfig.from_dict(raw)
     thresholds = raw.get("thresholds", [2.0, 2.5, 3.0, 3.5])
-    alpha = float(raw.get("alpha", 0.05))
+    alpha = raw.get("alpha", 0.05)
+    for key, values, kind in (("thresholds", thresholds, "a list of real numbers"),
+                              ("alpha", [alpha], "a real number")):
+        if not isinstance(values, list) or any(
+                isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
+            raise ValueError(f"{key} must be {kind}, got {raw[key]!r}")
 
     mc = simulate.mc_calibrate(config, thresholds, alpha)
     report = {
@@ -178,7 +185,7 @@ def cmd_tf(args) -> int:
     written = write_dataset(Path(args.output),
                             out_rows.reshape((ds.n_obs,) + ds.dims),
                             axes=ds.axes, units=ds.units,
-                            mask=ds.load_mask() if ds.has_mask else None)
+                            mask=ds.mask if ds.has_mask else None)
     print(f"wrote band-power dataset to {written.path} "
           f"({written.n_obs} observation(s))")
     return 0
@@ -187,23 +194,20 @@ def cmd_tf(args) -> int:
 def cmd_smooth(args) -> int:
     ds = read_dataset(args.dataset)
     fwhm = _parse_fwhm(args.fwhm, len(ds.dims), "--fwhm")
-    data = ds.load()
-    mask = ds.load_mask().reshape(ds.dims)
-    smoothed = preproc.gaussian_smooth(data.reshape((ds.n_obs,) + ds.dims), fwhm, mask=mask)
-    written = write_dataset(Path(args.output), smoothed, axes=ds.axes,
-                            units=ds.units,
-                            mask=mask if ds.has_mask else None)
+    smoothed = preproc.gaussian_smooth(ds.load().reshape((ds.n_obs,) + ds.dims), fwhm,
+                                       ds.mask.reshape(ds.dims))
+    written = write_dataset(Path(args.output), smoothed, axes=ds.axes, units=ds.units,
+                            mask=ds.mask if ds.has_mask else None)
     print(f"wrote smoothed dataset to {written.path}")
     return 0
 
 
 def cmd_info(args) -> int:
     ds = read_dataset(args.dataset)
-    mask = ds.load_mask()
     print(f"dataset: {ds.path}")
     print(f"dims: {ds.dims}  axes: {ds.axes}  units: {ds.units}")
     print(f"observations: {ds.n_obs}")
-    print(f"mask: {int(mask.sum())} of {ds.n_points} vertices inside")
+    print(f"mask: {int(ds.mask.sum())} of {ds.n_points} vertices inside")
     return 0
 
 

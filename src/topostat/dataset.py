@@ -9,6 +9,7 @@ The format is dependency-free and bit-exact across languages.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,7 +23,10 @@ ORDER_TAG = "C"
 
 @dataclass
 class Dataset:
-    """Descriptor of an on-disk dataset (arrays load lazily)."""
+    """Descriptor of a validated on-disk dataset; observations load lazily.
+
+    ``mask`` is the flat, read-only in-region mask (all True without a
+    ``mask.bin``), read and checked once by :func:`read_dataset`."""
 
     path: Path
     dims: tuple[int, ...]
@@ -31,6 +35,7 @@ class Dataset:
     n_obs: int
     files: tuple[str, ...]
     has_mask: bool
+    mask: np.ndarray
 
     @property
     def n_points(self) -> int:
@@ -47,10 +52,9 @@ class Dataset:
         outside the mask any value is accepted.
         """
         out = np.empty((self.n_obs, self.n_points), dtype="<f8")
-        mask = self.load_mask()
         for i, name in enumerate(self.files):
             _read_volume(self.path / name, out[i])
-            bad = ~np.isfinite(out[i]) & mask
+            bad = ~np.isfinite(out[i]) & self.mask
             if bad.any():
                 v = int(np.argmax(bad))
                 raise ValueError(
@@ -59,16 +63,16 @@ class Dataset:
                 )
         return out
 
-    def load_mask(self) -> np.ndarray:
-        """Boolean in-region mask (all True when the dataset has none)."""
-        if not self.has_mask:
-            return np.ones(self.n_points, dtype=bool)
-        raw = (self.path / MASK_NAME).read_bytes()
-        if len(raw) != self.n_points:
-            raise ValueError(
-                f"{self.path / MASK_NAME}: {len(raw)} bytes, expected {self.n_points}"
-            )
-        return np.frombuffer(raw, dtype=np.uint8) != 0
+
+def _whole(key: str, value, lo: int, hi: int | None = None) -> int:
+    """``value`` as an int in [lo, hi); a fraction, a bool or a non-number is an error."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (isinstance(value, numbers.Integral) or float(value).is_integer())):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    if value < lo or (hi is not None and value >= hi):
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi})"
+        raise ValueError(f"{key} must be {bound}, got {value!r}")
+    return int(value)
 
 
 def _read_volume(path: Path, out: np.ndarray) -> None:
@@ -99,16 +103,16 @@ def read_dataset(path) -> Dataset:
         raise ValueError(f"{meta_path}: unsupported dtype {meta['dtype']!r}")
     if meta["order"] != ORDER_TAG:
         raise ValueError(f"{meta_path}: unsupported order {meta['order']!r}")
-    dims = tuple(int(n) for n in meta["dims"])
-    if any(n < 1 for n in dims) or not dims:
+    dims = tuple(_whole(f"{meta_path}: dims", n, 1) for n in meta["dims"])
+    if not dims:
         raise ValueError(f"{meta_path}: bad dims {dims}")
     axes = tuple(str(a) for a in meta["axes"])
     units = tuple(str(u) for u in meta["units"])
     if len(axes) != len(dims) or len(units) != len(dims):
         raise ValueError(f"{meta_path}: axes/units must match dims")
     files = tuple(str(f) for f in meta["files"])
-    n_obs = int(meta["n_obs"])
-    if n_obs != len(files) or n_obs < 1:
+    n_obs = _whole(f"{meta_path}: n_obs", meta["n_obs"], 1)
+    if n_obs != len(files):
         raise ValueError(f"{meta_path}: n_obs={n_obs} but {len(files)} files listed")
     n_points = int(np.prod(dims))
     for name in files:
@@ -120,27 +124,35 @@ def read_dataset(path) -> Dataset:
                 f"{fpath}: {fpath.stat().st_size} bytes, expected {8 * n_points}"
             )
     has_mask = (path / MASK_NAME).is_file()
-    ds = Dataset(path=path, dims=dims, axes=axes, units=units,
-                 n_obs=n_obs, files=files, has_mask=has_mask)
+    mask = np.ones(n_points, dtype=bool)
     if has_mask:
-        ds.load_mask()  # validates length
-    return ds
+        raw = (path / MASK_NAME).read_bytes()
+        if len(raw) != n_points:
+            raise ValueError(f"{path / MASK_NAME}: {len(raw)} bytes, expected {n_points}")
+        mask = np.frombuffer(raw, dtype=np.uint8) != 0
+    mask.setflags(write=False)
+    return Dataset(path=path, dims=dims, axes=axes, units=units,
+                   n_obs=n_obs, files=files, has_mask=has_mask, mask=mask)
 
 
 def write_dataset(path, volumes, axes=None, units=None, mask=None) -> Dataset:
     """Write observations to a new dataset directory.
 
     ``volumes`` is (n_obs, *dims) or a list of equally shaped arrays.
+    Every argument is checked before anything is written.
     """
     volumes = np.asarray(volumes, dtype=float)
-    if volumes.ndim < 2:
-        raise ValueError("volumes must be (n_obs, *dims)")
-    n_obs = volumes.shape[0]
-    dims = volumes.shape[1:]
+    if volumes.ndim < 2 or volumes.size == 0:
+        raise ValueError("volumes must be a nonempty (n_obs, *dims) array")
+    n_obs, dims = volumes.shape[0], volumes.shape[1:]
     axes = tuple(axes) if axes else tuple(f"axis{i}" for i in range(len(dims)))
     units = tuple(units) if units else ("bins",) * len(dims)
     if len(axes) != len(dims) or len(units) != len(dims):
         raise ValueError("axes/units must match dims")
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool).ravel()
+        if mask.size != int(np.prod(dims)):
+            raise ValueError("mask length must match prod(dims)")
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     files = []
@@ -160,8 +172,5 @@ def write_dataset(path, volumes, axes=None, units=None, mask=None) -> Dataset:
     }
     (path / META_NAME).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     if mask is not None:
-        mask = np.asarray(mask, dtype=bool).ravel()
-        if mask.size != int(np.prod(dims)):
-            raise ValueError("mask length must match prod(dims)")
         (path / MASK_NAME).write_bytes(mask.astype(np.uint8).tobytes())
     return read_dataset(path)

@@ -158,15 +158,14 @@ def _pieces(dims, axis: int) -> list[tuple]:
     return [(slice(None),) * axis + (s,) for s in cuts]
 
 
-def gaussian_smooth(volume, fwhm, mask=None):
-    """Separable Gaussian smoothing with mask-renormalized boundaries, in place.
+def gaussian_smooth(stack, fwhm, mask):
+    """Separable Gaussian smoothing inside a mask, in place.
 
     Parameters
     ----------
-    volume : ndarray
-        One volume, or with a ``mask`` of shape ``volume.shape[1:]`` an
-        (n_obs, *mask.shape) stack whose observations are smoothed
-        independently (the mask normalizer is built once per stack).
+    stack : ndarray
+        An (n_obs, *mask.shape) stack whose observations are smoothed
+        independently; the mask normalizer is built once per stack.
         A float64 array is overwritten with its smoothed values and
         returned: the caller's buffer becomes the output. The extra
         memory is a few volumes whatever the number of observations or
@@ -175,15 +174,17 @@ def gaussian_smooth(volume, fwhm, mask=None):
         Any other input is first converted to a new float64 array.
     fwhm : sequence of float
         Finite kernel width per axis in bins; 0 skips an axis.
-    mask : ndarray of bool, optional
-        Data outside the mask neither contributes nor receives; in-mask
-        values are divided by the smoothed mask indicator so constants
-        pass through exactly, and everything else is set to 0. Without a
-        mask the array border acts as the mask boundary.
+    mask : ndarray of bool
+        Data outside the mask neither contribute nor receive and are set
+        to 0; in-mask values are divided by the smoothed mask indicator,
+        so constants pass through exactly. With every width 0 this is
+        the masking step alone, since x / 1.0 is exact.
     """
-    volume = np.asarray(volume, dtype=float)
-    stack = mask is not None and np.shape(mask) == volume.shape[1:]
-    dims = volume.shape[1:] if stack else volume.shape
+    stack = np.asarray(stack, dtype=float)
+    mask = np.asarray(mask, dtype=bool)
+    dims = mask.shape
+    if stack.ndim != mask.ndim + 1 or stack.shape[1:] != dims:
+        raise ValueError(f"stack shape {stack.shape} is not (n_obs,) + mask shape {dims}")
     fwhm = [float(f) for f in np.atleast_1d(fwhm)]
     if len(fwhm) == 1:
         fwhm = fwhm * len(dims)
@@ -193,20 +194,17 @@ def gaussian_smooth(volume, fwhm, mask=None):
         raise ValueError(f"fwhm must be finite and nonnegative, got {fwhm}")
     kernels = [(ax, _gaussian_kernel(f)) for ax, f in enumerate(fwhm) if f > 0]
     kernels = [(ax, k / k.sum()) for ax, k in kernels]
-    mask_arr = np.ones(dims, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-    if mask_arr.shape != dims:
-        raise ValueError("mask shape must match volume")
-    den = mask_arr.astype(float)
+    # every normalized kernel has a positive centre weight, so den > 0 in the mask
+    den = mask.astype(float)
     for ax, k in kernels:
         den = ndimage.convolve1d(den, k, axis=ax, mode="constant")
-    outside_mask = ~mask_arr
-    inside = mask_arr & (den > 0)
-    outside = ~inside
+    outside = ~mask
     # Two scratch volumes shared by every observation; each pass reads one, writes the
     # other. The worker threads split each observation: the first pass on pieces across
     # the last axis (axis 0 if the pass runs along the last), then the later passes,
     # never along axis 0, and the division on pieces across axis 0. Every convolved line
     # lies inside one piece, so the pieces write disjoint parts of the same volumes.
+    # The head's zeros are the output outside the mask: the division writes only inside.
     scratch = (np.empty(dims), np.empty(dims))
     first, rest = kernels[:1], kernels[1:]
     along = first[0][0] if first else None
@@ -215,7 +213,7 @@ def gaussian_smooth(volume, fwhm, mask=None):
     tail_pieces = _pieces(dims, 0) if dims else [...]
 
     def head(p):
-        np.copyto(vol[p], 0.0, where=outside_mask[p])
+        np.copyto(vol[p], 0.0, where=outside[p])
         for ax, k in first:
             ndimage.convolve1d(vol[p], k, axis=ax, mode="constant", output=scratch[0][p])
 
@@ -224,13 +222,12 @@ def gaussian_smooth(volume, fwhm, mask=None):
         for i, (ax, k) in enumerate(rest, 1):
             num = ndimage.convolve1d(num, k, axis=ax, mode="constant",
                                      output=scratch[i % 2][p])
-        np.divide(num, den[p], out=vol[p], where=inside[p])
-        np.copyto(vol[p], 0.0, where=outside[p])
+        np.divide(num, den[p], out=vol[p], where=mask[p])
 
-    for vol in volume if stack else volume[None]:
+    for vol in stack:
         _parallel._each(head, head_pieces)
         _parallel._each(tail, tail_pieces)
-    return volume
+    return stack
 
 
 def laplacian_smooth(space: MeshSpace, data, steps: int, rate: float):

@@ -28,13 +28,13 @@ of realizations can be regenerated on any platform, in any order.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 from scipy import ndimage
 
 from . import ecd, glm, lkc
+from .dataset import _whole
 from .domain import build_lattice, intrinsic_volumes, lattice_ec_curve
 from .glm import DesignMatrix, FieldType
 from .lkc import FOUR_LOG2, ReselVector
@@ -97,17 +97,6 @@ class SimConfig:
             if f.default is MISSING and f.name not in d:
                 raise ValueError(f"simulation config missing {f.name!r}")
         return cls(**{key: d[key] for key in names if key in d})
-
-
-def _whole(key: str, value, lo: int, hi: int | None = None) -> int:
-    """``value`` as an int in [lo, hi); a fraction, a bool or a non-number is an error."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not (isinstance(value, numbers.Integral) or float(value).is_integer())):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    if value < lo or (hi is not None and value >= hi):
-        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi})"
-        raise ValueError(f"{key} must be {bound}, got {value!r}")
-    return int(value)
 
 
 def _rng_for(seed: int, index: int) -> np.random.Generator:

@@ -1,7 +1,9 @@
 """On-disk dataset format and the command-line pipeline."""
 
+import builtins
 import functools
 import inspect
+import io
 import json
 import os
 import re
@@ -65,7 +67,8 @@ class TestDataset:
                            units=("bins", "ms"), mask=mask)
         again = read_dataset(tmp_path / "d")
         np.testing.assert_array_equal(again.load(), vols.reshape(3, 20))
-        np.testing.assert_array_equal(again.load_mask(), mask)
+        np.testing.assert_array_equal(again.mask, mask)
+        assert not again.mask.flags.writeable
         assert again.dims == (4, 5)
         assert again.units == ("bins", "ms")
 
@@ -90,6 +93,24 @@ class TestDataset:
         (tmp_path / "d").mkdir()
         with pytest.raises(ValueError, match="meta.json"):
             read_dataset(tmp_path / "d")
+
+    @pytest.mark.parametrize("n_obs,kwargs", [(2, {"axes": ("a",)}), (2, {"units": ("ms",) * 3}),
+                                              (2, {"mask": np.ones(15, dtype=bool)}), (0, {})],
+                             ids=["axes", "units", "mask", "no-observations"])
+    def test_bad_write_leaves_nothing_on_disk(self, tmp_path, n_obs, kwargs):
+        with pytest.raises(ValueError, match="must"):
+            write_dataset(tmp_path / "d", np.zeros((n_obs, 4, 4)), **kwargs)
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("key,value", [("n_obs", 2.5), ("n_obs", True),
+                                           ("dims", [4.9, 4]), ("dims", [True, 16])])
+    def test_fractional_or_bool_count_exits_2(self, tmp_path, capsys, key, value):
+        write_dataset(tmp_path / "d", np.zeros((2, 4, 4)))
+        meta = json.loads((tmp_path / "d" / "meta.json").read_text())
+        meta[key] = value
+        (tmp_path / "d" / "meta.json").write_text(json.dumps(meta))
+        assert main(["info", str(tmp_path / "d")]) == 2
+        assert f"{key} must be an integer" in capsys.readouterr().err
 
     def test_wrong_dtype_rejected(self, tmp_path):
         write_dataset(tmp_path / "d", np.zeros((1, 3)))
@@ -162,6 +183,25 @@ class TestAnalyze:
         vols[5, 0, 0, 0] = np.inf
         write_dataset(ds, vols, mask=mask)
         return int(np.ravel_multi_index(at, (12, 12, 24)))
+
+    def test_mask_read_once_and_applied_by_the_smoother(self, effect_dataset, tmp_path,
+                                                        monkeypatch):
+        ds, design, contrast = effect_dataset
+        self._mask_with_nan(ds, (0, 6, 7))
+        opened = []
+        for owner in (io, builtins):
+            real = owner.open
+
+            def counted(file, *args, _real=real, **kwargs):
+                opened.append(os.fspath(file) if isinstance(file, (str, os.PathLike)) else "")
+                return _real(file, *args, **kwargs)
+
+            monkeypatch.setattr(owner, "open", counted)
+        smooths = count_calls(monkeypatch, topostat.preproc, "gaussian_smooth")
+        assert main(["analyze", str(ds), str(design), str(contrast),
+                     "-o", str(tmp_path / "o")]) == 0
+        assert [Path(f).name for f in opened].count("mask.bin") == 1
+        assert len(smooths) == 1  # zero widths: the smoother only masks
 
     def test_non_finite_inside_mask_exits_2(self, effect_dataset, tmp_path, capsys):
         ds, design, contrast = effect_dataset
@@ -343,6 +383,9 @@ class TestSimulateCommand:
         assert main(["simulate", str(cfg), "-o", str(tmp_path / "r.json")]) == 2
         cfg.write_text("{broken")
         assert main(["simulate", str(cfg), "-o", str(tmp_path / "r.json")]) == 2
+        for top_level in ("5", "[1, 2]", "null"):
+            cfg.write_text(top_level)
+            assert main(["simulate", str(cfg), "-o", str(tmp_path / "r.json")]) == 2
 
     @pytest.mark.parametrize("overrides,key", [
         ({"seed": -1}, "seed"),
@@ -358,6 +401,13 @@ class TestSimulateCommand:
          "n_subjects"),
         ({"fwhm": "inf"}, "fwhm"),
         ({"fwhm": [4.0, float("nan")]}, "fwhm"),
+        ({"alpha": None}, "alpha"),
+        ({"alpha": True}, "alpha"),
+        ({"alpha": "0.05"}, "alpha"),
+        ({"thresholds": None}, "thresholds"),
+        ({"thresholds": [1, None]}, "thresholds"),
+        ({"thresholds": [2.0, False]}, "thresholds"),
+        ({"thresholds": 2.5}, "thresholds"),
     ])
     def test_bad_config_exits_2_before_any_draw(self, tmp_path, monkeypatch, capsys,
                                                 overrides, key):
@@ -486,12 +536,14 @@ def test_bad_numeric_input_exits_2_without_output(effect_dataset, tmp_path, caps
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # neither is reached by any subcommand; scipy.spatial only by interpolate_to_grid
+    # scipy.stats is reached by no subcommand, scipy.spatial only by
+    # interpolate_to_grid; scipy.sparse (csgraph) is imported where it is used,
+    # which keeps about 75 ms out of every command's start-up
     src = str(Path(topostat.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = ("import sys, topostat.cli; "
-            "print([m in sys.modules for m in ('scipy.stats', 'scipy.spatial')])")
+            "print([m in sys.modules for m in ('scipy.stats', 'scipy.spatial', 'scipy.sparse')])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[False, False]"
+    assert proc.stdout.strip() == "[False, False, False]"

@@ -143,9 +143,10 @@ def reference_smooth(volume, fwhm, mask=None):
 
 @st.composite
 def smoothing_cases(draw):
-    """(make_volume, fwhm, mask): make_volume() returns a fresh copy of one
-    volume or a stack of 0-3, 1-3 axes of 0-7 points, masks with holes and
-    NaN outside them, and float, strided float or int input."""
+    """(make_volume, fwhm, mask): make_volume() returns a fresh copy of a
+    stack of 0-3 volumes, or of one with an all-True mask, 1-3 axes of 0-7
+    points, masks with holes and NaN outside them, and float, strided float
+    or int input."""
     n_axes = draw(st.integers(1, 3))
     dims = tuple(draw(st.lists(st.integers(0, 7), min_size=n_axes, max_size=n_axes)))
     fwhm = draw(st.lists(st.sampled_from([0.0, 0.7, 1.5, 3.0]),
@@ -154,9 +155,9 @@ def smoothing_cases(draw):
     masked = n_obs is not None or draw(st.booleans())
     layout = draw(st.sampled_from(["contiguous", "strided", "int"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    shape = dims if n_obs is None else (n_obs,) + dims
+    shape = (1 if n_obs is None else n_obs,) + dims
     wide = rng.standard_normal(shape[:-1] + (2 * shape[-1],)) * 10.0
-    mask = rng.random(dims) < 0.7 if masked else None
+    mask = rng.random(dims) < 0.7 if masked else np.ones(dims, dtype=bool)
 
     def make_volume():
         fresh = wide.copy()
@@ -219,8 +220,8 @@ class TestGaussianSmooth:
             assert peak <= 4 * volume_bytes
 
     def test_constant_volume_unchanged(self):
-        vol = np.full((12, 12, 8), 3.5)
-        out = gaussian_smooth(vol, (6.0, 6.0, 4.0))
+        vol = np.full((1, 12, 12, 8), 3.5)
+        out = gaussian_smooth(vol, (6.0, 6.0, 4.0), np.ones((12, 12, 8), dtype=bool))
         np.testing.assert_allclose(out, 3.5, atol=1e-12)
 
     def test_constant_with_mask_unchanged(self):
@@ -228,20 +229,22 @@ class TestGaussianSmooth:
         mask = rng.random((10, 10)) < 0.8
         mask[0, 0] = True
         vol = np.where(mask, 2.0, 123.0)  # junk outside must not leak in
-        out = gaussian_smooth(vol, (4.0, 4.0), mask=mask)
+        out = gaussian_smooth(vol[None], (4.0, 4.0), mask=mask)[0]
         np.testing.assert_allclose(out[mask], 2.0, atol=1e-12)
         np.testing.assert_array_equal(out[~mask], 0.0)
 
     def test_zero_fwhm_is_identity(self):
         rng = np.random.default_rng(1)
         vol = rng.standard_normal((6, 7))
-        np.testing.assert_array_equal(gaussian_smooth(vol.copy(), (0.0, 0.0)), vol)
+        everywhere = np.ones(vol.shape, dtype=bool)
+        np.testing.assert_array_equal(gaussian_smooth(vol[None].copy(), (0.0, 0.0),
+                                                      everywhere)[0], vol)
 
     def test_delta_impulse_peak_and_width(self):
         n = 41
         vol = np.zeros((n, n, n))
         vol[20, 20, 20] = 1.0
-        out = gaussian_smooth(vol, (8.0, 8.0, 8.0))
+        out = gaussian_smooth(vol[None], (8.0, 8.0, 8.0), np.ones(vol.shape, dtype=bool))[0]
         sigma = 8.0 / math.sqrt(8 * math.log(2))
         radius = int(math.ceil(4 * sigma))
         x = np.arange(-radius, radius + 1)
@@ -266,7 +269,8 @@ class TestGaussianSmooth:
         fwhm = 6.0
         vol = rng.standard_normal((512, 512))
         r = _kernel_radius(fwhm)
-        interior = gaussian_smooth(vol, (fwhm, fwhm))[r:-r, r:-r]
+        everywhere = np.ones(vol.shape, dtype=bool)
+        interior = gaussian_smooth(vol[None], (fwhm, fwhm), everywhere)[0, r:-r, r:-r]
         centered = interior - interior.mean()
         lag = int(fwhm)
         num = (centered[lag:] * centered[:-lag]).mean()
@@ -277,17 +281,17 @@ class TestGaussianSmooth:
         mask = np.zeros((9, 9), dtype=bool)
         mask[2:7, 3:8] = True
         vol = np.where(mask, 7.0, 0.0)
-        out = gaussian_smooth(vol, (5.0, 5.0), mask=mask)
+        out = gaussian_smooth(vol[None], (5.0, 5.0), mask=mask)[0]
         assert out[mask].mean() == pytest.approx(7.0, abs=1e-10)
 
     def test_negative_fwhm_rejected(self):
         for bad in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="finite and nonnegative"):
-                gaussian_smooth(np.zeros((4, 4)), (bad, 2.0))
+                gaussian_smooth(np.zeros((1, 4, 4)), (bad, 2.0), np.ones((4, 4), dtype=bool))
 
     @pytest.mark.parametrize("dims, fwhm", [((9, 7), (3.0, 2.0)), ((30,), 3.0)])
     def test_stack_matches_per_volume(self, dims, fwhm):
-        # a mask of one volume's shape makes axis 0 index observations,
+        # each observation is smoothed as a stack of it alone would be,
         # also for 1D volumes with a single width
         rng = np.random.default_rng(4)
         stack = rng.standard_normal((5,) + dims)
@@ -295,11 +299,19 @@ class TestGaussianSmooth:
         out = gaussian_smooth(stack.copy(), fwhm, mask=mask)
         assert out.shape == stack.shape
         for vol, got in zip(stack, out):
-            np.testing.assert_array_equal(got, gaussian_smooth(vol.copy(), fwhm, mask=mask))
+            np.testing.assert_array_equal(got, gaussian_smooth(vol[None].copy(), fwhm,
+                                                               mask=mask)[0])
+
+    def test_volume_with_a_mask_of_its_own_shape_rejected(self):
+        # only an (n_obs, *mask.shape) stack is smoothed, and a mask is required
+        with pytest.raises(ValueError, match="n_obs"):
+            gaussian_smooth(np.zeros((5, 5)), 2.0, np.ones((5, 5), dtype=bool))
+        with pytest.raises(TypeError, match="mask"):
+            gaussian_smooth(np.zeros((1, 5, 5)), 2.0)
 
 
 def _smoothed_sum(volume):
-    return float(gaussian_smooth(volume, 2.0).sum())
+    return float(gaussian_smooth(volume[None], 2.0, np.ones(volume.shape, dtype=bool)).sum())
 
 
 def test_forked_child_smooths_without_the_parents_pool(workers):
@@ -374,7 +386,7 @@ class TestLaplacianSmooth:
         fwhm_eq = math.sqrt(8 * math.log(2) * sigma2)
         vol = np.zeros((n, n))
         vol[n // 2, n // 2] = 1.0
-        gauss = gaussian_smooth(vol, (fwhm_eq, fwhm_eq))
+        gauss = gaussian_smooth(vol[None], (fwhm_eq, fwhm_eq), np.ones((n, n), dtype=bool))[0]
         assert np.abs(diffused - gauss).max() <= 0.05 * gauss.max()
 
 
