@@ -48,6 +48,13 @@ def _parse_window(text: str) -> tuple[int, int]:
         raise ValueError(f"--window expects LO:HI bin indices, got {text!r}") from None
 
 
+def _beyond_float(value) -> bool:
+    """A JSON integer too large for a float, alone or anywhere in a list."""
+    if isinstance(value, list):
+        return any(map(_beyond_float, value))
+    return type(value) is int and abs(value) > sys.float_info.max
+
+
 def _json_dump(obj, path: Path) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
@@ -129,6 +136,9 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"{cfg_path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"{cfg_path}: a simulation config is a JSON object, got {raw!r}")
+    for key, value in raw.items():
+        if _beyond_float(value):
+            raise ValueError(f"{cfg_path}: {key} holds an integer too large for a float")
     config = simulate.SimConfig.from_dict(raw)
     thresholds = raw.get("thresholds", [2.0, 2.5, 3.0, 3.5])
     alpha = raw.get("alpha", 0.05)

@@ -136,10 +136,12 @@ def read_dataset(path) -> Dataset:
 
 
 def write_dataset(path, volumes, axes=None, units=None, mask=None) -> Dataset:
-    """Write observations to a new dataset directory.
+    """Write observations to a dataset directory.
 
     ``volumes`` is (n_obs, *dims) or a list of equally shaped arrays.
-    Every argument is checked before anything is written.
+    Every argument is checked before anything is written. A dataset
+    already in the directory is replaced: its ``mask.bin`` and observation
+    files that the new one does not write are removed.
     """
     volumes = np.asarray(volumes, dtype=float)
     if volumes.ndim < 2 or volumes.size == 0:
@@ -155,12 +157,12 @@ def write_dataset(path, volumes, axes=None, units=None, mask=None) -> Dataset:
             raise ValueError("mask length must match prod(dims)")
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    files = []
-    for i in range(n_obs):
-        name = f"obs{i:04d}.bin"
-        arr = np.ascontiguousarray(volumes[i], dtype="<f8")
-        (path / name).write_bytes(arr.tobytes())
-        files.append(name)
+    files = [f"obs{i:04d}.bin" for i in range(n_obs)]
+    for stale in [*path.glob("obs*.bin"), path / MASK_NAME]:
+        if stale.name not in files:
+            stale.unlink(missing_ok=True)
+    for name, volume in zip(files, volumes):
+        (path / name).write_bytes(np.ascontiguousarray(volume, dtype="<f8").tobytes())
     meta = {
         "dims": list(dims),
         "axes": list(axes),

@@ -9,6 +9,9 @@ mesh's adjacency is its sorted array of unique edges: components,
 neighbour maxima and smoothing all work on that one array. Lattice cell
 counts, intrinsic volumes and excursion-set Euler characteristics share one
 primitive, the minimum over each unit cell's corners (``_cell_minima``).
+Components of any vertex set, clusters and plateaus alike, come from one
+labelling, ``_labels``: ``ndimage.label`` on a lattice, csgraph on a mesh's
+edges (scipy.sparse is imported for meshes only).
 """
 
 from __future__ import annotations
@@ -292,26 +295,25 @@ def lattice_ec_curve(values, thresholds) -> np.ndarray:
     return ec
 
 
-def _graph_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Component label of each of ``n`` vertices in the undirected graph
-    with edges a[i]-b[i] (a vertex without edges is its own component)."""
+def _labels(space, member: np.ndarray) -> np.ndarray:
+    """Flat component label of each vertex: 1, 2, ... over the components of
+    the flat boolean ``member``, numbered in order of each component's smallest
+    vertex, and 0 off ``member``. Lattice vertices connect to all neighbours
+    that share a point (``ndimage.label`` numbers them in scan order); mesh
+    vertices along the edges whose two ends are members (csgraph numbers them
+    in vertex order, counting non-members as components of their own)."""
+    if isinstance(space, LatticeSpace):
+        full = ndimage.generate_binary_structure(space.dimension, space.dimension)
+        return ndimage.label(member.reshape(space.dims), structure=full)[0].ravel()
     # imported on first use: csgraph loads scipy.sparse.linalg (~75 ms)
     from scipy.sparse import coo_array, csgraph
-    graph = coo_array((np.ones(a.size), (a, b)), shape=(n, n))
-    return csgraph.connected_components(graph, directed=False)[1]
-
-
-def _sorted_groups(labels: np.ndarray, member: np.ndarray) -> list[np.ndarray]:
-    """Member vertices grouped by label: ascending index arrays, ordered by
-    each group's smallest vertex."""
-    idx = np.flatnonzero(member)
-    if idx.size == 0:
-        return []
-    lab = labels[idx]
-    order = np.argsort(lab, kind="stable")
-    groups = np.split(idx[order], np.flatnonzero(np.diff(lab[order])) + 1)
-    groups.sort(key=lambda g: int(g[0]))
-    return groups
+    a, b = space.edges.T
+    both = member[a] & member[b]
+    graph = coo_array((np.ones(both.sum()), (a[both], b[both])), shape=(space.n_points,) * 2)
+    raw = csgraph.connected_components(graph, directed=False)[1]
+    labels = np.zeros(space.n_points, dtype=np.int64)
+    labels[member] = np.unique(raw[member], return_inverse=True)[1] + 1
+    return labels
 
 
 def connected_components(space, member_mask=None):
@@ -337,13 +339,11 @@ def connected_components(space, member_mask=None):
     member = space.mask_flat
     if member_mask is not None:
         member = member & np.asarray(member_mask, dtype=bool).ravel()
-    if isinstance(space, MeshSpace):
-        a, b = space.edges.T
-        both = member[a] & member[b]
-        return _sorted_groups(_graph_labels(space.n_points, a[both], b[both]), member)
-    full = ndimage.generate_binary_structure(space.dimension, space.dimension)
-    labels = ndimage.label(member.reshape(space.dims), structure=full)[0]
-    return _sorted_groups(labels.ravel(), member)
+    labels = _labels(space, member)
+    idx = np.flatnonzero(labels)
+    lab = labels[idx]
+    # cut after each label's last vertex; the piece past the last label is empty
+    return np.split(idx[np.argsort(lab, kind="stable")], np.cumsum(np.bincount(lab)[1:]))[:-1]
 
 
 def read_mesh(path) -> MeshSpace:

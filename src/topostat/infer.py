@@ -5,6 +5,10 @@ excursion sets, local maxima, peak tables with FWE and topological-FDR
 corrected p-values, and cluster records. Cluster expectations use the
 isotropic-smoothness model; cluster-size p-values are deliberately not
 computed.
+
+Local maxima use one neighbour reduction, ``_neighbor_max``, on lattices
+and meshes alike; plateaus and clusters are both labelled by
+``domain._labels``, the labelling behind ``connected_components``.
 """
 
 from __future__ import annotations
@@ -15,8 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ecd
-from .domain import (LatticeSpace, MeshSpace, _graph_labels, connected_components,
-                     intrinsic_volumes)
+from .domain import LatticeSpace, MeshSpace, _labels, connected_components, intrinsic_volumes
 from .glm import FieldType, StatField, z_equivalent
 from .lkc import ReselVector
 
@@ -121,52 +124,26 @@ def excursion_set(stat: StatField, space, threshold: float) -> np.ndarray:
     return space.mask_flat.ravel() & (values >= threshold)
 
 
-def _full_offsets(ndim: int):
-    return [off for off in itertools.product((-1, 0, 1), repeat=ndim)
-            if any(off)]
-
-
-def _lattice_neighbor_max(vals: np.ndarray) -> np.ndarray:
-    """Max over the full neighborhood, -inf where no neighbor exists."""
-    padded = np.pad(vals, 1, constant_values=-np.inf)
-    out = np.full(vals.shape, -np.inf)
-    for off in _full_offsets(vals.ndim):
-        sl = tuple(slice(1 + o, 1 + o + n) for o, n in zip(off, vals.shape))
-        np.maximum(out, padded[sl], out=out)
+def _neighbor_max(space, vals: np.ndarray, op=np.maximum, fill=-np.inf) -> np.ndarray:
+    """``op`` over each vertex's neighbours' ``vals``, flat, ``fill`` where it
+    has none: the full 2/8/26-neighbourhood of a lattice, padded with ``fill``,
+    or the ends of a mesh's edge array. ``np.maximum`` propagates a NaN
+    neighbour; ``np.fmax`` skips it."""
+    out = np.full(space.n_points, fill)
+    if isinstance(space, LatticeSpace):
+        padded = np.pad(vals.reshape(space.dims), 1, constant_values=fill)
+        grid = out.reshape(space.dims)
+        for off in itertools.product((-1, 0, 1), repeat=space.dimension):
+            if any(off):
+                sl = tuple(slice(1 + o, 1 + o + n) for o, n in zip(off, space.dims))
+                op(grid, padded[sl], out=grid)
+    elif isinstance(space, MeshSpace):
+        a, b = space.edges.T
+        op.at(out, a, vals[b])
+        op.at(out, b, vals[a])
+    else:
+        raise TypeError(f"not a search space: {type(space).__name__}")
     return out
-
-
-def _lattice_pairs(mask: np.ndarray):
-    """Both ends (a, b) of every pair of in-mask full-connectivity lattice
-    neighbours, each pair once (the lexicographically positive offsets)."""
-    index = np.arange(mask.size).reshape(mask.shape)
-    a, b = [], []
-    for off in _full_offsets(mask.ndim):
-        if off < (0,) * mask.ndim:
-            continue
-        src = tuple(slice(max(-o, 0), n - max(o, 0)) for o, n in zip(off, mask.shape))
-        dst = tuple(slice(max(o, 0), n - max(-o, 0)) for o, n in zip(off, mask.shape))
-        both = mask[src] & mask[dst]
-        a.append(index[src][both])
-        b.append(index[dst][both])
-    return np.concatenate(a), np.concatenate(b)
-
-
-def _plateau_maxima(values: np.ndarray, ties: np.ndarray, a: np.ndarray,
-                    b: np.ndarray) -> np.ndarray:
-    """Smallest vertex of each plateau holding a vertex of ``ties`` that is
-    a true local maximum. Plateaus are the components of the graph of
-    equal-valued neighbour pairs (a, b); one is dropped when any of its
-    vertices has a strictly greater neighbour (NaN compares as neither)."""
-    va, vb = values[a], values[b]
-    equal = va == vb
-    labels = _graph_labels(values.size, a[equal], b[equal])
-    beaten = np.zeros(labels.max() + 1, dtype=bool)
-    beaten[labels[a[vb > va]]] = True
-    beaten[labels[b[va > vb]]] = True
-    smallest = np.unique(labels, return_index=True)[1]
-    lab = labels[ties]
-    return np.unique(smallest[lab[~beaten[lab]]])
 
 
 def local_maxima(stat: StatField, space, threshold: float = -np.inf) -> np.ndarray:
@@ -177,6 +154,17 @@ def local_maxima(stat: StatField, space, threshold: float = -np.inf) -> np.ndarr
     only the smallest vertex of each flat region, and only when the
     whole region dominates its surroundings.
 
+    NaN compares as neither greater nor equal: a NaN vertex is never a
+    maximum and beats no neighbour, yet a vertex beside one is not a strict
+    maximum, and a plateau counts only when one of its vertices has no NaN
+    neighbour.
+
+    Ties are resolved by the weak maxima: the in-mask non-NaN vertices with
+    no greater non-NaN neighbour. Neighbouring weak maxima are equal, so
+    each of their components lies in one plateau. It is the whole plateau,
+    and no vertex beats the plateau, unless an equal vertex outside the weak
+    maxima touches it. Without a tie, one neighbour-max pass decides.
+
     Returns ascending vertex indices.
     """
     values = np.asarray(stat.values, dtype=float).ravel()
@@ -184,23 +172,21 @@ def local_maxima(stat: StatField, space, threshold: float = -np.inf) -> np.ndarr
         raise ValueError("statistic field does not cover the space")
     in_exc = excursion_set(stat, space, threshold)
     masked_vals = np.where(space.mask_flat, values, -np.inf)
+    nb_max = _neighbor_max(space, masked_vals)
+    if not np.any(in_exc & (masked_vals == nb_max)):
+        return np.flatnonzero(in_exc & (masked_vals > nb_max))
 
-    if isinstance(space, LatticeSpace):
-        nb_max = _lattice_neighbor_max(masked_vals.reshape(space.dims)).ravel()
-    elif isinstance(space, MeshSpace):
-        a, b = space.edges.T
-        nb_max = np.full(space.n_points, -np.inf)
-        np.maximum.at(nb_max, a, masked_vals[b])
-        np.maximum.at(nb_max, b, masked_vals[a])
-    else:
-        raise TypeError(f"not a search space: {type(space).__name__}")
-
-    out = np.flatnonzero(in_exc & (masked_vals > nb_max))
-    ties = np.flatnonzero(in_exc & (masked_vals == nb_max))
-    if ties.size:
-        a, b = space.edges.T if isinstance(space, MeshSpace) else _lattice_pairs(space.mask)
-        out = np.sort(np.concatenate([out, _plateau_maxima(masked_vals, ties, a, b)]))
-    return out
+    weak = space.mask_flat & (masked_vals >= _neighbor_max(space, masked_vals, np.fmax))
+    labels = _labels(space, weak)
+    others = np.where(space.mask_flat & ~weak, masked_vals, np.nan)
+    keep = np.zeros(labels.max() + 1, dtype=bool)
+    keep[labels[masked_vals >= nb_max]] = True  # a vertex with no NaN neighbour
+    # a component beside an equal vertex outside the weak maxima: a beaten plateau
+    keep[labels[_neighbor_max(space, others, np.fmax, np.nan) == masked_vals]] = False
+    idx = np.flatnonzero(labels)
+    smallest = idx[np.unique(labels[idx], return_index=True)[1]]
+    out = smallest[keep[1:]]
+    return out[in_exc[out]]
 
 
 def topological_fdr(p_values) -> np.ndarray:

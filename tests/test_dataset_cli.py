@@ -72,6 +72,16 @@ class TestDataset:
         assert again.dims == (4, 5)
         assert again.units == ("bins", "ms")
 
+    def test_rewrite_leaves_only_the_new_datasets_files(self, tmp_path):
+        mask = np.zeros(16, dtype=bool)
+        mask[:4] = True
+        write_dataset(tmp_path / "d", np.ones((3, 4, 4)), mask=mask)
+        again = write_dataset(tmp_path / "d", np.zeros((2, 4, 4)))
+        assert not again.has_mask
+        assert again.mask.all()
+        assert sorted(p.name for p in (tmp_path / "d").iterdir()) == [
+            "meta.json", "obs0000.bin", "obs0001.bin"]
+
     def test_truncated_file_rejected(self, tmp_path):
         vols = np.zeros((2, 4, 4))
         write_dataset(tmp_path / "d", vols)
@@ -408,6 +418,9 @@ class TestSimulateCommand:
         ({"thresholds": [1, None]}, "thresholds"),
         ({"thresholds": [2.0, False]}, "thresholds"),
         ({"thresholds": 2.5}, "thresholds"),
+        ({"thresholds": [10 ** 400]}, "thresholds"),
+        ({"fwhm": [10 ** 400]}, "fwhm"),
+        ({"field": "student_t", "n_subjects": 10 ** 400}, "n_subjects"),
     ])
     def test_bad_config_exits_2_before_any_draw(self, tmp_path, monkeypatch, capsys,
                                                 overrides, key):

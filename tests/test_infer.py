@@ -2,13 +2,20 @@
 
 import itertools
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import special, stats
 
+import topostat
 from topostat import (
     DesignMatrix,
     FieldType,
@@ -33,7 +40,7 @@ from topostat.domain import IntrinsicVolumes, LatticeSpace, connected_components
 from topostat.infer import conditional_peak_p, expected_cluster_stats
 from topostat.lkc import lattice_smoothness
 from topostat.simulate import SimConfig, gen_field, generator_resels
-from tests.test_domain import random_masked_meshes, reference_edges
+from tests.test_domain import LATTICE_SHAPES, LEVELS, random_masked_meshes, reference_edges
 from tests.test_ecd import GAUSS, T11, T12, TABLE1, TABLE3, box_mu
 from tests.test_lkc import unit_sheet_mesh
 
@@ -218,6 +225,28 @@ class TestLocalMaxima:
         assert [c.tolist() for c in comp_a] == [c.tolist() for c in comp_b]
 
 
+@st.composite
+def masked_lattice_fields(draw):
+    """A masked 1-3D lattice and a field of a few levels, +-inf and NaN."""
+    shape = draw(LATTICE_SHAPES)
+    mask = draw(hnp.arrays(bool, shape))
+    mask.flat[0] = True
+    values = draw(hnp.arrays(float, mask.size, elements=st.sampled_from(LEVELS)))
+    return build_lattice(shape, mask), values
+
+
+@st.composite
+def masked_mesh_fields(draw):
+    """A masked triangulated grid, flat or lifted, and a field as above."""
+    meshes = [mesh for mesh, _ in random_masked_meshes(draw(st.integers(0, 2 ** 32 - 1)), 2)]
+    mesh = draw(st.sampled_from(meshes))
+    return mesh, draw(hnp.arrays(float, mesh.n_points, elements=st.sampled_from(LEVELS)))
+
+
+# -0.5, 0 and 1 are also levels, so some plateaus sit exactly at the threshold
+THRESHOLDS = st.sampled_from([-np.inf, -0.5, 0.0, 1.0, np.inf])
+
+
 class TestLocalMaximaMatchReference:
     """Array neighbour max and graph-labelled plateaus equal the
     neighbour-list loop and the plateau search they replaced, exactly."""
@@ -251,6 +280,52 @@ class TestLocalMaximaMatchReference:
         values = np.array([5.0, 5.0, np.nan, 0.0, 0.0, 9.0, 0.0, 0.0, 0.0])
         got = local_maxima(StatField(values, GAUSS), space)
         assert got.tolist() == reference_local_maxima(values, space) == []
+
+    @given(masked_lattice_fields(), THRESHOLDS)
+    def test_property_masked_lattices(self, case, threshold):
+        space, values = case
+        with np.errstate(invalid="ignore"):
+            got = local_maxima(StatField(values, GAUSS), space, threshold)
+        assert got.tolist() == reference_local_maxima(values, space, threshold)
+
+    @given(masked_mesh_fields(), THRESHOLDS)
+    def test_property_masked_meshes(self, case, threshold):
+        mesh, values = case
+        with np.errstate(invalid="ignore"):
+            got = local_maxima(StatField(values, GAUSS), mesh, threshold)
+        assert got.tolist() == reference_local_maxima(values, mesh, threshold)
+
+
+class TestLocalMaximaOnTies:
+    """Plateaus cost a few field-sized arrays and no sparse graph."""
+
+    def test_tied_field_peak_memory_is_a_few_volumes(self):
+        dims = (32, 32, 40)
+        values = np.round(2 * np.random.default_rng(0).standard_normal(dims)).ravel()
+        space, stat = full_space(dims), StatField(values, GAUSS)
+        local_maxima(stat, space)  # fills the space's cached flat mask
+        tracemalloc.start()
+        try:
+            local_maxima(stat, space)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * values.nbytes
+
+    def test_tied_lattice_leaves_scipy_sparse_unloaded(self):
+        # csgraph labels mesh components only; a lattice plateau uses ndimage
+        src = str(Path(topostat.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = ("import sys, numpy as np; "
+                "from topostat import FieldType, StatField, build_lattice, local_maxima; "
+                "space = build_lattice((6, 6), np.ones(36, bool)); "
+                "got = local_maxima(StatField(np.zeros(36), FieldType.gaussian()), space); "
+                "print(got.tolist(), 'scipy.sparse' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[0] False"
 
 
 class TestTopologicalFdr:
