@@ -1,18 +1,31 @@
 """Independent pieces of one pass, run on the cores this process may use.
 
-numpy ufuncs and ``scipy.ndimage`` filters release the GIL, so threads
-share the work of one array pass; each piece writes its own part of the
-output, and results do not depend on how many threads run. The pool is
-made on first use, sized to the affinity mask, and forgotten in a forked
-child, which inherits no worker threads.
+numpy ufuncs, and ``scipy.ndimage`` filters on large arrays, release the
+GIL, so threads share the work of one array pass; each piece writes its
+own part of the output, and results do not depend on how many threads
+run. The pool is made on first use, sized to the affinity mask, and
+forgotten in a forked child, which inherits no worker threads.
 
 A function run on a worker calls no public ``topostat`` function and
 never calls :func:`_each` itself: workers only compute.
+
+Philox draws never release the GIL, and small filters hold it, so
+:func:`_ahead` draws Monte Carlo fields in a forked process instead. Its
+``fill(i, out)`` writes ``out`` and, like a worker, calls no public
+``topostat`` function; whatever else it changes is lost with the child.
+It uses no BLAS and no pool, whose threads the fork leaves behind.
 """
 
+import contextlib
+import math
 import os
+import signal
+import traceback
+
+import numpy as np
 
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+SLOTS = 3  # blocks the producer of _ahead may fill before the caller takes them
 _pool = None
 
 
@@ -45,3 +58,57 @@ def _split(n: int, parts: int) -> list[slice]:
     and one if n is 0."""
     parts = max(1, min(parts, n))
     return [slice(i * n // parts, (i + 1) * n // parts) for i in range(parts)]
+
+
+@contextlib.contextmanager
+def _ahead(fill, n: int, shape):
+    """``with _ahead(fill, n, shape) as blocks:`` iterates over n float64
+    blocks of ``shape``, block i filled by ``fill(i, out)`` and valid until
+    the next is taken. With two workers and ``os.fork``, one forked producer
+    fills a shared ring of SLOTS blocks meanwhile; it is reaped on every way
+    out of the ``with``, which raises RuntimeError if it failed."""
+    if WORKERS < 2 or not hasattr(os, "fork"):
+        out = np.empty(shape)
+        yield (fill(i, out) or out for i in range(n))  # fill returns None
+        return
+    import mmap
+    ring = np.frombuffer(mmap.mmap(-1, 8 * SLOTS * math.prod(shape))).reshape(SLOTS, *shape)
+    free_r, free_w = os.pipe()  # a byte per block taken: its slot may be refilled
+    full_r, full_w = os.pipe()  # a byte per block filled
+    pid = os.fork()
+    if pid == 0:  # the producer: it leaves by os._exit, never into the caller's stack
+        status = 1
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller stops it
+            os.close(free_w)
+            os.close(full_r)
+            for i in range(n):
+                if i >= SLOTS and not os.read(free_r, 1):
+                    break  # the caller has left the with
+                fill(i, ring[i % SLOTS])
+                os.write(full_w, b"\0")
+            status = 0
+        except Exception:
+            traceback.print_exc()
+        finally:
+            os._exit(status)
+
+    def taken():
+        for i in range(n):
+            if 0 < i <= n - SLOTS:  # the producer waits for this slot
+                os.write(free_w, b"\0")
+            if not os.read(full_r, 1):
+                raise RuntimeError(f"the field producer ended before block {i}")
+            yield ring[i % SLOTS]
+
+    try:
+        os.close(free_r)
+        os.close(full_w)
+        yield taken()
+    finally:
+        os.close(free_w)  # the producer stops at its next read
+        status = os.waitpid(pid, 0)[1]
+        os.close(full_r)  # only now, so that no write of the producer fails
+        if status:  # also in place of a broken pipe to the dead producer
+            status = os.waitstatus_to_exitcode(status)
+            raise RuntimeError(f"the field producer failed with exit status {status}")

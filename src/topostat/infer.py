@@ -139,8 +139,9 @@ def _neighbor_max(space, vals: np.ndarray, op=np.maximum, fill=-np.inf) -> np.nd
                 op(grid, padded[sl], out=grid)
     elif isinstance(space, MeshSpace):
         a, b = space.edges.T
-        op.at(out, a, vals[b])
-        op.at(out, b, vals[a])
+        with np.errstate(invalid="ignore"):  # op.at warns on each NaN it meets
+            op.at(out, a, vals[b])
+            op.at(out, b, vals[a])
     else:
         raise TypeError(f"not a search space: {type(space).__name__}")
     return out

@@ -14,11 +14,12 @@ its maximum is compared with the FWE threshold. :func:`mc_calibrate` runs
 both tallies; :func:`mc_ec` and :func:`mc_fwe` run the same pass with one
 of them left out.
 
-One set of buffers serves every realization: white noise is drawn into one
-padded volume, each axis pass convolves into one of two more, and the
-division by the kernel norm writes each field into its row of one
-(n_fields, n_points) data buffer. In Student-t mode :func:`glm.fit` takes
-that buffer over (data -> residuals -> u) until the next realization.
+Each realization's fields are drawn by :func:`_parallel._ahead`: in a
+forked producer while this process fits, thresholds and tallies the one
+before, or inline on one core. One set of buffers serves every field: the
+padded noise, two axis-pass outputs, and one (n_fields, n_points) data
+buffer that in Student-t mode :func:`glm.fit` takes over (data ->
+residuals -> u) until the next realization.
 
 Fields are reproducible by contract: realization ``index`` under seed
 ``s`` uses a counter-based generator keyed by (s, index), so any subset
@@ -34,6 +35,7 @@ import numpy as np
 from scipy import ndimage
 
 from . import ecd, glm, lkc
+from ._parallel import _ahead
 from .dataset import _whole
 from .domain import build_lattice, intrinsic_volumes, lattice_ec_curve
 from .glm import DesignMatrix, FieldType
@@ -231,21 +233,22 @@ def mc_calibrate(config: SimConfig, thresholds, alpha: float | None = 0.05) -> d
     draw = _field_drawer(config)
     data = np.empty((config.n_subjects if student_t else 1, math.prod(config.dims)))
     design = DesignMatrix(np.ones((config.n_subjects, 1)), ("mean",))
-    for i in range(n):
-        draw(_rng_for(config.seed, i), data)
-        if student_t:
-            fit = glm.fit(data, design)  # data -> residuals, then u below
-            values = glm.t_map(fit, [1.0]).values.reshape(config.dims)
-        else:
-            values = data.reshape(config.dims)
-        if count_ec:
-            ecs[i] = lattice_ec_curve(values, thresholds)
-        if count_fwe:
+    with _ahead(lambda i, out: draw(_rng_for(config.seed, i), out), n, data.shape) as blocks:
+        for i, block in enumerate(blocks):
+            np.copyto(data, block)
             if student_t:
-                top, fwhm = lkc.lattice_smoothness(glm.normalized_residuals(fit), space)
-                thr = ecd.corrected_threshold(alpha, lkc.lkc_vector(top, mu, fwhm=fwhm), ftype)
-            if values.max() > thr:
-                n_exceed += 1
+                fit = glm.fit(data, design)  # data -> residuals, then u below
+                values = glm.t_map(fit, [1.0]).values.reshape(config.dims)
+            else:
+                values = data.reshape(config.dims)
+            if count_ec:
+                ecs[i] = lattice_ec_curve(values, thresholds)
+            if count_fwe:
+                if student_t:
+                    top, fwhm = lkc.lattice_smoothness(glm.normalized_residuals(fit), space)
+                    thr = ecd.corrected_threshold(alpha, lkc.lkc_vector(top, mu, fwhm=fwhm), ftype)
+                if values.max() > thr:
+                    n_exceed += 1
 
     report = {}
     if count_ec:

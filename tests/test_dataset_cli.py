@@ -438,11 +438,21 @@ class TestSimulateCommand:
                                                     field, threshold_calls):
         cfg = tmp_path / "cfg.json"
         self._write_config(cfg, field=field, n_subjects=4, n_realizations=3)
-        draws = count_calls(monkeypatch, topostat.simulate, "_rng_for")
+        # the fields may be drawn in a forked producer, so each draw appends
+        # a line to a file, which both processes see
+        draws = tmp_path / "draws.txt"
+        rng_for = topostat.simulate._rng_for
+
+        def logged(seed, index):
+            with open(draws, "a") as f:
+                f.write(f"{index}\n")
+            return rng_for(seed, index)
+
+        monkeypatch.setattr(topostat.simulate, "_rng_for", logged)
         fits = count_calls(monkeypatch, topostat.glm, "fit")
         thresholds = count_calls(monkeypatch, topostat.ecd, "corrected_threshold")
         assert main(["simulate", str(cfg), "-o", str(tmp_path / "r.json")]) == 0
-        assert len(draws) == 3
+        assert len(draws.read_text().splitlines()) == 3
         assert len(fits) == (3 if field == "student_t" else 0)
         assert len(thresholds) == threshold_calls
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -206,6 +207,14 @@ class TestLocalMaxima:
         vals = np.array([3.0, 1.0, 2.0, 0.5, 7.0])
         got = local_maxima(StatField(vals, GAUSS), mesh)
         assert got.tolist() == [0, 4]
+
+    def test_mesh_nan_neighbour_raises_no_warning(self):
+        mesh = build_mesh([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1, 2)])
+        vals = np.array([1.0, np.nan, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = local_maxima(StatField(vals, GAUSS), mesh)
+        assert got.tolist() == []  # vertex 0 touches the NaN, so it is not a maximum
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(3)

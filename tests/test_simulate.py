@@ -1,6 +1,12 @@
 """Monte Carlo field generator and calibration harness."""
 
 import math
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -296,6 +302,115 @@ class TestOnePassMatchesSeparateLoops:
         out = mc_calibrate(cfg, [2.5, -1.0, 0.0, 1.5], 0.5)
         assert 0 < out["n_exceed"] < cfg.n_realizations
         assert all(se > 0 for se in out["se_ec"])
+
+
+PRODUCER_SCRIPT = """
+import os, sys
+from topostat import _parallel, lkc, simulate
+
+_parallel.WORKERS = 2  # the producer path, whatever this host's core count
+cfg = simulate.SimConfig(dims=(12, 10), fwhm=2.0, n_realizations=6, seed=1,
+                         field="student_t", n_subjects=5)
+real_smoothness, real_rng_for, calls = lkc.lattice_smoothness, simulate._rng_for, []
+
+
+def smoothness_failing_second(*args):
+    calls.append(args)
+    if len(calls) == 2:
+        raise ValueError("the caller failed")
+    return real_smoothness(*args)
+
+
+def rng_failing_at_1(seed, index):
+    if index == 1:
+        raise ValueError("the producer failed")
+    return real_rng_for(seed, index)
+
+
+case = sys.argv[1]
+if case == "caller":
+    lkc.lattice_smoothness = smoothness_failing_second
+elif case == "producer":
+    simulate._rng_for = rng_failing_at_1  # the fork inherits the patch
+try:
+    if case == "early":
+        with _parallel._ahead(lambda i, out: out.fill(i), 10, (2,)) as blocks:
+            print(next(blocks).tolist())
+    elif case == "interrupt":
+        print("started", flush=True)
+        simulate.mc_calibrate(simulate.SimConfig(**{**vars(cfg), "n_realizations": 10 ** 6}),
+                              [0.0], 0.5)
+    else:
+        simulate.mc_calibrate(cfg, [0.0], 0.5)
+    print("returned")
+except BaseException as exc:
+    print(type(exc).__name__)
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child left")
+"""
+
+
+def script_env():
+    """This environment, with the package under test first on the path."""
+    src = str(Path(simulate.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+class TestForkedProducer:
+    @pytest.mark.parametrize("kwargs,thresholds,alpha", [
+        (dict(dims=(40,), fwhm=(4.0,), n_realizations=3, seed=31), [1.0, -0.5], 0.3),
+        (dict(dims=(16, 14), fwhm=(3.0, 2.0), n_realizations=7, seed=32), [2.0, 0.0], 0.5),
+        (dict(dims=(8, 7, 6), fwhm=(2.0, 0.0, 3.0), n_realizations=4, seed=33), [1.0], 0.5),
+        (dict(dims=(12, 10), fwhm=(2.0, 2.0), n_realizations=1, seed=34), [0.0], 0.5),
+        (dict(dims=(40,), fwhm=(4.0,), n_realizations=6, seed=35,
+              field="student_t", n_subjects=6), [1.0, -2.0], 0.3),
+        (dict(dims=(16, 16), fwhm=(3.0, 3.0), n_realizations=8, seed=36,
+              field="student_t", n_subjects=5), [2.5, 0.0], 0.5),
+        (dict(dims=(8, 7, 6), fwhm=(2.0, 0.0, 3.0), n_realizations=4, seed=37,
+              field="student_t", n_subjects=6), [3.0, 1.0], 0.9),
+        (dict(dims=(12, 10), fwhm=(2.0, 2.0), n_realizations=1, seed=38,
+              field="student_t", n_subjects=5), [0.0], 0.5),
+    ])
+    def test_same_report(self, workers, kwargs, thresholds, alpha):
+        cfg = SimConfig(**kwargs)
+        reports = []
+        for n in (1, 2):  # inline, then a forked producer
+            with workers(n):
+                reports.append(mc_calibrate(cfg, thresholds, alpha))
+        assert reports[0] == reports[1]
+
+    # each case runs in a fresh interpreter, so a hang fails on the timeout
+    # and a leftover child is seen by waitpid(-1)
+    @pytest.mark.parametrize("case,want", [
+        ("none", ["returned"]),
+        ("caller", ["ValueError"]),
+        ("producer", ["RuntimeError"]),
+        ("early", ["[0.0, 0.0]", "returned"]),
+    ])
+    def test_no_producer_outlives_the_call(self, case, want):
+        proc = subprocess.run([sys.executable, "-c", PRODUCER_SCRIPT, case],
+                              capture_output=True, text=True, env=script_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [*want, "no child left"]
+        assert ("the producer failed" in proc.stderr) == (case == "producer")
+
+    def test_interrupt_reaches_the_caller_alone(self):
+        # a terminal's Ctrl-C goes to the whole process group; the producer
+        # ignores it and ends when the interrupted caller leaves
+        proc = subprocess.Popen([sys.executable, "-c", PRODUCER_SCRIPT, "interrupt"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                                env=script_env(), start_new_session=True)
+        try:
+            assert proc.stdout.readline() == "started\n"
+            time.sleep(1.0)
+            os.killpg(proc.pid, signal.SIGINT)
+            out, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert out.splitlines() == ["KeyboardInterrupt", "no child left"], err
 
 
 class TestGeneratorResels:
