@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 input error, 3 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 from pathlib import Path
@@ -274,7 +275,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_freed_heap() -> None:
+    """Have glibc keep freed heap for reuse instead of trimming it and faulting it
+    in again in the next Monte Carlo realization: a 300-realization 64x64 student_t
+    ``simulate`` took 57k minor faults, 1.6k with both settings. Either one alone
+    turns off glibc's dynamic thresholds; the trim one alone took a 64x64x200
+    ``analyze`` from 14k faults to 377k. A no-op where there is no ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: blocks below 32 MiB come from the heap
+    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD: keep up to 256 MiB of free heap top
+
+
 def main(argv=None) -> int:
+    _keep_freed_heap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -9,6 +9,8 @@ threshold for a target family-wise error rate.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import warnings
 
@@ -25,30 +27,32 @@ THRESHOLD_FLOOR = 2.0
 THRESHOLD_TOL = 1e-6
 
 
-def _gaussian_density(d: int, t: np.ndarray) -> np.ndarray:
-    if d == 0:
-        return special.ndtr(-t)
-    e = np.exp(-t * t / 2.0)
-    if d == 1:
-        return FOUR_LOG2 ** 0.5 / (2.0 * math.pi) * e
-    if d == 2:
-        return FOUR_LOG2 / (2.0 * math.pi) ** 1.5 * t * e
-    return FOUR_LOG2 ** 1.5 / (2.0 * math.pi) ** 2 * (t * t - 1.0) * e
+@functools.lru_cache(maxsize=16)
+def _gamma_ratio(dof: float) -> float:
+    """Gamma((v+1)/2) / Gamma(v/2) / sqrt(v/2), the constant of the Student-t rho_2."""
+    return math.exp(special.gammaln((dof + 1.0) / 2.0)
+                    - special.gammaln(dof / 2.0)) / math.sqrt(dof / 2.0)
 
 
-def _student_t_density(d: int, t: np.ndarray, dof: float) -> np.ndarray:
-    if d == 0:
-        return special.stdtr(dof, -t)
-    # (1 + t^2/v)^(-(v-1)/2) via log1p: stable for large dof
-    base = np.exp(-(dof - 1.0) / 2.0 * np.log1p(t * t / dof))
-    if d == 1:
-        return FOUR_LOG2 ** 0.5 / (2.0 * math.pi) * base
-    if d == 2:
-        c = math.exp(special.gammaln((dof + 1.0) / 2.0)
-                     - special.gammaln(dof / 2.0)) / math.sqrt(dof / 2.0)
-        return FOUR_LOG2 / (2.0 * math.pi) ** 1.5 * c * t * base
-    return (FOUR_LOG2 ** 1.5 / (2.0 * math.pi) ** 2
-            * ((dof - 1.0) / dof * t * t - 1.0) * base)
+def _densities(field: FieldType, t: np.ndarray):
+    """Yield rho_0(t), rho_1(t), ... in d order, computing the exponential
+    factor they share once; asking for rho_4 raises ValueError."""
+    if field.kind == "gaussian":
+        yield special.ndtr(-t)
+        e = np.exp(-t * t / 2.0)
+        yield FOUR_LOG2 ** 0.5 / (2.0 * math.pi) * e
+        yield FOUR_LOG2 / (2.0 * math.pi) ** 1.5 * t * e
+        yield FOUR_LOG2 ** 1.5 / (2.0 * math.pi) ** 2 * (t * t - 1.0) * e
+    else:
+        dof = field.dof
+        yield special.stdtr(dof, -t)
+        # (1 + t^2/v)^(-(v-1)/2) via log1p: stable for large dof
+        base = np.exp(-(dof - 1.0) / 2.0 * np.log1p(t * t / dof))
+        yield FOUR_LOG2 ** 0.5 / (2.0 * math.pi) * base
+        yield FOUR_LOG2 / (2.0 * math.pi) ** 1.5 * _gamma_ratio(dof) * t * base
+        yield (FOUR_LOG2 ** 1.5 / (2.0 * math.pi) ** 2
+               * ((dof - 1.0) / dof * t * t - 1.0) * base)
+    raise ValueError("EC densities implemented for 0 <= d <= 3, got 4")
 
 
 def ec_density(field: FieldType, d: int, t):
@@ -61,11 +65,7 @@ def ec_density(field: FieldType, d: int, t):
     """
     if d < 0 or d > 3:
         raise ValueError(f"EC densities implemented for 0 <= d <= 3, got {d}")
-    t = np.asarray(t, dtype=float)
-    if field.kind == "gaussian":
-        out = _gaussian_density(d, t)
-    else:
-        out = _student_t_density(d, t, field.dof)
+    out = next(itertools.islice(_densities(field, np.asarray(t, dtype=float)), d, None))
     return out if out.ndim else float(out)
 
 
@@ -74,11 +74,12 @@ def expected_ec(resels: ReselVector, field: FieldType, t):
 
     A float for a scalar t, an array of t's shape for an array t. The
     terms resels_d rho_d(t) are added in d order, one elementwise add
-    each, so every element equals the scalar value bit for bit.
+    each, so every element equals the scalar value bit for bit, and the
+    sum equals the one over :func:`ec_density` bit for bit.
     """
     total = 0.0
-    for d, r in enumerate(resels.resels):
-        total = total + r * ec_density(field, d, t)
+    for r, rho in zip(resels.resels, _densities(field, np.asarray(t, dtype=float))):
+        total = total + r * (rho if rho.ndim else float(rho))
     return total
 
 

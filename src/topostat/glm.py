@@ -7,7 +7,7 @@ vertex-independent. One buffer carries a stack from data to u: :func:`fit`
 takes over the caller's float64 data and subtracts the fitted values from
 it in place, so the data become the residuals, whose sum of squares is
 reduced once; :func:`normalized_residuals` then takes the residuals over
-and divides them into u in place.
+and divides them into u in place. Design factors are computed once per design.
 """
 
 from __future__ import annotations
@@ -52,18 +52,20 @@ class DesignMatrix:
     """An n_obs x n_reg design with named regressors.
 
     Rank follows the tolerance rule: singular values greater than
-    1e-10 times the largest count toward the rank.
+    1e-10 times the largest count toward the rank. ``values`` is a read-only
+    float64 copy of the given matrix, so the cached factors cannot go stale.
     """
 
     values: np.ndarray
     regressor_names: tuple[str, ...]
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float)
         if v.ndim != 2:
             raise ValueError("design matrix must be 2D")
         if len(self.regressor_names) != v.shape[1]:
             raise ValueError("one regressor name per column required")
+        v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
     @property
@@ -90,15 +92,25 @@ class DesignMatrix:
         if contrast.shape[0] != self.n_reg:
             raise ValueError(
                 f"contrast length {contrast.shape[0]} != {self.n_reg} regressors")
-        x = self.values
-        xtx = x.T @ x
-        xtx_pinv = np.linalg.pinv(xtx, rcond=RANK_RTOL)
+        xtx, xtx_pinv = self._gram
         c_norm = np.linalg.norm(contrast)
         if c_norm > 0:
             reachable = xtx @ (xtx_pinv @ contrast)
             if np.linalg.norm(reachable - contrast) > ORTHO_RTOL * c_norm:
                 raise ValueError("contrast is not estimable under this design")
         return float(contrast @ xtx_pinv @ contrast)
+
+    @cached_property
+    def pinv(self) -> np.ndarray:
+        """pinv(X) at the rank tolerance, (n_reg, n_obs); read-only."""
+        pinv = np.linalg.pinv(self.values, rcond=RANK_RTOL)
+        pinv.flags.writeable = False
+        return pinv
+
+    @cached_property
+    def _gram(self) -> tuple[np.ndarray, np.ndarray]:
+        xtx = self.values.T @ self.values
+        return xtx, np.linalg.pinv(xtx, rcond=RANK_RTOL)
 
     @cached_property
     def rank(self) -> int:
@@ -182,11 +194,10 @@ def fit(data, design: DesignMatrix) -> GlmFit:
     data = np.asarray(data, dtype=float)
     if data.ndim == 1:
         data = data[:, None]
-    x = design.values
     if data.shape[0] != design.n_obs:
         raise ValueError(f"data has {data.shape[0]} rows, design has {design.n_obs}")
     dof = design.dof
-    betas = np.linalg.pinv(x, rcond=RANK_RTOL) @ data
+    betas = design.pinv @ data
     # Residuals and (r * r).sum(axis=0) one column slab at a time, to bound the temporaries.
     # numpy sums one column pairwise but wider blocks row by row; near-equal slabs are one
     # column only if r is. With one regressor a slab of x @ betas is the full product's.
@@ -194,7 +205,7 @@ def fit(data, design: DesignMatrix) -> GlmFit:
     n_slabs = -(-data.shape[1] // SSR_SLAB) or 1
     for r, b, ssr_slab in zip(*(np.array_split(a, n_slabs, axis=-1)
                                 for a in (data, betas, ssr))):
-        r -= x @ b
+        r -= design.values @ b
         (r * r).sum(axis=0, out=ssr_slab)
     return GlmFit(design=design, betas=betas, residuals=data, ssr=ssr, dof=dof)
 

@@ -35,6 +35,22 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
+def log_draws(monkeypatch, path):
+    """Make each ``simulate._rng_for`` call append its index as a line to the
+    file ``path``, which is returned. The fields may be drawn in a forked
+    producer, whose calls an in-process list would not see; both processes
+    see the file."""
+    rng_for = topostat.simulate._rng_for
+
+    def logged(seed, index):
+        with open(path, "a") as f:
+            f.write(f"{index}\n")
+        return rng_for(seed, index)
+
+    monkeypatch.setattr(topostat.simulate, "_rng_for", logged)
+    return path
+
+
 @pytest.fixture()
 def effect_dataset(tmp_path):
     """Smooth-noise observations with a strong localized effect, plus
@@ -426,11 +442,11 @@ class TestSimulateCommand:
                                                 overrides, key):
         cfg = tmp_path / "cfg.json"
         self._write_config(cfg, **overrides)
-        draws = count_calls(monkeypatch, topostat.simulate, "_rng_for")
+        draws = log_draws(monkeypatch, tmp_path / "draws.txt")
         out = tmp_path / "r.json"
         assert main(["simulate", str(cfg), "-o", str(out)]) == 2
         assert key in capsys.readouterr().err
-        assert draws == []
+        assert not draws.exists()
         assert not out.exists()
 
     @pytest.mark.parametrize("field,threshold_calls", [("student_t", 3), ("gaussian", 1)])
@@ -438,17 +454,7 @@ class TestSimulateCommand:
                                                     field, threshold_calls):
         cfg = tmp_path / "cfg.json"
         self._write_config(cfg, field=field, n_subjects=4, n_realizations=3)
-        # the fields may be drawn in a forked producer, so each draw appends
-        # a line to a file, which both processes see
-        draws = tmp_path / "draws.txt"
-        rng_for = topostat.simulate._rng_for
-
-        def logged(seed, index):
-            with open(draws, "a") as f:
-                f.write(f"{index}\n")
-            return rng_for(seed, index)
-
-        monkeypatch.setattr(topostat.simulate, "_rng_for", logged)
+        draws = log_draws(monkeypatch, tmp_path / "draws.txt")
         fits = count_calls(monkeypatch, topostat.glm, "fit")
         thresholds = count_calls(monkeypatch, topostat.ecd, "corrected_threshold")
         assert main(["simulate", str(cfg), "-o", str(tmp_path / "r.json")]) == 0

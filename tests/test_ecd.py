@@ -10,6 +10,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from topostat import (
     FieldType,
@@ -105,6 +107,30 @@ class TestExpectedEc:
         terms = [r * ec_density(T12, d, 3.0) for d, r in enumerate(TABLE1.resels)]
         assert len(terms) == 4
         assert expected_ec(TABLE1, T12, 3.0) == terms[0] + terms[1] + terms[2] + terms[3]
+
+    @given(
+        field=st.one_of(st.just(GAUSS), st.integers(1, 200).map(FieldType.student_t),
+                        st.floats(1.0, 200.0).map(FieldType.student_t)),
+        resels=st.integers(1, 3).flatmap(lambda dim: st.lists(
+            st.one_of(st.just(0.0), st.floats(0.0, 1e5)), min_size=dim + 1, max_size=dim + 1)),
+        t=st.one_of(st.floats(-30.0, 30.0),
+                    st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=6).map(np.array)),
+    )
+    @example(field=T12, resels=[1.0, 0.0, 5.0], t=0.0)
+    @example(field=GAUSS, resels=[1.0, 2.0, 0.0, 3.0], t=np.array([-30.0, 0.0, 30.0]))
+    @example(field=FieldType.student_t(1), resels=[1.0, 2.0], t=30.0)
+    def test_equals_ordered_sum_of_densities(self, field, resels, t):
+        resels = ReselVector.from_resels(resels)
+        want = 0.0
+        for d, r in enumerate(resels.resels):
+            want = want + r * ec_density(field, d, t)
+        got = expected_ec(resels, field, t)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_four_dimensional_resels_rejected(self):
+        with pytest.raises(ValueError, match="0 <= d <= 3"):
+            expected_ec(ReselVector.from_resels([1.0, 1.0, 1.0, 1.0, 1.0]), T12, 3.0)
 
 
 class TestFweP:

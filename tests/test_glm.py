@@ -190,6 +190,33 @@ class TestFit:
             fit(np.ones((4, 1)), ones_design(3))
 
 
+class TestDesignFactors:
+    """A design's rank, pinv(X) and (X'X)^+ are computed once and cannot go stale."""
+
+    def test_values_are_a_read_only_copy(self):
+        x = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0], [1.0, 4.0]])
+        design = DesignMatrix(x, ("mean", "slope"))
+        with pytest.raises(ValueError, match="read-only"):
+            design.values[0, 0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            design.pinv[0, 0] = 5.0
+        x[0, 0] = 5.0  # the caller's own array stays writable and apart
+        assert design.values[0, 0] == 1.0
+
+    def test_integer_values_become_float64(self):
+        design = DesignMatrix(np.ones((5, 1), dtype=int), ("mean",))
+        assert design.values.dtype == np.float64
+
+    def test_factors_computed_once_per_design(self):
+        design = DesignMatrix(np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 3.0], [1.0, 4.0]]),
+                              ("mean", "slope"))
+        rng = np.random.default_rng(4)
+        with mock.patch.object(np.linalg, "pinv", wraps=np.linalg.pinv) as pinv:
+            for _ in range(5):
+                t_map(fit(rng.standard_normal((4, 30)), design), [0.0, 1.0])
+        assert pinv.call_count == 2  # pinv(X), and (X'X)^+ for the variance factor
+
+
 class TestTMap:
     def test_one_sample_hand_value(self):
         out = fit(np.array([[1.0], [2.0], [3.0]]), ones_design(3))

@@ -1,5 +1,7 @@
 """Monte Carlo field generator and calibration harness."""
 
+import ctypes
+import json
 import math
 import os
 import signal
@@ -7,6 +9,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -411,6 +414,48 @@ class TestForkedProducer:
             proc.kill()
             proc.wait()
         assert out.splitlines() == ["KeyboardInterrupt", "no child left"], err
+
+
+FAULT_SCRIPT = """
+import resource, sys
+from topostat.cli import main
+
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+assert main(["simulate", sys.argv[1], "-o", sys.argv[2]]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestPerRealizationCostIsFlat:
+    """A realization repeats none of the work that depends only on the config."""
+
+    def test_design_factors_computed_once_per_run(self):
+        counts = []
+        for n in (3, 9):
+            cfg = SimConfig(dims=(16, 16), fwhm=(3.0, 3.0), n_realizations=n, seed=21,
+                            field="student_t", n_subjects=5)
+            with mock.patch.object(np.linalg, "pinv", wraps=np.linalg.pinv) as pinv:
+                mc_calibrate(cfg, [0.0], 0.5)
+            counts.append(pinv.call_count)
+        assert counts[0] == counts[1]
+
+    def test_freed_heap_is_reused_not_refaulted(self, tmp_path):
+        # each count comes from a fresh interpreter running the command line,
+        # which is where the allocator is set; the difference leaves out start-up
+        pytest.importorskip("resource")
+        if not hasattr(ctypes.CDLL(None), "mallopt"):
+            pytest.skip("the C library has no mallopt")
+        faults = {}
+        for n in (20, 60):
+            cfg = tmp_path / f"cfg{n}.json"
+            cfg.write_text(json.dumps({"dims": [64, 64], "fwhm": 4.0, "field": "student_t",
+                                       "n_subjects": 13, "n_realizations": n, "seed": 3}))
+            proc = subprocess.run([sys.executable, "-c", FAULT_SCRIPT, str(cfg),
+                                   str(tmp_path / f"r{n}.json")],
+                                  capture_output=True, text=True, env=script_env(), timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            faults[n] = int(proc.stdout.splitlines()[-1])
+        assert (faults[60] - faults[20]) / 40 < 25, faults
 
 
 class TestGeneratorResels:
