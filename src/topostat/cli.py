@@ -30,17 +30,6 @@ def _parse_float(text: str, option: str) -> float:
         raise ValueError(f"{option} expects numbers, got {text!r}") from None
 
 
-def _parse_fwhm(text: str, n_axes: int, option: str) -> list[float]:
-    parts = [_parse_float(x, option) for x in text.split(",")]
-    if len(parts) == 1:
-        parts = parts * n_axes
-    if len(parts) != n_axes:
-        raise ValueError(f"{option} expects {n_axes} comma-separated widths")
-    if not all(0.0 <= f < np.inf for f in parts):
-        raise ValueError(f"{option} widths must be finite and nonnegative, got {text!r}")
-    return parts
-
-
 def _parse_window(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition(":")
     try:
@@ -80,8 +69,8 @@ def cmd_analyze(args) -> int:
         )
     dof = design.dof
     design.variance_factor(contrast)  # a contrast that does not fit exits here
-    smooth_fwhm = (_parse_fwhm(args.smooth, len(ds.dims), "--smooth") if args.smooth
-                   else [0.0] * len(ds.dims))
+    smooth_fwhm = preproc._widths(args.smooth.split(",") if args.smooth else 0.0,
+                                  len(ds.dims), "--smooth")
     space = build_lattice(ds.dims, ds.mask)
     n_t = ds.dims[-1]
     window_bins = [0, n_t - 1]
@@ -149,25 +138,10 @@ def cmd_simulate(args) -> int:
                 isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
             raise ValueError(f"{key} must be {kind}, got {raw[key]!r}")
 
-    mc = simulate.mc_calibrate(config, thresholds, alpha)
-    report = {
-        "config": {
-            "dims": list(config.dims),
-            "fwhm": list(config.fwhm),
-            "n_realizations": config.n_realizations,
-            "seed": config.seed,
-            "field": config.field,
-            "n_subjects": config.n_subjects,
-        },
-        "thresholds": mc["thresholds"],
-        "mean_ec": mc["mean_ec"],
-        "se": mc["se_ec"],
-        "expected_ec": mc["expected_ec"],
-        "empirical_fwe": mc["empirical_fwe"],
-        "ci": mc["ci95"],
-        "alpha": alpha,
-        "corrected_threshold": mc["threshold"],
-    }
+    report = simulate.mc_calibrate(config, thresholds, alpha)
+    del report["n_exceed"], report["n_realizations"]
+    report["config"] = {key: getattr(config, key) for key in (
+        "dims", "fwhm", "n_realizations", "seed", "field", "n_subjects")}
     out = Path(args.output)
     _json_dump(report, out)
     print(f"wrote {out}")
@@ -204,7 +178,7 @@ def cmd_tf(args) -> int:
 
 def cmd_smooth(args) -> int:
     ds = read_dataset(args.dataset)
-    fwhm = _parse_fwhm(args.fwhm, len(ds.dims), "--fwhm")
+    fwhm = preproc._widths(args.fwhm.split(","), len(ds.dims), "--fwhm")
     smoothed = preproc.gaussian_smooth(ds.load().reshape((ds.n_obs,) + ds.dims), fwhm,
                                        ds.mask.reshape(ds.dims))
     written = write_dataset(Path(args.output), smoothed, axes=ds.axes, units=ds.units,

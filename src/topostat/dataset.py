@@ -96,26 +96,32 @@ def read_dataset(path) -> Dataset:
         meta = json.loads(meta_path.read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"{meta_path}: invalid JSON ({exc})") from None
+    if not isinstance(meta, dict):
+        raise ValueError(f"{meta_path}: expected a JSON object, got {meta!r}")
     for key in ("dims", "axes", "units", "dtype", "order", "n_obs", "files"):
         if key not in meta:
             raise ValueError(f"{meta_path}: missing key {key!r}")
+    for key in ("dims", "axes", "units", "files"):
+        if not isinstance(meta[key], list) or not meta[key]:
+            raise ValueError(f"{meta_path}: {key} must be a nonempty list, got {meta[key]!r}")
     if meta["dtype"] != DTYPE_TAG:
         raise ValueError(f"{meta_path}: unsupported dtype {meta['dtype']!r}")
     if meta["order"] != ORDER_TAG:
         raise ValueError(f"{meta_path}: unsupported order {meta['order']!r}")
     dims = tuple(_whole(f"{meta_path}: dims", n, 1) for n in meta["dims"])
-    if not dims:
-        raise ValueError(f"{meta_path}: bad dims {dims}")
     axes = tuple(str(a) for a in meta["axes"])
     units = tuple(str(u) for u in meta["units"])
     if len(axes) != len(dims) or len(units) != len(dims):
         raise ValueError(f"{meta_path}: axes/units must match dims")
-    files = tuple(str(f) for f in meta["files"])
+    files = tuple(meta["files"])
     n_obs = _whole(f"{meta_path}: n_obs", meta["n_obs"], 1)
     if n_obs != len(files):
         raise ValueError(f"{meta_path}: n_obs={n_obs} but {len(files)} files listed")
     n_points = int(np.prod(dims))
     for name in files:
+        # a path would read observations from outside the dataset directory
+        if not isinstance(name, str) or Path(name).name != name or name == "..":
+            raise ValueError(f"{meta_path}: files entry {name!r} is not a plain file name")
         fpath = path / name
         if not fpath.is_file():
             raise ValueError(f"{path}: missing observation file {name}")

@@ -12,9 +12,11 @@ the first two axes, small enough for a core's cache, on worker threads.
 Lower-order curvatures follow the isotropic power-law interpolation
 l_d = mu_d (l_D / mu_D)^(d/D).
 
-Everything here depends only on residual values and connectivity, never
+The l_D estimate depends only on residual values and connectivity, never
 on vertex coordinates: warping or embedding the mesh leaves l_D
-bit-identical.
+bit-identical. l_1..l_{D-1} do: :func:`lkc_vector` scales the mu_d of
+:func:`domain.intrinsic_volumes`, measured on meshes in vertex coordinates,
+so shearing one mesh moved resels_1 23.15 -> 28.28 (ROADMAP.md, item 5).
 """
 
 from __future__ import annotations

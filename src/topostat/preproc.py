@@ -138,6 +138,22 @@ def stack_time(slices, masks=None):
     return volume, mask3d
 
 
+def _widths(fwhm, n_axes: int, name: str) -> list[float]:
+    """``fwhm`` as one width per axis, from one for every axis or one per axis,
+    each finite and >= 0; errors name ``name``, the option or key it came from."""
+    try:
+        widths = [float(f) for f in np.atleast_1d(fwhm)]
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} expects numbers, got {fwhm!r}") from None
+    if len(widths) == 1:
+        widths *= n_axes
+    if len(widths) != n_axes:
+        raise ValueError(f"{name} needs one width or one per axis ({n_axes}), got {len(widths)}")
+    if not all(0.0 <= f < math.inf for f in widths):
+        raise ValueError(f"{name} must be finite and nonnegative, got {widths}")
+    return widths
+
+
 def _kernel_radius(fwhm: float) -> int:
     """Half-width in bins of the Gaussian kernel of ``fwhm`` bins, cut at 4 sigma."""
     return int(math.ceil(KERNEL_TRUNCATE_SIGMAS * fwhm * SIGMA_PER_FWHM))
@@ -172,8 +188,8 @@ def gaussian_smooth(stack, fwhm, mask):
         of worker threads, which split each observation's passes and
         share its two scratch volumes.
         Any other input is first converted to a new float64 array.
-    fwhm : sequence of float
-        Finite kernel width per axis in bins; 0 skips an axis.
+    fwhm : float or sequence of float
+        Finite width in bins, one for every axis or one per axis; 0 skips an axis.
     mask : ndarray of bool
         Data outside the mask neither contribute nor receive and are set
         to 0; in-mask values are divided by the smoothed mask indicator,
@@ -185,14 +201,8 @@ def gaussian_smooth(stack, fwhm, mask):
     dims = mask.shape
     if stack.ndim != mask.ndim + 1 or stack.shape[1:] != dims:
         raise ValueError(f"stack shape {stack.shape} is not (n_obs,) + mask shape {dims}")
-    fwhm = [float(f) for f in np.atleast_1d(fwhm)]
-    if len(fwhm) == 1:
-        fwhm = fwhm * len(dims)
-    if len(fwhm) != len(dims):
-        raise ValueError(f"need one fwhm per axis ({len(dims)}), got {len(fwhm)}")
-    if not all(0.0 <= f < math.inf for f in fwhm):
-        raise ValueError(f"fwhm must be finite and nonnegative, got {fwhm}")
-    kernels = [(ax, _gaussian_kernel(f)) for ax, f in enumerate(fwhm) if f > 0]
+    kernels = [(ax, _gaussian_kernel(f))
+               for ax, f in enumerate(_widths(fwhm, len(dims), "fwhm")) if f > 0]
     kernels = [(ax, k / k.sum()) for ax, k in kernels]
     # every normalized kernel has a positive centre weight, so den > 0 in the mask
     den = mask.astype(float)

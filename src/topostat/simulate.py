@@ -40,7 +40,7 @@ from .dataset import _whole
 from .domain import build_lattice, intrinsic_volumes, lattice_ec_curve
 from .glm import DesignMatrix, FieldType
 from .lkc import FOUR_LOG2, ReselVector
-from .preproc import _gaussian_kernel, _kernel_radius
+from .preproc import _gaussian_kernel, _kernel_radius, _widths
 
 #: two-sided 95% standard-normal quantile of the Wilson interval
 WILSON_Z = 1.959963984540054
@@ -66,15 +66,10 @@ class SimConfig:
     max_field_bytes: int = 1 << 30
 
     def __post_init__(self):
+        if not isinstance(self.dims, (list, tuple)) or not self.dims:
+            raise ValueError(f"dims must be a nonempty list of lengths, got {self.dims!r}")
         object.__setattr__(self, "dims", tuple(_whole("dims", n, 1) for n in self.dims))
-        fwhm = np.atleast_1d(np.asarray(self.fwhm, dtype=float))
-        if fwhm.size == 1:
-            fwhm = np.repeat(fwhm, len(self.dims))
-        if fwhm.size != len(self.dims):
-            raise ValueError("need one fwhm per axis")
-        if not np.all((fwhm >= 0) & (fwhm < math.inf)):
-            raise ValueError(f"fwhm must be finite and nonnegative, got {fwhm.tolist()}")
-        object.__setattr__(self, "fwhm", tuple(float(f) for f in fwhm))
+        object.__setattr__(self, "fwhm", tuple(_widths(self.fwhm, len(self.dims), "fwhm")))
         if self.field not in ("gaussian", "student_t"):
             raise ValueError(f"unknown field mode {self.field!r}")
         for key, lo, hi in (("n_realizations", 1, None), ("seed", 0, 1 << 64),
@@ -109,7 +104,9 @@ def _rng_for(seed: int, index: int) -> np.random.Generator:
 def _field_drawer(config: SimConfig):
     """``draw(rng, out)`` fills each row of the (n_fields, n_points) ``out`` with
     the next smooth field from ``rng``. The padded noise, the two convolution
-    outputs, the kernels and their norm are made here once, for every field."""
+    outputs, the kernels and their norm are made here once, for every field:
+    ``ndimage`` zero-fills each output it allocates, so fresh arrays per field
+    made a 13-field 64x64 draw about 6% slower, and the draw bounds ``simulate``."""
     pads = [_kernel_radius(f) for f in config.fwhm]
     noise = np.empty(tuple(n + 2 * p for n, p in zip(config.dims, pads)))
     axes = [(ax, _gaussian_kernel(f), p, n)
@@ -179,12 +176,6 @@ def generator_resels(config: SimConfig) -> ReselVector:
     return ReselVector.from_resels(esym, fwhm=fwhm_eff)
 
 
-def _field_type(config: SimConfig) -> FieldType:
-    if config.field == "gaussian":
-        return FieldType.gaussian()
-    return FieldType.student_t(config.n_subjects - 1)
-
-
 def _wilson_ci(successes: int, n: int):
     z = WILSON_Z
     phat = successes / n
@@ -203,7 +194,8 @@ def mc_calibrate(config: SimConfig, thresholds, alpha: float | None = 0.05) -> d
     :func:`lattice_ec_curve` unless ``thresholds`` is None; its maximum is
     compared with the FWE threshold unless ``alpha`` is None. The report
     holds every key of :func:`mc_ec` and of :func:`mc_fwe`, with the same
-    values. Inputs are checked before the first realization is drawn.
+    values; ``topostat simulate`` writes it less its two counts, plus the
+    config. Inputs are checked before the first realization is drawn.
     """
     count_ec, count_fwe = thresholds is not None, alpha is not None
     thresholds = [float(t) for t in np.atleast_1d(thresholds)] if count_ec else []
@@ -212,7 +204,7 @@ def mc_calibrate(config: SimConfig, thresholds, alpha: float | None = 0.05) -> d
     if count_fwe and not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     student_t = config.field == "student_t"
-    ftype = _field_type(config)
+    ftype = FieldType.student_t(config.n_subjects - 1) if student_t else FieldType.gaussian()
     threshold = None
     if count_fwe and student_t:
         if min(config.dims) < 2:
@@ -250,14 +242,14 @@ def mc_calibrate(config: SimConfig, thresholds, alpha: float | None = 0.05) -> d
                 if values.max() > thr:
                     n_exceed += 1
 
-    report = {}
+    report = {"n_realizations": n}
     if count_ec:
         se = (ecs.std(axis=0, ddof=1) / math.sqrt(n) if n > 1
               else np.zeros(len(thresholds)))
         report.update({
             "thresholds": thresholds,
             "mean_ec": ecs.mean(axis=0).tolist(),
-            "se_ec": se.tolist(),
+            "se": se.tolist(),
             "expected_ec": ecd.expected_ec(generator_resels(config), ftype,
                                            np.array(thresholds)).tolist(),
         })
@@ -265,12 +257,11 @@ def mc_calibrate(config: SimConfig, thresholds, alpha: float | None = 0.05) -> d
         lo, hi = _wilson_ci(n_exceed, n)
         report.update({
             "alpha": alpha,
-            "threshold": threshold,
+            "corrected_threshold": threshold,
             "empirical_fwe": n_exceed / n,
-            "ci95": [lo, hi],
+            "ci": [lo, hi],
             "n_exceed": n_exceed,
         })
-    report["n_realizations"] = n
     return report
 
 

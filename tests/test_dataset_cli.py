@@ -138,6 +138,31 @@ class TestDataset:
         assert main(["info", str(tmp_path / "d")]) == 2
         assert f"{key} must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value,error", [
+        ("dims", 12, "dims must be a nonempty list"),
+        ("files", 5, "files must be a nonempty list"),
+        ("axes", None, "axes must be a nonempty list"),
+        ("units", "ms", "units must be a nonempty list"),
+        ("files", ["obs0000.bin", "../e/obs0001.bin"], "not a plain file name"),
+        ("files", ["obs0000.bin", "{e}/obs0001.bin"], "not a plain file name"),
+        ("files", ["obs0000.bin", ".."], "not a plain file name"),
+        ("files", ["obs0000.bin", 1], "not a plain file name"),
+    ], ids=["dims-int", "files-int", "axes-null", "units-str", "files-parent",
+            "files-absolute", "files-dotdot", "files-number"])
+    def test_malformed_meta_exits_2_naming_the_key(self, tmp_path, capsys, key, value,
+                                                   error):
+        # a second dataset beside the first, which a path in files could reach
+        write_dataset(tmp_path / "e", np.ones((2, 4, 4)))
+        write_dataset(tmp_path / "d", np.zeros((2, 4, 4)))
+        meta = json.loads((tmp_path / "d" / "meta.json").read_text())
+        meta[key] = value
+        text = json.dumps(meta).replace("{e}", str(tmp_path / "e"))  # an absolute path
+        (tmp_path / "d" / "meta.json").write_text(text)
+        assert main(["info", str(tmp_path / "d")]) == 2
+        assert error in capsys.readouterr().err
+        with pytest.raises(ValueError, match=error):
+            read_dataset(tmp_path / "d")
+
     def test_wrong_dtype_rejected(self, tmp_path):
         write_dataset(tmp_path / "d", np.zeros((1, 3)))
         meta = json.loads((tmp_path / "d" / "meta.json").read_text())
@@ -437,6 +462,10 @@ class TestSimulateCommand:
         ({"thresholds": [10 ** 400]}, "thresholds"),
         ({"fwhm": [10 ** 400]}, "fwhm"),
         ({"field": "student_t", "n_subjects": 10 ** 400}, "n_subjects"),
+        ({"dims": 5}, "dims"),
+        ({"field": "student_t", "dims": []}, "dims"),
+        ({"fwhm": "abc"}, "fwhm"),
+        ({"fwhm": None}, "fwhm"),
     ])
     def test_bad_config_exits_2_before_any_draw(self, tmp_path, monkeypatch, capsys,
                                                 overrides, key):
@@ -448,6 +477,22 @@ class TestSimulateCommand:
         assert key in capsys.readouterr().err
         assert not draws.exists()
         assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["gaussian", "student_t"])
+    def test_report_is_the_library_report(self, tmp_path, field):
+        # the command writes mc_calibrate's report as it is, less its two
+        # counts and with the config added, so the two cannot drift apart
+        cfg = tmp_path / "cfg.json"
+        self._write_config(cfg, field=field, n_subjects=4)
+        out = tmp_path / "r.json"
+        assert main(["simulate", str(cfg), "-o", str(out)]) == 0
+        raw = json.loads(cfg.read_text())
+        want = topostat.simulate.mc_calibrate(SimConfig.from_dict(raw), raw["thresholds"],
+                                              raw["alpha"])
+        del want["n_exceed"], want["n_realizations"]
+        want["config"] = {"dims": [24, 24], "fwhm": [4.0, 4.0], "n_realizations": 2,
+                          "seed": 9, "field": field, "n_subjects": 4}
+        assert json.loads(out.read_text()) == want
 
     @pytest.mark.parametrize("field,threshold_calls", [("student_t", 3), ("gaussian", 1)])
     def test_each_realization_drawn_and_fitted_once(self, tmp_path, monkeypatch,
@@ -562,6 +607,44 @@ def test_bad_numeric_input_exits_2_without_output(effect_dataset, tmp_path, caps
     assert main([command, *map(str, inputs), "-o", str(out), *extra]) == 2
     assert option in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("widths,error", [
+    ([2.5], None),
+    ([2.5, 2.5], "needs one width or one per axis"),
+    ([2.5, float("nan"), 2.5], "must be finite and nonnegative"),
+    ([float("inf")], "must be finite and nonnegative"),
+], ids=["one-for-every-axis", "wrong-count", "nan", "inf"])
+@pytest.mark.parametrize("entry,name", [("analyze", "--smooth"), ("smooth", "--fwhm"),
+                                        ("SimConfig", "fwhm"), ("gaussian_smooth", "fwhm")])
+def test_one_width_rule_at_every_entry(effect_dataset, tmp_path, capsys, widths, error,
+                                       entry, name):
+    # one width serves every axis, and each error names the option or key
+    ds, design, contrast = effect_dataset
+    stack = read_dataset(ds).load().reshape(12, 12, 12, 24)
+    mask = np.ones((12, 12, 24), dtype=bool)
+
+    def smoothed(fwhm, out):
+        if entry == "SimConfig":
+            return SimConfig(dims=(12, 12, 24), fwhm=fwhm, n_realizations=1, seed=0).fwhm
+        if entry == "gaussian_smooth":
+            return topostat.preproc.gaussian_smooth(stack.copy(), fwhm, mask)
+        inputs = [ds, design, contrast] if entry == "analyze" else [ds]
+        rc = main([entry, *map(str, inputs), "-o", str(out), name, ",".join(map(str, fwhm))])
+        if rc:
+            assert rc == 2
+            raise ValueError(capsys.readouterr().err)
+        if entry == "analyze":
+            return json.loads((out / "results.json").read_text())["inputs"]["smooth_fwhm"]
+        return read_dataset(out).load()
+
+    if error:
+        with pytest.raises(ValueError, match=f"{name} {error}"):
+            smoothed(widths, tmp_path / "o")
+        assert not (tmp_path / "o").exists()
+    else:
+        assert np.array_equal(smoothed(widths, tmp_path / "a"),
+                              smoothed([2.5] * 3, tmp_path / "b"))
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

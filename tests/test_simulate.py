@@ -111,7 +111,7 @@ def reference_mc_ec(config, thresholds):
     return {
         "thresholds": thresholds,
         "mean_ec": ecs.mean(axis=0).tolist(),
-        "se_ec": se.tolist(),
+        "se": se.tolist(),
         "expected_ec": expected_ec(generator_resels(config), reference_field_type(config),
                                    np.array(thresholds)).tolist(),
         "n_realizations": config.n_realizations,
@@ -139,8 +139,8 @@ def reference_mc_fwe(config, alpha):
                 n_exceed += 1
     n = config.n_realizations
     lo, hi = simulate._wilson_ci(n_exceed, n)
-    return {"alpha": alpha, "threshold": threshold, "empirical_fwe": n_exceed / n,
-            "ci95": [lo, hi], "n_exceed": n_exceed, "n_realizations": n}
+    return {"alpha": alpha, "corrected_threshold": threshold, "empirical_fwe": n_exceed / n,
+            "ci": [lo, hi], "n_exceed": n_exceed, "n_realizations": n}
 
 
 class TestGenField:
@@ -295,7 +295,7 @@ class TestOnePassMatchesSeparateLoops:
         assert mc_fwe(cfg, alpha) == want_fwe
         assert mc_calibrate(cfg, thresholds, alpha) == {**want_ec, **want_fwe}
         if cfg.n_realizations == 1:
-            assert want_ec["se_ec"] == [0.0] * len(thresholds)
+            assert want_ec["se"] == [0.0] * len(thresholds)
 
     def test_both_tallies_are_exercised(self):
         # the cases above would compare nothing if every realization
@@ -304,7 +304,7 @@ class TestOnePassMatchesSeparateLoops:
                         field="student_t", n_subjects=5)
         out = mc_calibrate(cfg, [2.5, -1.0, 0.0, 1.5], 0.5)
         assert 0 < out["n_exceed"] < cfg.n_realizations
-        assert all(se > 0 for se in out["se_ec"])
+        assert all(se > 0 for se in out["se"])
 
 
 PRODUCER_SCRIPT = """
@@ -525,7 +525,7 @@ class TestMcFwe:
         cfg = SimConfig(dims=(64, 64), fwhm=(6.0, 6.0),
                         n_realizations=60, seed=11)
         out = mc_fwe(cfg, alpha=1.0)
-        assert out["threshold"] == 2.0  # bracketing floor
+        assert out["corrected_threshold"] == 2.0  # bracketing floor
         assert out["empirical_fwe"] > 0.9
 
     def test_gaussian_mode_calibrated(self):
@@ -533,7 +533,7 @@ class TestMcFwe:
                         n_realizations=600, seed=12)
         out = mc_fwe(cfg, alpha=0.05)
         assert 0.02 <= out["empirical_fwe"] <= 0.08
-        assert out["ci95"][0] < out["empirical_fwe"] < out["ci95"][1]
+        assert out["ci"][0] < out["empirical_fwe"] < out["ci"][1]
 
     def test_student_t_pipeline_calibrated(self):
         # end-to-end: per-realization GLM, smoothness estimation and
