@@ -104,13 +104,14 @@ def read_dataset(path) -> Dataset:
     for key in ("dims", "axes", "units", "files"):
         if not isinstance(meta[key], list) or not meta[key]:
             raise ValueError(f"{meta_path}: {key} must be a nonempty list, got {meta[key]!r}")
+        if key in ("axes", "units") and not all(isinstance(v, str) for v in meta[key]):
+            raise ValueError(f"{meta_path}: {key} must be a list of strings, got {meta[key]!r}")
     if meta["dtype"] != DTYPE_TAG:
         raise ValueError(f"{meta_path}: unsupported dtype {meta['dtype']!r}")
     if meta["order"] != ORDER_TAG:
         raise ValueError(f"{meta_path}: unsupported order {meta['order']!r}")
     dims = tuple(_whole(f"{meta_path}: dims", n, 1) for n in meta["dims"])
-    axes = tuple(str(a) for a in meta["axes"])
-    units = tuple(str(u) for u in meta["units"])
+    axes, units = tuple(meta["axes"]), tuple(meta["units"])
     if len(axes) != len(dims) or len(units) != len(dims):
         raise ValueError(f"{meta_path}: axes/units must match dims")
     files = tuple(meta["files"])

@@ -283,14 +283,15 @@ def lattice_euler_characteristic(mask: np.ndarray) -> int:
 
 def lattice_ec_curve(values, thresholds) -> np.ndarray:
     """Euler characteristic of ``values >= t`` at every ``t`` in ``thresholds``:
-    a k-cell is in that set when its corner minimum is, so each k's minima are
-    sorted once and counted with ``searchsorted``. A NaN vertex is outside at
-    every t, so a masked caller passes ``np.where(mask, values, nan)``."""
+    a k-cell is in that set when its corner minimum is, so each k's minima at or above
+    the lowest t are sorted once and counted with ``searchsorted``. A NaN vertex is
+    outside at every t, so a masked caller passes ``np.where(mask, values, nan)``."""
     values, t = np.asarray(values, dtype=float), np.asarray(thresholds, dtype=float)
     ec = np.zeros(t.shape, dtype=np.int64)
+    lowest = np.fmin.reduce(t, axis=None, initial=np.inf)  # NaN t are skipped
     for k in range(values.ndim + 1):
         mins = _cell_minima(values, k)
-        mins = np.sort(mins[~np.isnan(mins)])
+        mins = np.sort(mins[mins >= lowest])  # NaN minima drop out here too
         ec += (-1) ** k * (mins.size - np.searchsorted(mins, t))
     return ec
 

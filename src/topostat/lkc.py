@@ -9,6 +9,8 @@ approximation du ~= dr / ||r|| that holds when the error variance varies
 smoothly. On lattices one pass over these differences gives l_D (from
 each unit cube's Gram matrix) and the per-axis FWHM; it runs in blocks of
 the first two axes, small enough for a core's cache, on worker threads.
+The axes a block spans whole merge into one flat axis, so each array
+operation is one long loop instead of many as short as the last axis.
 Lower-order curvatures follow the isotropic power-law interpolation
 l_d = mu_d (l_D / mu_D)^(d/D).
 
@@ -123,19 +125,26 @@ def lattice_smoothness(residuals: ResidualSet, space: LatticeSpace,
         raise TypeError("lattice_smoothness needs a lattice space")
     _check_inputs(residuals, space)
     d, dims = space.dimension, space.dims
-    u = residuals.u.reshape((-1,) + dims)
-    norms = residuals.norms.reshape(dims)
+    blocks = _blocks(dims, residuals.u.shape[0])
+    # Blocks span whole planes of the axes past j, so arrays are viewed as frames whose last
+    # axis merges them: an axis step is a lead-axis step or a flat shift by its stride. A box
+    # spans wrap-around positions on the flat axis too: invalid edges and cubes, never read.
+    j = int(d > 1 and blocks[0][1].stop < dims[1])
+    strides = [math.prod(dims[ax + 1:]) for ax in range(d)]
+    steps = [[int(a == ax) for a in range(j)] + [strides[ax] * (ax >= j)] for ax in range(d)]
+    frame = dims[:j] + (math.prod(dims[j:]),)
+    u = residuals.u.reshape((-1,) + frame)
+    norms = residuals.norms.reshape(frame)
     usable = space.mask & ~residuals.flagged.reshape(dims)
+    norms_lo = np.where(usable.reshape(frame), norms, 1.0)
 
     edges = []
     for ax in range(d):
         lo = tuple(slice(0, -1) if a == ax else slice(None) for a in range(d))
         hi = tuple(slice(1, None) if a == ax else slice(None) for a in range(d))
-        valid = usable[lo] & usable[hi]
-        if not valid.any():
+        edges.append((lo, usable[lo] & usable[hi]))
+        if not edges[-1][1].any():
             raise ValueError(f"no complete components (no valid edges along axis {ax})")
-        edges.append((u[(slice(None),) + lo], u[(slice(None),) + hi],
-                      norms[lo], norms[hi], valid))
     base = tuple(slice(0, m - 1) for m in dims)
     region_usable = usable if region is None else usable & region.mask
     cubes = region_usable[base].copy()
@@ -146,28 +155,37 @@ def lattice_smoothness(residuals: ResidualSet, space: LatticeSpace,
 
     # Per-block values land in full-size arrays reduced once at the end,
     # so the sums run in the same order as over whole-volume stacks.
-    sq = [np.empty(valid.shape) for *_, valid in edges]
-    contrib = np.empty(cubes.shape)
+    sq = [np.empty(frame) for _ in range(d)]
+    contrib = np.empty(frame)
 
     def block(blk):
-        stack = (slice(None),) + blk
-        diffs = []
-        for ax, (u_lo, u_hi, n_lo, n_hi, valid) in enumerate(edges):
-            # (r_hi - r_lo) / |r_lo|; edges off the valid set are never read
-            delta = u_hi[stack] * (n_hi[blk] / np.where(valid[blk], n_lo[blk], 1.0))
-            delta -= u_lo[stack]
-            sq[ax][blk] = (delta * delta).sum(axis=0)
-            diffs.append(delta)
+        start = [s.start for s in blk] + [0] * (d - len(blk))
+        size = [s.stop - s.start for s in blk] + list(dims[len(blk):])
         # an axis has no edges (and no cubes) past its last plane
-        cube = (tuple(slice(0, diffs[a].shape[a + 1]) for a in range(len(blk)))
-                + base[len(blk):])
-        contrib[blk] = _sqrt_det_gram([x[(slice(None),) + cube] for x in diffs],
-                                      [s[blk][cube] for s in sq])
+        near = [min(n, m - 1 - s) for s, n, m in zip(start, size, dims)]
 
-    _each(block, _blocks(dims, u.shape[0]))
-    lam = [float(s[valid].mean()) for s, (*_, valid) in zip(sq, edges)]
+        def box(ext, step=(0, 0)):  # frame index of ext planes at the corner, moved by step
+            shape = ext[:j] + [1 + sum((e - 1) * k for e, k in zip(ext[j:], strides[j:]))]
+            corner = start[:j] + [start[j] * strides[j]]
+            return (..., *(slice(c + s, c + s + n) for c, s, n in zip(corner, step, shape)))
+
+        diffs = []
+        for ax in range(d):
+            ext = size[:ax] + near[ax:ax + 1] + size[ax + 1:]
+            lo, hi = box(ext), box(ext, steps[ax])
+            # (r_hi - r_lo) / |r_lo| (1 if r_lo is unusable); edges off the valid set are unread
+            delta = u[hi] * (norms[hi] / norms_lo[lo])
+            delta -= u[lo]
+            sq[ax][lo] = np.square(delta).sum(axis=0)
+            diffs.append(delta)
+        cube = box(near)
+        crop = (slice(None),) + tuple(slice(0, s.stop - s.start) for s in cube[1:])
+        contrib[cube] = _sqrt_det_gram([x[crop] for x in diffs], [s[cube] for s in sq])
+
+    _each(block, blocks)
+    lam = [float(s.reshape(dims)[lo][valid].mean()) for s, (lo, valid) in zip(sq, edges)]
     fwhm = np.array([np.inf if x == 0 else math.sqrt(FOUR_LOG2 / x) for x in lam])
-    return float(contrib[cubes].sum()), fwhm
+    return float(contrib.reshape(dims)[base][cubes].sum()), fwhm
 
 
 def _mesh_lkc_top(res: ResidualSet, space: MeshSpace) -> float:

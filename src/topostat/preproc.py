@@ -139,10 +139,11 @@ def stack_time(slices, masks=None):
 
 
 def _widths(fwhm, n_axes: int, name: str) -> list[float]:
-    """``fwhm`` as one width per axis, from one for every axis or one per axis,
-    each finite and >= 0; errors name ``name``, the option or key it came from."""
-    try:
-        widths = [float(f) for f in np.atleast_1d(fwhm)]
+    """``fwhm`` as one width per axis, from one for every axis or one per axis, each
+    finite, >= 0 and no boolean; errors name ``name``, the option or key it came from."""
+    try:  # float(None) raises, so a boolean is rejected like any other non-number
+        widths = [float(None if isinstance(f, (bool, np.bool_)) else f)
+                  for f in np.atleast_1d(np.asarray(fwhm, dtype=object))]
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{name} expects numbers, got {fwhm!r}") from None
     if len(widths) == 1:

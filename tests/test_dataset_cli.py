@@ -147,8 +147,11 @@ class TestDataset:
         ("files", ["obs0000.bin", "{e}/obs0001.bin"], "not a plain file name"),
         ("files", ["obs0000.bin", ".."], "not a plain file name"),
         ("files", ["obs0000.bin", 1], "not a plain file name"),
+        ("axes", [1, None, "t"], "axes must be a list of strings"),
+        ("units", ["bins", {"a": 1}, []], "units must be a list of strings"),
     ], ids=["dims-int", "files-int", "axes-null", "units-str", "files-parent",
-            "files-absolute", "files-dotdot", "files-number"])
+            "files-absolute", "files-dotdot", "files-number", "axes-not-text",
+            "units-not-text"])
     def test_malformed_meta_exits_2_naming_the_key(self, tmp_path, capsys, key, value,
                                                    error):
         # a second dataset beside the first, which a path in files could reach
@@ -466,6 +469,8 @@ class TestSimulateCommand:
         ({"field": "student_t", "dims": []}, "dims"),
         ({"fwhm": "abc"}, "fwhm"),
         ({"fwhm": None}, "fwhm"),
+        ({"fwhm": True}, "fwhm"),
+        ({"fwhm": [4.0, False]}, "fwhm"),
     ])
     def test_bad_config_exits_2_before_any_draw(self, tmp_path, monkeypatch, capsys,
                                                 overrides, key):
@@ -614,7 +619,9 @@ def test_bad_numeric_input_exits_2_without_output(effect_dataset, tmp_path, caps
     ([2.5, 2.5], "needs one width or one per axis"),
     ([2.5, float("nan"), 2.5], "must be finite and nonnegative"),
     ([float("inf")], "must be finite and nonnegative"),
-], ids=["one-for-every-axis", "wrong-count", "nan", "inf"])
+    ([True], "expects numbers"),
+    ([2.5, True, 2.5], "expects numbers"),
+], ids=["one-for-every-axis", "wrong-count", "nan", "inf", "bool", "bool-in-list"])
 @pytest.mark.parametrize("entry,name", [("analyze", "--smooth"), ("smooth", "--fwhm"),
                                         ("SimConfig", "fwhm"), ("gaussian_smooth", "fwhm")])
 def test_one_width_rule_at_every_entry(effect_dataset, tmp_path, capsys, widths, error,

@@ -20,7 +20,7 @@ from topostat import (
     read_mesh,
     write_mesh,
 )
-from topostat.domain import MeshSpace, _simplex_contents
+from topostat.domain import MeshSpace, _cell_minima, _simplex_contents
 
 
 def brute_force_cubes(mask):
@@ -447,6 +447,34 @@ def test_ec_curve_matches_per_threshold_count(values, between):
     ts = np.concatenate([np.unique(values), [-np.inf, np.inf, np.nan], between])
     want = [lattice_euler_characteristic(values >= t) for t in ts]
     assert lattice_ec_curve(values, ts).tolist() == want
+
+
+def sort_every_minimum_ec_curve(values, thresholds):
+    """The EC curve as it was before the lowest-threshold cut: every non-NaN
+    cell minimum sorted, then counted at each t."""
+    values, t = np.asarray(values, dtype=float), np.asarray(thresholds, dtype=float)
+    ec = np.zeros(t.shape, dtype=np.int64)
+    for k in range(values.ndim + 1):
+        mins = _cell_minima(values, k)
+        mins = np.sort(mins[~np.isnan(mins)])
+        ec += (-1) ** k * (mins.size - np.searchsorted(mins, t))
+    return ec
+
+
+@given(hnp.arrays(float, LATTICE_SHAPES,
+                  elements=st.sampled_from(LEVELS) | st.floats(-2.0, 2.0)),
+       st.lists(st.sampled_from(LEVELS) | st.floats(-2.0, 2.0), max_size=6),
+       st.booleans())
+def test_ec_curve_sorts_only_what_it_counts(values, thresholds, scalar):
+    """Keeping the minima at or above the lowest threshold gives the curve of
+    sorting them all: for empty, unsorted, repeated, +-inf and NaN thresholds
+    and a scalar one, on 1-3D values with NaN and +-inf vertices."""
+    if scalar:
+        thresholds = thresholds[0] if thresholds else 0.5
+    got = lattice_ec_curve(values, thresholds)
+    want = sort_every_minimum_ec_curve(values, thresholds)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 SIX_NEIGHBOURS = np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]], dtype=bool)

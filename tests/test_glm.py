@@ -47,6 +47,26 @@ def reference_normalize(r, design):
     return sigma2, u, norms, flagged
 
 
+def slab_matmul_fit(data, design):
+    """The in-place fit as it was before the one-regressor product: slabs cut by
+    ``np.array_split`` and ``x @ b`` at any regressor count. Returns
+    (betas, residuals, ssr) on a copy of ``data``."""
+    data = np.array(data, dtype=float)
+    betas = design.pinv @ data
+    ssr = np.empty(data.shape[1])
+    n_slabs = -(-data.shape[1] // glm.SSR_SLAB) or 1
+    for r, b, ssr_slab in zip(*(np.array_split(a, n_slabs, axis=-1)
+                                for a in (data, betas, ssr))):
+        r -= design.values @ b
+        (r * r).sum(axis=0, out=ssr_slab)
+    return betas, data, ssr
+
+
+def assert_same_bits(a, b):
+    """Equal shape and bytes: unlike ==, this tells +0.0 from -0.0."""
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def assert_matches_reference(data, design):
     betas, r = reference_fit(data, design)
     out = fit(data, design)
@@ -94,6 +114,36 @@ class TestOneResidualOwner:
         design = DesignMatrix(rng.standard_normal((n_obs, 1)), ("x",))
         data = rng.standard_normal((n_obs, n_vert)) + rng.standard_normal((n_obs, 1)) * 4.0
         assert_matches_reference(data, design)
+
+    @given(seed=st.integers(0, 2**32 - 1), n_obs=st.integers(2, 20),
+           n_vert=st.sampled_from([1, 4095, 4096, 4097, 8193]),
+           x=st.lists(st.sampled_from([1.0, -1.0, 2.5, -3e-3, 7e5, 0.0, -0.0]),
+                      min_size=20, max_size=20))
+    def test_one_regressor_product_matches_matmul_bits(self, seed, n_obs, n_vert, x):
+        # x * b + 0.0 against the k = 1 x @ b, signed zeros included: a zero x
+        # entry times a negative beta is -0.0, and data holds -0.0 entries
+        x = np.array(x[:n_obs])
+        x[0] = x[0] or 1.0  # rank 1
+        rng = np.random.default_rng(seed)
+        data = rng.standard_normal((n_obs, n_vert)) * 10.0 ** rng.integers(-3, 4, n_vert)
+        data[rng.random(data.shape) < 0.2] = -0.0
+        data[:, rng.random(n_vert) < 0.1] = 0.0
+        design = DesignMatrix(x[:, None], ("x",))
+        betas, residuals, ssr = slab_matmul_fit(data, design)
+        out = fit(data, design)
+        assert_same_bits(out.betas, betas)
+        assert_same_bits(out.residuals, residuals)
+        assert_same_bits(out.ssr, ssr)
+
+    @pytest.mark.parametrize("n_reg", [0, 2, 3])
+    def test_other_regressor_counts_keep_the_matmul(self, n_reg):
+        rng = np.random.default_rng(27)
+        design = DesignMatrix(rng.standard_normal((12, n_reg)),
+                              tuple(f"x{i}" for i in range(n_reg)))
+        data = rng.standard_normal((12, 2 * glm.SSR_SLAB + 1))
+        out = fit(data.copy(), design)
+        for got, want in zip((out.betas, out.residuals, out.ssr), slab_matmul_fit(data, design)):
+            assert_same_bits(got, want)
 
     def test_zero_residual_columns(self):
         rng = np.random.default_rng(21)

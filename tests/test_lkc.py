@@ -361,6 +361,27 @@ class TestLatticeSmoothness:
                 assert top == want[0]
                 np.testing.assert_array_equal(fwhm, want[1])
 
+    def test_2d_single_block_13_x_64_x_64(self, workers):
+        # the Monte Carlo caller's shape: one block, whose axes merge into one
+        # flat axis with wrap-around positions at the end of every row
+        rng = np.random.default_rng(15)
+        dims = (64, 64)
+        raw = rng.standard_normal((13,) + dims)
+        raw[:, 10, 63] = 0.0  # a flagged vertex at a row end ...
+        raw[:, 11, 0] = 0.0   # ... and at the next row's start
+        mask = np.ones(dims, dtype=bool)
+        mask[40, 5:9] = False  # holes inside a row ...
+        mask[20:30, 63] = False  # ... and at row ends
+        res = residual_set_from_raw(raw.reshape(13, -1))
+        space = build_lattice(dims, mask)
+        assert lkc._blocks(dims, 13) == [(slice(0, 64), slice(0, 64))]
+        want = (reference_lattice_lkc_top(res, space), reference_fwhm(res, space))
+        for n_workers in (1, 2):
+            with workers(n_workers):
+                top, fwhm = lattice_smoothness(res, space)
+            assert top == want[0]
+            np.testing.assert_array_equal(fwhm, want[1])
+
     @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(dims=st.lists(st.integers(2, 9), min_size=1, max_size=3),
            n_res=st.integers(1, 24), n_blocks=st.integers(1, 100),
