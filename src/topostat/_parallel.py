@@ -1,10 +1,13 @@
 """Independent pieces of one pass, run on the cores this process may use.
 
-numpy ufuncs, and ``scipy.ndimage`` filters on large arrays, release the
-GIL, so threads share the work of one array pass; each piece writes its
-own part of the output, and results do not depend on how many threads
-run. The pool is made on first use, sized to the affinity mask, and
-forgotten in a forked child, which inherits no worker threads.
+File reads, numpy ufuncs, and ``scipy.ndimage`` filters on large arrays
+release the GIL, so threads share the work of one pass: the files of a
+dataset, the observations of a stack to smooth, the column pieces of the
+residual normalisation and the lattice blocks of the smoothness pass.
+Each piece writes its own part of the output, and results do not depend
+on how many threads run. The pool is made on first use, sized to the
+affinity mask, and forgotten in a forked child, which inherits no worker
+threads.
 
 A function run on a worker calls no public ``topostat`` function and
 never calls :func:`_each` itself: workers only compute.
@@ -26,6 +29,9 @@ import numpy as np
 
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 SLOTS = 3  # blocks the producer of _ahead may fill before the caller takes them
+#: bytes of stack per piece of a pass: about the size of each of a piece's
+#: temporaries, a few of which share a core's L2 cache; a smaller pass runs inline
+BLOCK_BYTES = 1 << 20
 _pool = None
 
 

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ._parallel import _each
+
 META_NAME = "meta.json"
 MASK_NAME = "mask.bin"
 DTYPE_TAG = "f64le"
@@ -46,21 +48,27 @@ class Dataset:
 
         Each file is read straight into its row of one new array, which
         the caller owns; ``analyze`` smooths and fits that array in place,
-        so it is the only observation stack the pipeline holds. A file
+        so it is the only observation stack the pipeline holds. The worker
+        threads take whole files, each read and checked by one task. A file
         whose size is not exactly one volume is rejected. A non-finite
         value inside the mask is rejected, naming its file and vertex;
-        outside the mask any value is accepted.
+        outside the mask any value is accepted. Of several bad files, the
+        first in file order is the one named.
         """
         out = np.empty((self.n_obs, self.n_points), dtype="<f8")
-        for i, name in enumerate(self.files):
-            _read_volume(self.path / name, out[i])
+
+        def read(i):
+            path = self.path / self.files[i]
+            _read_volume(path, out[i])
             bad = ~np.isfinite(out[i]) & self.mask
             if bad.any():
                 v = int(np.argmax(bad))
                 raise ValueError(
-                    f"{self.path / name}: non-finite value {out[i, v]} inside the mask "
+                    f"{path}: non-finite value {out[i, v]} inside the mask "
                     f"at vertex {v} {tuple(int(c) for c in np.unravel_index(v, self.dims))}"
                 )
+
+        _each(read, range(self.n_obs))
         return out
 
 

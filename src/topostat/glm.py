@@ -21,6 +21,8 @@ from functools import cached_property
 import numpy as np
 from scipy import special
 
+from . import _parallel
+
 RANK_RTOL = 1e-10
 ORTHO_RTOL = 1e-8
 SSR_SLAB = 4096  # columns per slab of the residual subtraction and its sum of squares
@@ -234,14 +236,20 @@ def t_map(glm_fit: GlmFit, contrast) -> StatField:
 def normalized_residuals(glm_fit: GlmFit) -> ResidualSet:
     """Unit-normalize the residual vector at every vertex (zero-residual
     vertices are flagged, not fatal). Consumes the fit: its residual buffer
-    becomes u, divided in place by sqrt(SSR); a second call raises."""
+    becomes u, divided in place by sqrt(SSR), in column pieces on the worker
+    threads when it is larger than one block; a second call raises."""
     if glm_fit.residuals is None:
         raise RuntimeError("this fit's residuals were already normalized")
     u, glm_fit.residuals = glm_fit.residuals, None
     norms = np.sqrt(glm_fit.ssr)
     flagged = norms == 0.0
-    u /= np.where(flagged, 1.0, norms)
-    np.copyto(u, 0.0, where=flagged)
+
+    def divide(cols):
+        u[:, cols] /= np.where(flagged[cols], 1.0, norms[cols])
+        np.copyto(u[:, cols], 0.0, where=flagged[cols])
+
+    big = u.nbytes > _parallel.BLOCK_BYTES
+    _parallel._each(divide, _parallel._split(u.shape[1], _parallel.WORKERS if big else 1))
     return ResidualSet(u=u, norms=norms, flagged=flagged)
 
 

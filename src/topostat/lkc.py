@@ -29,14 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import _each, _split
+from ._parallel import BLOCK_BYTES, _each, _split
 from .domain import IntrinsicVolumes, LatticeSpace, MeshSpace
 from .glm import ResidualSet
 
 FOUR_LOG2 = 4.0 * math.log(2.0)
-#: bytes of residual stack per block of :func:`lattice_smoothness`: about the size
-#: of each of a block's difference stacks, a few of which share a core's L2 cache
-BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -182,7 +179,8 @@ def lattice_smoothness(residuals: ResidualSet, space: LatticeSpace,
         crop = (slice(None),) + tuple(slice(0, s.stop - s.start) for s in cube[1:])
         contrib[cube] = _sqrt_det_gram([x[crop] for x in diffs], [s[cube] for s in sq])
 
-    _each(block, blocks)
+    # a block without a usable vertex has no valid edge or cube: its entries are never read
+    _each(block, [blk for blk in blocks if usable[blk].any()])
     lam = [float(s.reshape(dims)[lo][valid].mean()) for s, (lo, valid) in zip(sq, edges)]
     fwhm = np.array([np.inf if x == 0 else math.sqrt(FOUR_LOG2 / x) for x in lam])
     return float(contrib.reshape(dims)[base][cubes].sum()), fwhm

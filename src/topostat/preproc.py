@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,13 +169,6 @@ def _gaussian_kernel(fwhm: float) -> np.ndarray:
     return np.exp(-x * x / (2.0 * sigma * sigma))
 
 
-def _pieces(dims, axis: int) -> list[tuple]:
-    """Index tuples of near-equal pieces of a ``dims`` volume across ``axis``,
-    one per worker."""
-    cuts = _parallel._split(dims[axis], _parallel.WORKERS)
-    return [(slice(None),) * axis + (s,) for s in cuts]
-
-
 def gaussian_smooth(stack, fwhm, mask):
     """Separable Gaussian smoothing inside a mask, in place.
 
@@ -184,10 +178,11 @@ def gaussian_smooth(stack, fwhm, mask):
         An (n_obs, *mask.shape) stack whose observations are smoothed
         independently; the mask normalizer is built once per stack.
         A float64 array is overwritten with its smoothed values and
-        returned: the caller's buffer becomes the output. The extra
-        memory is a few volumes whatever the number of observations or
-        of worker threads, which split each observation's passes and
-        share its two scratch volumes.
+        returned: the caller's buffer becomes the output. The worker
+        threads take whole observations, each smoothed in place by one
+        pass per axis, so the extra memory is the normalizer, whatever the
+        number of observations or of workers. A stack of fewer
+        observations than workers leaves the other workers idle.
         Any other input is first converted to a new float64 array.
     fwhm : float or sequence of float
         Finite width in bins, one for every axis or one per axis; 0 skips an axis.
@@ -205,39 +200,32 @@ def gaussian_smooth(stack, fwhm, mask):
     kernels = [(ax, _gaussian_kernel(f))
                for ax, f in enumerate(_widths(fwhm, len(dims), "fwhm")) if f > 0]
     kernels = [(ax, k / k.sum()) for ax, k in kernels]
+    outside = ~mask
     # every normalized kernel has a positive centre weight, so den > 0 in the mask
     den = mask.astype(float)
-    for ax, k in kernels:
-        den = ndimage.convolve1d(den, k, axis=ax, mode="constant")
-    outside = ~mask
-    # Two scratch volumes shared by every observation; each pass reads one, writes the
-    # other. The worker threads split each observation: the first pass on pieces across
-    # the last axis (axis 0 if the pass runs along the last), then the later passes,
-    # never along axis 0, and the division on pieces across axis 0. Every convolved line
-    # lies inside one piece, so the pieces write disjoint parts of the same volumes.
-    # The head's zeros are the output outside the mask: the division writes only inside.
-    scratch = (np.empty(dims), np.empty(dims))
-    first, rest = kernels[:1], kernels[1:]
-    along = first[0][0] if first else None
-    across = 0 if along == len(dims) - 1 else len(dims) - 1
-    head_pieces = _pieces(dims, across) if dims and across != along else [...]
-    tail_pieces = _pieces(dims, 0) if dims else [...]
+    den_ready = threading.Event()
 
-    def head(p):
-        np.copyto(vol[p], 0.0, where=outside[p])
-        for ax, k in first:
-            ndimage.convolve1d(vol[p], k, axis=ax, mode="constant", output=scratch[0][p])
+    def smooth(vol):
+        # A 1-D ndimage filter copies each line into a buffer before writing it
+        # back, so a pass in place gives the bits of one into a new array.
+        for ax, k in kernels:
+            ndimage.convolve1d(vol, k, axis=ax, mode="constant", output=vol)
 
-    def tail(p):
-        num = scratch[0][p] if first else vol[p]
-        for i, (ax, k) in enumerate(rest, 1):
-            num = ndimage.convolve1d(num, k, axis=ax, mode="constant",
-                                     output=scratch[i % 2][p])
-        np.divide(num, den[p], out=vol[p], where=mask[p])
+    def task(i):  # task -1, taken first, smooths the normalizer; task i observation i
+        if i < 0:
+            try:
+                smooth(den)
+            finally:  # a failure must not leave an observation waiting
+                den_ready.set()
+            return
+        vol = stack[i]
+        np.copyto(vol, 0.0, where=outside)
+        smooth(vol)
+        den_ready.wait()
+        np.divide(vol, den, out=vol, where=mask)
+        np.copyto(vol, 0.0, where=outside)
 
-    for vol in stack:
-        _parallel._each(head, head_pieces)
-        _parallel._each(tail, tail_pieces)
+    _parallel._each(task, range(-1, len(stack)))
     return stack
 
 

@@ -115,6 +115,25 @@ class TestDataset:
         with pytest.raises(ValueError, match="obs0001.bin: .* bytes, expected 128"):
             ds.load()
 
+    def test_first_bad_file_in_file_order_named(self, tmp_path, workers):
+        # files are read and checked on the workers, one task per file; whichever
+        # task fails first, the error raised is that of the first bad file
+        vols = np.zeros((6, 4, 5))
+        vols[4, 0, 0] = np.nan
+        vols[2, 3, 4] = np.inf
+        ds = write_dataset(tmp_path / "d", vols)
+        for n_workers in (1, 2, 3):
+            with workers(n_workers):
+                with pytest.raises(ValueError, match=r"obs0002\.bin: non-finite value inf "
+                                                     r"inside the mask at vertex 19 \(3, 4\)"):
+                    ds.load()
+        obs = tmp_path / "d" / "obs0001.bin"
+        obs.write_bytes(obs.read_bytes()[:-8])
+        for n_workers in (1, 2, 3):
+            with workers(n_workers):
+                with pytest.raises(ValueError, match=r"obs0001\.bin: 152 bytes"):
+                    ds.load()
+
     def test_missing_meta_rejected(self, tmp_path):
         (tmp_path / "d").mkdir()
         with pytest.raises(ValueError, match="meta.json"):

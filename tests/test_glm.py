@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
+from topostat import _parallel
 from topostat import (
     DesignMatrix,
     FieldType,
@@ -369,6 +370,24 @@ class TestNormalizedResiduals:
         rs = normalized_residuals(out)
         norms = np.sqrt((rs.u ** 2).sum(axis=0))
         np.testing.assert_allclose(norms[~rs.flagged], 1.0, atol=1e-10)
+
+    def test_column_pieces_on_workers_exact(self, workers):
+        # a stack past one block is divided in column pieces on the workers,
+        # with the bits of the whole-array division
+        rng = np.random.default_rng(26)
+        data = rng.standard_normal((9, 20_011))
+        data[:, [0, 7_000, 20_010]] = 0.0  # zero residuals at piece edges
+        assert data.nbytes > _parallel.BLOCK_BYTES
+        whole = fit(data.copy(), ones_design(9))
+        norms = np.sqrt(whole.ssr)
+        want = whole.residuals / np.where(norms == 0.0, 1.0, norms)
+        want[:, norms == 0.0] = 0.0
+        for n_workers in (1, 2, 3):
+            with workers(n_workers):
+                rs = normalized_residuals(fit(data.copy(), ones_design(9)))
+            assert rs.flagged.sum() == 3
+            assert np.array_equal(rs.u, want)
+            assert np.array_equal(rs.norms, norms)
 
 
 class TestZEquivalent:

@@ -453,6 +453,36 @@ class TestLatticeSmoothness:
                     tracemalloc.stop()
             assert peak <= 5 * 8 * n_vertices + 6 * n_workers * lkc.BLOCK_BYTES
 
+    def test_blocks_without_usable_vertices_skipped(self, monkeypatch, workers):
+        # a disc mask leaves the corner blocks empty; skipping them changes no bit
+        rng = np.random.default_rng(16)
+        dims, n_res = (30, 30, 6), 5
+        xx, yy = np.meshgrid(np.arange(30), np.arange(30), indexing="ij")
+        disc = (xx - 14.5) ** 2 + (yy - 14.5) ** 2 <= 12.0 ** 2
+        space = build_lattice(dims, np.repeat(disc[..., None], dims[2], axis=2))
+        res = residual_set_from_raw(rng.standard_normal((n_res, math.prod(dims))))
+        want = (reference_lattice_lkc_top(res, space), reference_fwhm(res, space))
+        pieces, real_each = [], lkc._each
+
+        def each(fn, blks):
+            pieces.append(blks)
+            real_each(fn, blks)
+
+        monkeypatch.setattr(lkc, "_each", each)
+        monkeypatch.setattr(lkc, "BLOCK_BYTES", 8 * n_res * 9 * 9 * dims[2])
+        blocks = lkc._blocks(dims, n_res)
+        for n_workers in (1, 2, 3):
+            with workers(n_workers):
+                top, fwhm = lattice_smoothness(res, space)
+            assert top == want[0]
+            np.testing.assert_array_equal(fwhm, want[1])
+        assert 0 < len(pieces[-1]) < len(blocks)
+        # one block holds the whole disc, so nothing is skipped
+        monkeypatch.setattr(lkc, "BLOCK_BYTES", 1 << 40)
+        with workers(2):
+            assert lattice_smoothness(res, space)[0] == want[0]
+        assert len(pieces[-1]) == 1
+
 
 class TestRecovery:
     def test_lattice_recovery_48_cube(self):

@@ -3,8 +3,11 @@
 import itertools
 import math
 import multiprocessing
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -321,6 +324,80 @@ def test_forked_child_smooths_without_the_parents_pool(workers):
         want = _smoothed_sum(volume.copy())  # starts the pool
         with multiprocessing.get_context("fork").Pool(1) as pool:
             assert pool.apply_async(_smoothed_sum, (volume.copy(),)).get(timeout=60) == want
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "strided"])
+@pytest.mark.parametrize("shape", [(23,), (9, 14), (7, 8, 12)])
+def test_ndimage_convolve1d_in_place_matches_out_of_place(shape, layout):
+    # gaussian_smooth convolves each observation into itself: this holds because
+    # a 1-D ndimage filter copies every line into its buffer before writing it
+    # back. A SciPy release that breaks that contract fails here by name.
+    rng = np.random.default_rng(8)
+    wide = rng.standard_normal(tuple(2 * n for n in shape))
+    for fwhm, ax in itertools.product((0.7, 3.0, 9.0), range(len(shape))):
+        k = _gaussian_kernel(fwhm)
+        k /= k.sum()
+        x = wide[tuple(slice(None, None, 2) for _ in shape)]
+        if layout == "contiguous":
+            x = x.copy()
+        assert x.flags.c_contiguous == (layout == "contiguous")
+        want = ndimage.convolve1d(x, k, axis=ax, mode="constant")
+        ndimage.convolve1d(x, k, axis=ax, mode="constant", output=x)
+        assert np.array_equal(x, want)
+
+
+def test_smoothing_memory_is_the_normalizer(workers):
+    # whole observations smoothed in place: past the stack, the normalizer and
+    # the masks, at any worker count (a first call, untraced, starts the pool)
+    rng = np.random.default_rng(9)
+    dims = (24, 24, 24)
+    mask = rng.random(dims) < 0.9
+    for n_workers in (1, 2, 4):
+        stack = rng.standard_normal((6,) + dims)
+        with workers(n_workers):
+            gaussian_smooth(stack.copy(), (3.0, 3.0, 4.0), mask=mask)
+            tracemalloc.start()
+            try:
+                gaussian_smooth(stack, (3.0, 3.0, 4.0), mask=mask)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 2 * 8 * mask.size
+
+
+_NORMALIZER_FAILS = """
+import numpy as np
+from scipy import ndimage
+from topostat import _parallel
+from topostat.preproc import gaussian_smooth
+
+real = ndimage.convolve1d
+
+def failing(x, *args, **kwargs):
+    if x.base is None:  # the normalizer; observations are views of the stack
+        raise ArithmeticError("normalizer failed")
+    return real(x, *args, **kwargs)
+
+ndimage.convolve1d = failing
+for n in (1, 2, 3):
+    _parallel.WORKERS, _parallel._pool = n, None
+    try:
+        gaussian_smooth(np.ones((5, 6, 7, 8)), 2.0, np.ones((6, 7, 8), dtype=bool))
+    except ArithmeticError:
+        print("raised", n)
+"""
+
+
+def test_failing_normalizer_raises_without_a_hang():
+    # a worker waits for the normalizer only before dividing: if smoothing it
+    # fails, the error reaches the caller and no worker is left waiting, so the
+    # interpreter exits (joining its pool threads) well inside the timeout
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", _NORMALIZER_FAILS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[:3] == ["raised 1", "raised 2", "raised 3"]
 
 
 def grid_graph_mesh(n):
