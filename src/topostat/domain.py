@@ -6,12 +6,12 @@ faces and cubes on a lattice; simplices on a mesh) and the intrinsic
 volumes of the region. Statistic and residual values are stored as flat
 vertex arrays; lattices use C-order linear indexing over the grid. A
 mesh's adjacency is its sorted array of unique edges: components,
-neighbour maxima and smoothing all work on that one array. Lattice cell
-counts, intrinsic volumes and excursion-set Euler characteristics share one
-primitive, the minimum over each unit cell's corners (``_cell_minima``).
-Components of any vertex set, clusters and plateaus alike, come from one
-labelling, ``_labels``: ``ndimage.label`` on a lattice, csgraph on a mesh's
-edges (scipy.sparse is imported for meshes only).
+neighbour maxima and smoothing all work on that one array. This module
+holds all adjacency, as three methods of both spaces: ``cell_minima``, the
+minimum over each k-cell's vertices, behind cell counts and intrinsic
+volumes; ``labels``, the components of any vertex set, clusters and
+plateaus alike (scipy.sparse is imported for meshes only); and
+``neighbor_reduce``, over each vertex's neighbours, behind local maxima.
 """
 
 from __future__ import annotations
@@ -56,12 +56,6 @@ def _cell_minima(values: np.ndarray, k: int) -> np.ndarray:
                            m[(slice(None),) * ax + (slice(1, None),)])
         parts.append(m.ravel())
     return np.concatenate(parts)
-
-
-def _lattice_counts(mask: np.ndarray) -> list[int]:
-    """N_0..N_D: in-mask points, then unit edges, squares and cubes with all
-    corners in-mask, each summed over orientations."""
-    return [int(np.count_nonzero(_cell_minima(mask, k))) for k in range(mask.ndim + 1)]
 
 
 class LatticeSpace:
@@ -128,6 +122,25 @@ class LatticeSpace:
         """Grid coordinates of a linear vertex index."""
         return tuple(int(c) for c in np.unravel_index(vertex, self.dims))
 
+    def cell_minima(self, values, k: int) -> np.ndarray:
+        """:func:`_cell_minima` of the vertex ``values`` over the grid."""
+        return _cell_minima(np.reshape(values, self.dims), k)
+
+    def labels(self, member: np.ndarray) -> np.ndarray:
+        """Flat component labels of ``member``: 1, 2, ... by smallest vertex, 0 off it."""
+        full = ndimage.generate_binary_structure(self.dimension, self.dimension)
+        return ndimage.label(member.reshape(self.dims), structure=full)[0].ravel()
+
+    def neighbor_reduce(self, vals: np.ndarray, op, fill) -> np.ndarray:
+        """``op`` over each vertex's 2/8/26 neighbours' flat ``vals``, flat, the
+        grid padded with ``fill`` (``np.fmax`` skips a NaN, ``np.maximum`` not)."""
+        out = np.full(self.dims, fill)
+        padded = np.pad(vals.reshape(self.dims), 1, constant_values=fill)
+        for off in itertools.product(range(3), repeat=self.dimension):
+            if off != (1,) * self.dimension:  # every shift but the vertex itself
+                op(out, padded[tuple(slice(o, o + n) for o, n in zip(off, self.dims))], out=out)
+        return out.ravel()
+
     def __repr__(self):
         return f"LatticeSpace(dims={self.dims}, inside={self.n_inside})"
 
@@ -155,6 +168,9 @@ class MeshSpace:
         vertices = np.asarray(vertices, dtype=float)
         if vertices.ndim != 2:
             raise ValueError("vertices must be a (n_vertices, embed_dim) array")
+        bad = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
+        if bad.size:
+            raise ValueError(f"vertex {bad[0]} has a non-finite coordinate: {vertices[bad[0]]}")
         simplices = np.asarray(simplices, dtype=np.int64)
         if simplices.ndim != 2 or simplices.shape[1] < 2:
             raise ValueError("simplices must be a (n_simplices, D+1) array with D >= 1")
@@ -222,6 +238,31 @@ class MeshSpace:
     def coords_of(self, vertex: int) -> tuple[float, ...]:
         return tuple(float(c) for c in self.vertices[vertex])
 
+    def cell_minima(self, values, k: int) -> np.ndarray:
+        """Minimum of the flat ``values`` over the in-mask vertices (k = 0), the
+        rows of :attr:`simplices` (k = D) or else of :attr:`edges`."""
+        cells = self.simplices if k == self.dimension else self.edges
+        return values[self.mask_flat] if k == 0 else values[cells].min(axis=1)
+
+    def labels(self, member: np.ndarray) -> np.ndarray:
+        """As :meth:`LatticeSpace.labels`, along the edges between members."""
+        # imported on first use: csgraph loads scipy.sparse.linalg (~75 ms)
+        from scipy.sparse import coo_array, csgraph
+        a, b = self.edges[member[self.edges].all(axis=1)].T
+        graph = coo_array((np.ones(a.size), (a, b)), shape=(self.n_points,) * 2)
+        raw = csgraph.connected_components(graph, directed=False)[1]
+        labels = np.zeros(self.n_points, dtype=np.int64)
+        labels[member] = np.unique(raw[member], return_inverse=True)[1] + 1
+        return labels
+
+    def neighbor_reduce(self, vals: np.ndarray, op, fill) -> np.ndarray:
+        """``op`` over each vertex's neighbours' ``vals`` along :attr:`edges`."""
+        out = np.full(self.n_points, fill)
+        with np.errstate(invalid="ignore"):  # op.at warns on each NaN it meets
+            for a, b in (self.edges.T, self.edges.T[::-1]):
+                op.at(out, a, vals[b])
+        return out
+
     def __repr__(self):
         return (f"MeshSpace(D={self.dimension}, vertices={self.n_points}, "
                 f"simplices={len(self.simplices)})")
@@ -250,35 +291,32 @@ def _simplex_contents(vertices: np.ndarray, simplices: np.ndarray) -> np.ndarray
 def intrinsic_volumes(space) -> IntrinsicVolumes:
     """Intrinsic volumes mu_0..mu_D of a search space.
 
-    Lattices use the open-box counting formula over the N_k in-mask unit
-    k-cells, mu_j = sum_{k >= j} (-1)^(k-j) C(k, j) N_k (3D: mu_0 =
-    P - E + F - C, mu_1 = E - 2F + 3C, mu_2 = F - 3C, mu_3 = C).
-    Meshes use the alternating simplex count for mu_0, the summed simplex
-    content for mu_D and, for triangle meshes, half the total boundary
-    edge length for mu_1 (zero on closed surfaces; mean-curvature terms
-    are deliberately omitted, a documented approximation).
+    The counting formula over the N_k in-mask k-cells of ``cell_minima``,
+    mu_j = sum_{k >= j} (-1)^(k-j) C(k, j) N_k, gives every mu_j of a
+    lattice (3D: mu_0 = P - E + F - C, mu_1 = E - 2F + 3C, mu_2 = F - 3C)
+    and mu_0 of a mesh. Meshes use the summed simplex content for mu_D
+    and, for triangle meshes, half the total boundary edge length for mu_1
+    (zero on closed surfaces; mean-curvature terms are deliberately
+    omitted, a documented approximation).
     """
-    if isinstance(space, LatticeSpace):
-        n = _lattice_counts(space.mask)
-        return IntrinsicVolumes(tuple(
-            float(sum((-1) ** (k - j) * math.comb(k, j) * n[k] for k in range(j, len(n))))
-            for j in range(len(n))))
+    if not isinstance(space, (LatticeSpace, MeshSpace)):
+        raise TypeError(f"not a search space: {type(space).__name__}")
+    n = [int(np.count_nonzero(space.cell_minima(space.mask_flat, k)))
+         for k in range(space.dimension + 1)]
+    mu = [float(sum((-1) ** (k - j) * math.comb(k, j) * n[k] for k in range(j, len(n))))
+          for j in range(len(n))]
     if isinstance(space, MeshSpace):
-        n_v, n_e, n_f = space.n_inside, len(space.edges), len(space.simplices)
-        # summed in simplex order, one float at a time
-        content = sum(_simplex_contents(space.vertices, space.simplices).tolist(), 0.0)
-        if space.dimension == 1:
-            return IntrinsicVolumes((float(n_v - n_e), content))
-        boundary = sum(_simplex_contents(space.vertices, space.boundary_edges).tolist(), 0.0)
-        return IntrinsicVolumes((float(n_v - n_e + n_f), 0.5 * boundary, content))
-    raise TypeError(f"not a search space: {type(space).__name__}")
+        # summed in simplex order, one float at a time; mu_1 is mu_D when D = 1
+        mu[1] = 0.5 * sum(_simplex_contents(space.vertices, space.boundary_edges).tolist(), 0.0)
+        mu[-1] = sum(_simplex_contents(space.vertices, space.simplices).tolist(), 0.0)
+    return IntrinsicVolumes(tuple(mu))
 
 
 def lattice_euler_characteristic(mask: np.ndarray) -> int:
     """Euler characteristic of a boolean lattice mask by direct counting;
     equals ``intrinsic_volumes(...)[0]`` for the same mask."""
-    n = _lattice_counts(np.asarray(mask, dtype=bool))
-    return sum((-1) ** k * n_k for k, n_k in enumerate(n))
+    mask = np.asarray(mask, dtype=bool)
+    return sum((-1) ** k * np.count_nonzero(_cell_minima(mask, k)) for k in range(mask.ndim + 1))
 
 
 def lattice_ec_curve(values, thresholds) -> np.ndarray:
@@ -296,27 +334,6 @@ def lattice_ec_curve(values, thresholds) -> np.ndarray:
     return ec
 
 
-def _labels(space, member: np.ndarray) -> np.ndarray:
-    """Flat component label of each vertex: 1, 2, ... over the components of
-    the flat boolean ``member``, numbered in order of each component's smallest
-    vertex, and 0 off ``member``. Lattice vertices connect to all neighbours
-    that share a point (``ndimage.label`` numbers them in scan order); mesh
-    vertices along the edges whose two ends are members (csgraph numbers them
-    in vertex order, counting non-members as components of their own)."""
-    if isinstance(space, LatticeSpace):
-        full = ndimage.generate_binary_structure(space.dimension, space.dimension)
-        return ndimage.label(member.reshape(space.dims), structure=full)[0].ravel()
-    # imported on first use: csgraph loads scipy.sparse.linalg (~75 ms)
-    from scipy.sparse import coo_array, csgraph
-    a, b = space.edges.T
-    both = member[a] & member[b]
-    graph = coo_array((np.ones(both.sum()), (a[both], b[both])), shape=(space.n_points,) * 2)
-    raw = csgraph.connected_components(graph, directed=False)[1]
-    labels = np.zeros(space.n_points, dtype=np.int64)
-    labels[member] = np.unique(raw[member], return_inverse=True)[1] + 1
-    return labels
-
-
 def connected_components(space, member_mask=None):
     """Partition in-mask vertices into maximal connected sets.
 
@@ -326,8 +343,8 @@ def connected_components(space, member_mask=None):
         Lattice vertices connect to all 2/8/26 neighbours that share a
         point (full connectivity); mesh vertices along their edge array.
     member_mask : ndarray of bool, optional
-        Further restriction (e.g. an excursion set) over vertices;
-        flat or lattice-shaped.
+        Further restriction (e.g. an excursion set), one entry per vertex
+        (``space.n_points``), flat or lattice-shaped.
 
     Returns
     -------
@@ -339,8 +356,12 @@ def connected_components(space, member_mask=None):
         raise TypeError(f"not a search space: {type(space).__name__}")
     member = space.mask_flat
     if member_mask is not None:
-        member = member & np.asarray(member_mask, dtype=bool).ravel()
-    labels = _labels(space, member)
+        member_mask = np.asarray(member_mask, dtype=bool)
+        if member_mask.size != space.n_points:
+            raise ValueError(f"member_mask has {member_mask.size} entries and does not "
+                             f"cover the space of {space.n_points} vertices")
+        member = member & member_mask.ravel()
+    labels = space.labels(member)
     idx = np.flatnonzero(labels)
     lab = labels[idx]
     # cut after each label's last vertex; the piece past the last label is empty

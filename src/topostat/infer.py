@@ -6,20 +6,20 @@ corrected p-values, and cluster records. Cluster expectations use the
 isotropic-smoothness model; cluster-size p-values are deliberately not
 computed.
 
-Local maxima use one neighbour reduction, ``_neighbor_max``, on lattices
-and meshes alike; plateaus and clusters are both labelled by
-``domain._labels``, the labelling behind ``connected_components``.
+Adjacency lives in ``domain``: local maxima use the space's
+``neighbor_reduce``, and plateaus and clusters are both labelled by its
+``labels``, the labelling behind ``connected_components``, on lattices and
+meshes alike.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import ecd
-from .domain import LatticeSpace, MeshSpace, _labels, connected_components, intrinsic_volumes
+from .domain import connected_components, intrinsic_volumes
 from .glm import FieldType, StatField, z_equivalent
 from .lkc import ReselVector
 
@@ -124,29 +124,6 @@ def excursion_set(stat: StatField, space, threshold: float) -> np.ndarray:
     return space.mask_flat.ravel() & (values >= threshold)
 
 
-def _neighbor_max(space, vals: np.ndarray, op=np.maximum, fill=-np.inf) -> np.ndarray:
-    """``op`` over each vertex's neighbours' ``vals``, flat, ``fill`` where it
-    has none: the full 2/8/26-neighbourhood of a lattice, padded with ``fill``,
-    or the ends of a mesh's edge array. ``np.maximum`` propagates a NaN
-    neighbour; ``np.fmax`` skips it."""
-    out = np.full(space.n_points, fill)
-    if isinstance(space, LatticeSpace):
-        padded = np.pad(vals.reshape(space.dims), 1, constant_values=fill)
-        grid = out.reshape(space.dims)
-        for off in itertools.product((-1, 0, 1), repeat=space.dimension):
-            if any(off):
-                sl = tuple(slice(1 + o, 1 + o + n) for o, n in zip(off, space.dims))
-                op(grid, padded[sl], out=grid)
-    elif isinstance(space, MeshSpace):
-        a, b = space.edges.T
-        with np.errstate(invalid="ignore"):  # op.at warns on each NaN it meets
-            op.at(out, a, vals[b])
-            op.at(out, b, vals[a])
-    else:
-        raise TypeError(f"not a search space: {type(space).__name__}")
-    return out
-
-
 def local_maxima(stat: StatField, space, threshold: float = -np.inf) -> np.ndarray:
     """Vertices of the excursion set strictly above all their neighbors.
 
@@ -173,17 +150,17 @@ def local_maxima(stat: StatField, space, threshold: float = -np.inf) -> np.ndarr
         raise ValueError("statistic field does not cover the space")
     in_exc = excursion_set(stat, space, threshold)
     masked_vals = np.where(space.mask_flat, values, -np.inf)
-    nb_max = _neighbor_max(space, masked_vals)
+    nb_max = space.neighbor_reduce(masked_vals, np.maximum, -np.inf)
     if not np.any(in_exc & (masked_vals == nb_max)):
         return np.flatnonzero(in_exc & (masked_vals > nb_max))
 
-    weak = space.mask_flat & (masked_vals >= _neighbor_max(space, masked_vals, np.fmax))
-    labels = _labels(space, weak)
+    weak = space.mask_flat & (masked_vals >= space.neighbor_reduce(masked_vals, np.fmax, -np.inf))
+    labels = space.labels(weak)
     others = np.where(space.mask_flat & ~weak, masked_vals, np.nan)
     keep = np.zeros(labels.max() + 1, dtype=bool)
     keep[labels[masked_vals >= nb_max]] = True  # a vertex with no NaN neighbour
     # a component beside an equal vertex outside the weak maxima: a beaten plateau
-    keep[labels[_neighbor_max(space, others, np.fmax, np.nan) == masked_vals]] = False
+    keep[labels[space.neighbor_reduce(others, np.fmax, np.nan) == masked_vals]] = False
     idx = np.flatnonzero(labels)
     smallest = idx[np.unique(labels[idx], return_index=True)[1]]
     out = smallest[keep[1:]]

@@ -190,8 +190,7 @@ def _mesh_lkc_top(res: ResidualSet, space: MeshSpace) -> float:
     simplices = space.simplices
     if len(simplices) == 0:
         raise ValueError("no complete components inside the mask")
-    ok = ~res.flagged[simplices].any(axis=1)
-    simplices = simplices[ok]
+    simplices = simplices[space.cell_minima(~res.flagged, space.dimension)]
     if len(simplices) == 0:
         raise ValueError("every component touches a flagged zero-residual vertex")
     d = space.dimension

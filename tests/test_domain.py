@@ -248,6 +248,17 @@ class TestMesh:
         with pytest.raises(ValueError, match="got 0"):
             read_mesh(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinate_rejected(self, bad):
+        with pytest.raises(ValueError, match="vertex 2 has a non-finite coordinate"):
+            build_mesh([(0, 0), (1, 0), (0, bad)], [(0, 1, 2)])
+
+    def test_mesh_file_with_nan_coordinate_rejected(self, tmp_path):
+        path = tmp_path / "nan.mesh"
+        path.write_text("2 3 1\n0 0\n1 nan\n0 1\n0 1 2\n")
+        with pytest.raises(ValueError, match="vertex 1 has a non-finite coordinate"):
+            read_mesh(path)
+
 
 class TestIntrinsicVolumes:
     def test_full_box_closed_form(self):
@@ -357,6 +368,26 @@ class TestConnectedComponents:
         member = np.array([True, True, False, True, True])
         comps = connected_components(space, member_mask=member)
         assert [c.tolist() for c in comps] == [[0, 1], [3, 4]]
+
+    @pytest.mark.parametrize("size", [1, 15, 17])
+    def test_member_mask_of_another_size_rejected(self, size):
+        # one entry used to broadcast over all 16 vertices
+        space = build_lattice((4, 4), np.ones(16, dtype=bool))
+        with pytest.raises(ValueError, match="member_mask has .* does not cover the space"):
+            connected_components(space, member_mask=np.ones(size, dtype=bool))
+
+    def test_member_mask_in_lattice_shape(self):
+        space = build_lattice((4, 4), np.ones(16, dtype=bool))
+        member = np.zeros((4, 4), dtype=bool)
+        member[0, 0] = member[3, 3] = True
+        comps = connected_components(space, member_mask=member)
+        assert [c.tolist() for c in comps] == [[0], [15]]
+
+    @pytest.mark.parametrize("func", [intrinsic_volumes, connected_components])
+    @pytest.mark.parametrize("not_space", [None, [True, True], np.ones(4, dtype=bool)])
+    def test_non_space_argument_raises_type_error(self, func, not_space):
+        with pytest.raises(TypeError, match=f"not a search space: {type(not_space).__name__}"):
+            func(not_space)
 
 
 class TestEdgeArrayMatchesReference:
@@ -507,3 +538,56 @@ def test_mesh_file_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded.vertices, verts)
     np.testing.assert_array_equal(loaded.all_simplices, tris)
     assert intrinsic_volumes(loaded).mu == intrinsic_volumes(mesh).mu
+
+
+def brute_force_neighbor_reduce(vals, dims, op, fill):
+    """Oracle: fold ``op`` over the 3**D - 1 offsets of every vertex, ``fill``
+    standing in for each neighbour off the grid."""
+    vals = vals.reshape(dims)
+    out = np.empty(dims)
+    for idx in itertools.product(*(range(n) for n in dims)):
+        acc = fill
+        for off in itertools.product((-1, 0, 1), repeat=len(dims)):
+            if any(off):
+                nb = tuple(i + o for i, o in zip(idx, off))
+                inside = all(0 <= c < n for c, n in zip(nb, dims))
+                acc = op(acc, vals[nb] if inside else fill)
+        out[idx] = acc
+    return out.ravel()
+
+
+REDUCE_OPS = st.sampled_from([np.maximum, np.fmax])
+REDUCE_FILLS = st.sampled_from([-np.inf, np.nan])
+
+
+@given(hnp.arrays(float, LATTICE_SHAPES,
+                  elements=st.sampled_from(LEVELS) | st.floats(-2.0, 2.0)),
+       REDUCE_OPS, REDUCE_FILLS)
+def test_lattice_neighbor_reduce_matches_offset_loop(values, op, fill):
+    """1-3D lattices with NaN and +-inf values: the padded shifts give each
+    vertex the fold over its full neighbourhood."""
+    space = build_lattice(values.shape, np.ones(values.size, dtype=bool))
+    got = space.neighbor_reduce(values.ravel(), op, fill)
+    np.testing.assert_array_equal(got, brute_force_neighbor_reduce(values, values.shape, op, fill))
+
+
+@given(hnp.arrays(bool, st.tuples(st.integers(2, 9), st.integers(2, 9))),
+       st.data(), REDUCE_OPS, REDUCE_FILLS)
+def test_mesh_neighbor_reduce_matches_edge_loop(mask, data, op, fill):
+    """Random masked meshes: each vertex folds its neighbours along the edges."""
+    mask.flat[0] = True
+    mesh = masked_grid_mesh(mask)
+    vals = data.draw(hnp.arrays(float, mask.size,
+                                elements=st.sampled_from(LEVELS) | st.floats(-2.0, 2.0)))
+    want = np.full(mesh.n_points, fill)
+    for a, b in mesh.edges.tolist():
+        want[a], want[b] = op(want[a], vals[b]), op(want[b], vals[a])
+    np.testing.assert_array_equal(mesh.neighbor_reduce(vals, op, fill), want)
+
+
+@given(hnp.arrays(bool, st.tuples(st.integers(2, 9), st.integers(2, 9))))
+def test_mesh_cell_minima_count_vertices_edges_and_simplices(mask):
+    mask.flat[0] = True
+    mesh = masked_grid_mesh(mask)
+    counts = [np.count_nonzero(mesh.cell_minima(mesh.mask_flat, k)) for k in range(3)]
+    assert counts == [mesh.n_inside, len(mesh.edges), len(mesh.simplices)]

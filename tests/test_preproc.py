@@ -218,8 +218,8 @@ class TestGaussianSmooth:
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
-            # two scratch volumes, shared by the workers, the normalizer and
-            # its convolution, and the masks
+            # one normalizer volume and the outside mask, shared by the
+            # workers, which smooth each observation in place
             assert peak <= 4 * volume_bytes
 
     def test_constant_volume_unchanged(self):
