@@ -3,7 +3,7 @@
 File reads, numpy ufuncs, and ``scipy.ndimage`` filters on large arrays
 release the GIL, so threads share the work of one pass: the files of a
 dataset, the observations of a stack to smooth, the column pieces of the
-residual normalisation and the lattice blocks of the smoothness pass.
+residual normalisation and the vertex ranges of the smoothness pass.
 Each piece writes its own part of the output, and results do not depend
 on how many threads run. The pool is made on first use, sized to the
 affinity mask, and forgotten in a forked child, which inherits no worker

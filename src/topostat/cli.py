@@ -78,6 +78,9 @@ def cmd_analyze(args) -> int:
     if args.window:
         lo, hi = _parse_window(args.window)
         window_bins = [max(lo, 0), min(hi, n_t - 1)]
+        if window_bins[0] == window_bins[1]:  # an empty window fails in ecd.restrict
+            raise ValueError(f"--window {args.window} holds one time bin, and so no unit "
+                             f"cube: a window needs at least 2 bins")
         if window_bins != [0, n_t - 1]:
             analysis_space = ecd.restrict(space, time_window=(lo, hi))
 

@@ -187,6 +187,12 @@ class MeshSpace:
         repeated = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
         if repeated.any():
             raise ValueError(f"degenerate simplex {tuple(simplices[np.argmax(repeated)])}")
+        _, first, group = np.unique(ordered, axis=0, return_index=True, return_inverse=True)
+        again = np.flatnonzero(first[group] != np.arange(len(ordered)))
+        if again.size:
+            i = again[0]
+            raise ValueError(f"repeated simplex {tuple(simplices[i].tolist())}: "
+                             f"row {i} lists the vertices of row {first[group[i]]}")
         if vertex_mask is None:
             vertex_mask = np.ones(n_vert, dtype=bool)
         else:
@@ -373,19 +379,20 @@ def read_mesh(path) -> MeshSpace:
     coordinate lines, then nS simplex lines of D+1 zero-based indices."""
     with open(path) as fh:
         tokens = fh.read().split()
-    if len(tokens) < 3:
-        raise ValueError(f"{path}: truncated mesh header")
-    d, n_v, n_s = int(tokens[0]), int(tokens[1]), int(tokens[2])
-    pos = 3
-    need = n_v  # embedding dim inferred from the remaining token count
-    rest = len(tokens) - pos - n_s * (d + 1)
-    if need == 0 or rest % n_v != 0:
-        raise ValueError(f"{path}: inconsistent mesh token count")
-    embed = rest // n_v
-    verts = np.array(tokens[pos:pos + n_v * embed], dtype=float).reshape(n_v, embed)
-    pos += n_v * embed
-    simp = np.array(tokens[pos:pos + n_s * (d + 1)], dtype=np.int64).reshape(n_s, d + 1)
-    return build_mesh(verts, simp)
+    try:
+        if len(tokens) < 3:
+            raise ValueError("truncated mesh header")
+        d, n_v, n_s = (int(t) for t in tokens[:3])
+        if min(d, n_v, n_s) < 0:
+            raise ValueError(f"negative count in mesh header {' '.join(tokens[:3])}")
+        rest = len(tokens) - 3 - n_s * (d + 1)  # coordinate tokens: n_v per axis
+        if n_v == 0 or rest < 0 or rest % n_v != 0:
+            raise ValueError("inconsistent mesh token count")
+        verts = np.array(tokens[3:3 + rest], dtype=float).reshape(n_v, rest // n_v)
+        simp = np.array(tokens[3 + rest:], dtype=np.int64).reshape(n_s, d + 1)
+        return build_mesh(verts, simp)
+    except (ValueError, OverflowError) as err:  # an index past int64 overflows
+        raise ValueError(f"{path}: {err}") from None
 
 
 def write_mesh(space: MeshSpace, path) -> None:

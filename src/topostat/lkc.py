@@ -7,10 +7,10 @@ unit lattice cube (volume 1, no factorial). Differences of raw residuals
 are divided by the residual norm at the component's base vertex, the
 approximation du ~= dr / ||r|| that holds when the error variance varies
 smoothly. On lattices one pass over these differences gives l_D (from
-each unit cube's Gram matrix) and the per-axis FWHM; it runs in blocks of
-the first two axes, small enough for a core's cache, on worker threads.
-The axes a block spans whole merge into one flat axis, so each array
-operation is one long loop instead of many as short as the last axis.
+each unit cube's Gram matrix) and the per-axis FWHM; it runs on worker
+threads in pieces small enough for a core's cache, each a range of whole
+last-axis lines in the flat vertex order. A step along any axis is a
+shift by that axis's stride, so each array operation is one long loop.
 Lower-order curvatures follow the isotropic power-law interpolation
 l_d = mu_d (l_D / mu_D)^(d/D).
 
@@ -23,7 +23,6 @@ so shearing one mesh moved resels_1 23.15 -> 28.28 (ROADMAP.md, item 5).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -85,18 +84,19 @@ def _sqrt_det_gram(diffs: list[np.ndarray], diag: list[np.ndarray]) -> np.ndarra
     return np.sqrt(np.maximum(det, 0.0))
 
 
-def _blocks(dims, n: int) -> list[tuple[slice, ...]]:
-    """Index tuples of near-equal blocks over the first two lattice axes, each
-    holding about BLOCK_BYTES of an ``n``-deep stack. An axis is cut only into
-    pieces of >= 3 planes, so that clipping a block's last plane still leaves
-    every difference and cube stack >= 2 vertices wide: numpy sums a lone
-    vertex's column pairwise, which can change the last bit."""
-    wanted = -(-8 * n * math.prod(dims) // BLOCK_BYTES)
-    cuts = []
-    for m in dims[:2]:
-        cuts.append(_split(m, min(wanted, m // 3)))
-        wanted = -(-wanted // len(cuts[-1]))
-    return list(itertools.product(*cuts))
+def _pieces(dims, n: int) -> list[slice]:
+    """Flat vertex ranges of >= 2 whole last-axis lines, each about
+    BLOCK_BYTES of an ``n``-deep stack, none but the first starting at the
+    last line that holds a cube. A piece's difference and cube stacks are
+    then empty or >= 2 vertices wide, unless the lattice's are: numpy sums
+    a lone vertex's column pairwise, which can change the last bit."""
+    line, n_v = dims[-1], math.prod(dims)
+    lines = n_v // line
+    # the line of the last cube's base vertex, n_v - 1 - sum(strides)
+    last = (n_v - 1 - sum(math.prod(dims[ax + 1:]) for ax in range(len(dims)))) // line
+    runs = _split(lines, min(-(-8 * n * n_v // BLOCK_BYTES), lines // 2))
+    cuts = [0] + [r.start * line for r in runs[1:] if r.start != last] + [n_v]
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
 def _check_inputs(residuals: ResidualSet, space) -> None:
@@ -111,29 +111,21 @@ def lattice_smoothness(residuals: ResidualSet, space: LatticeSpace,
 
     Equals (:func:`lkc_top` on ``region``, :func:`fwhm_estimate` on
     ``space``) bit for bit; ``region`` (default ``space``) is a
-    restriction of ``space`` such as a time window. The forward
-    differences along every axis are formed once per block of the first
-    two axes (reading one plane past it); their squared sums give the
-    FWHM and, with the cross products, each unit cube's Gram matrix G,
-    whose sqrt|G| sums to l_D. Blocks run on the worker threads; a stack
-    that fits in one block runs on the calling thread.
+    restriction of ``space`` such as a time window. On the flat vertex
+    order a step along an axis is a shift by its stride, so each piece, a
+    range of vertices, forms the forward differences along every axis
+    once (reading one stride past it); their squared sums give the FWHM
+    and, with the cross products, each unit cube's Gram matrix G, whose
+    sqrt|G| sums to l_D. Pieces run on the worker threads; a stack that
+    fits in one piece runs on the calling thread.
     """
     if not isinstance(space, LatticeSpace):
         raise TypeError("lattice_smoothness needs a lattice space")
     _check_inputs(residuals, space)
     d, dims = space.dimension, space.dims
-    blocks = _blocks(dims, residuals.u.shape[0])
-    # Blocks span whole planes of the axes past j, so arrays are viewed as frames whose last
-    # axis merges them: an axis step is a lead-axis step or a flat shift by its stride. A box
-    # spans wrap-around positions on the flat axis too: invalid edges and cubes, never read.
-    j = int(d > 1 and blocks[0][1].stop < dims[1])
-    strides = [math.prod(dims[ax + 1:]) for ax in range(d)]
-    steps = [[int(a == ax) for a in range(j)] + [strides[ax] * (ax >= j)] for ax in range(d)]
-    frame = dims[:j] + (math.prod(dims[j:]),)
-    u = residuals.u.reshape((-1,) + frame)
-    norms = residuals.norms.reshape(frame)
+    u, norms = residuals.u, residuals.norms
     usable = space.mask & ~residuals.flagged.reshape(dims)
-    norms_lo = np.where(usable.reshape(frame), norms, 1.0)
+    norms_lo = np.where(usable.ravel(), norms, 1.0)
 
     edges = []
     for ax in range(d):
@@ -150,37 +142,29 @@ def lattice_smoothness(residuals: ResidualSet, space: LatticeSpace,
     if not cubes.any():
         raise ValueError("no complete components inside the mask")
 
-    # Per-block values land in full-size arrays reduced once at the end,
-    # so the sums run in the same order as over whole-volume stacks.
-    sq = [np.empty(frame) for _ in range(d)]
-    contrib = np.empty(frame)
+    # Per-vertex values land in full-size arrays reduced once at the end, so
+    # the sums run in the same order as over whole-volume stacks. Flat shifts
+    # also pair a line's last vertex with the next line's first: such edges
+    # and cubes are off the valid sets, and never read.
+    n_v = norms.size
+    strides = [math.prod(dims[ax + 1:]) for ax in range(d)]
+    sq = [np.empty(n_v) for _ in range(d)]
+    contrib = np.empty(n_v)
 
-    def block(blk):
-        start = [s.start for s in blk] + [0] * (d - len(blk))
-        size = [s.stop - s.start for s in blk] + list(dims[len(blk):])
-        # an axis has no edges (and no cubes) past its last plane
-        near = [min(n, m - 1 - s) for s, n, m in zip(start, size, dims)]
-
-        def box(ext, step=(0, 0)):  # frame index of ext planes at the corner, moved by step
-            shape = ext[:j] + [1 + sum((e - 1) * k for e, k in zip(ext[j:], strides[j:]))]
-            corner = start[:j] + [start[j] * strides[j]]
-            return (..., *(slice(c + s, c + s + n) for c, s, n in zip(corner, step, shape)))
-
-        diffs = []
-        for ax in range(d):
-            ext = size[:ax] + near[ax:ax + 1] + size[ax + 1:]
-            lo, hi = box(ext), box(ext, steps[ax])
-            # (r_hi - r_lo) / |r_lo| (1 if r_lo is unusable); edges off the valid set are unread
-            delta = u[hi] * (norms[hi] / norms_lo[lo])
-            delta -= u[lo]
-            sq[ax][lo] = np.square(delta).sum(axis=0)
+    def piece(p):
+        a, diffs = p.start, []
+        for s, out in zip(strides, sq):
+            e = min(p.stop, n_v - s)  # the last s vertices have no edge along this axis
+            # (r_hi - r_lo) / |r_lo| (1 if r_lo is unusable)
+            delta = u[:, a + s:e + s] * (norms[a + s:e + s] / norms_lo[a:e])
+            delta -= u[:, a:e]
+            out[a:e] = np.square(delta).sum(axis=0)
             diffs.append(delta)
-        cube = box(near)
-        crop = (slice(None),) + tuple(slice(0, s.stop - s.start) for s in cube[1:])
-        contrib[cube] = _sqrt_det_gram([x[crop] for x in diffs], [s[cube] for s in sq])
+        c = max(0, min(p.stop, n_v - sum(strides)) - a)  # the piece's cube base vertices
+        contrib[a:a + c] = _sqrt_det_gram([x[:, :c] for x in diffs], [x[a:a + c] for x in sq])
 
-    # a block without a usable vertex has no valid edge or cube: its entries are never read
-    _each(block, [blk for blk in blocks if usable[blk].any()])
+    # a piece without a usable vertex has no valid edge or cube: its entries are never read
+    _each(piece, [p for p in _pieces(dims, u.shape[0]) if usable.ravel()[p].any()])
     lam = [float(s.reshape(dims)[lo][valid].mean()) for s, (lo, valid) in zip(sq, edges)]
     fwhm = np.array([np.inf if x == 0 else math.sqrt(FOUR_LOG2 / x) for x in lam])
     return float(contrib.reshape(dims)[base][cubes].sum()), fwhm

@@ -2,7 +2,8 @@
 
 Property tests run without hypothesis's per-example deadline: on a loaded
 or throttled host one example can take longer than the 200 ms default
-without anything being wrong. Example counts stay at their defaults.
+without anything being wrong. Example counts stay at their defaults; the
+``thorough`` profile (``--hypothesis-profile=thorough``) runs 1000 a test.
 """
 
 import contextlib
@@ -13,6 +14,7 @@ from hypothesis import settings
 from topostat import _parallel
 
 settings.register_profile("topostat", deadline=None)
+settings.register_profile("thorough", deadline=None, max_examples=1000)
 settings.load_profile("topostat")
 
 

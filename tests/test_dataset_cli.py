@@ -318,6 +318,7 @@ class TestAnalyze:
                 ((design, contrast), ["--smooth", "2,x"], "--smooth"),
                 ((design, contrast), ["--window", "3:x"], "--window"),
                 ((design, contrast), ["--window", "9:3"], "empty time window"),
+                ((design, contrast), ["--window", "5:5"], "--window 5:5 holds one time bin"),
                 ((design, contrast), ["--window", "24:30", "--smooth", "2"],
                  "empty time window"),
                 ((design, long_contrast), [], "contrast length"),

@@ -237,6 +237,19 @@ class TestMesh:
         with pytest.raises(ValueError, match="degenerate"):
             build_mesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 1)])
 
+    @pytest.mark.parametrize("vertices, simplices, named", [
+        ([(0, 0), (1, 0), (0, 1)], [(0, 1, 2), (0, 1, 2)], "(0, 1, 2): row 1 lists"),
+        ([(0, 0), (1, 0), (0, 1)], [(0, 1, 2), (0, 2, 1)], "(0, 2, 1): row 1 lists"),
+        ([(0, 0), (1, 0), (0, 1), (1, 1)], [(1, 2, 3), (0, 1, 2), (2, 1, 0)],
+         "(2, 1, 0): row 2 lists the vertices of row 1"),
+        ([(0, 0), (1, 0), (2, 0)], [(0, 1), (1, 2), (1, 0)], "(1, 0): row 2 lists"),
+    ], ids=["triangle-same-order", "triangle-other-order", "triangle-later", "edge"])
+    def test_repeated_simplex_rejected(self, vertices, simplices, named):
+        # counted twice, a repeat doubled mu and l_D: (0, 1, 2), (0, 2, 1) gave
+        # mu = (2, 0, 1), a closed surface of twice the triangle's area
+        with pytest.raises(ValueError, match=re.escape(f"repeated simplex {named}")):
+            build_mesh(vertices, simplices)
+
     def test_triangle_on_a_line_rejected(self):
         with pytest.raises(ValueError, match="2 coordinates per vertex, got 1"):
             build_mesh([(0.0,), (1.0,), (2.0,)], [(0, 1, 2)])
@@ -252,6 +265,23 @@ class TestMesh:
     def test_non_finite_coordinate_rejected(self, bad):
         with pytest.raises(ValueError, match="vertex 2 has a non-finite coordinate"):
             build_mesh([(0, 0), (1, 0), (0, bad)], [(0, 1, 2)])
+
+    @pytest.mark.parametrize("text, message", [
+        ("2 3 -1\n0 0\n1 0\n0 1\n", "negative count in mesh header 2 3 -1"),
+        ("2 -3 1\n0 1 2\n", "negative count"),
+        ("2 3.0 1\n0 0\n1 0\n0 1\n0 1 2\n", "invalid literal for int.*'3.0'"),
+        ("2 3 1\n0 0\n1 0\n0 1\n0 1 2.5\n", "invalid literal for int.*'2.5'"),
+        ("2 3 1\n0 0\n1 0\n0 1\n0 1 99999999999999999999\n", "Python int too large"),
+        ("2 3 1\n0 0\n1 0\n0 x\n0 1 2\n", "could not convert string to float: 'x'"),
+        ("2 3 3\n0 0\n1 0\n0 1\n", "inconsistent mesh token count"),
+        ("2 3 2\n0 0\n1 0\n0 1\n0 1 2\n2 1 0\n", "repeated simplex"),
+    ], ids=["negative-simplices", "negative-vertices", "fractional-header",
+            "fractional-index", "huge-index", "word-coordinate", "short", "repeated"])
+    def test_mesh_file_errors_name_the_file(self, tmp_path, text, message):
+        path = tmp_path / "bad.mesh"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+            read_mesh(path)
 
     def test_mesh_file_with_nan_coordinate_rejected(self, tmp_path):
         path = tmp_path / "nan.mesh"
