@@ -4,10 +4,11 @@ File reads, numpy ufuncs, and ``scipy.ndimage`` filters on large arrays
 release the GIL, so threads share the work of one pass: the files of a
 dataset, the observations of a stack to smooth, the column pieces of the
 residual normalisation and the vertex ranges of the smoothness pass.
-Each piece writes its own part of the output, and results do not depend
-on how many threads run. The pool is made on first use, sized to the
-affinity mask, and forgotten in a forked child, which inherits no worker
-threads.
+Each piece writes its own part of the output and waits for no other, and
+results do not depend on how many threads run. :func:`_runs` is the one
+rule that cuts block-sized pieces, those of the smoothness pass and the
+fit's serial slabs. The pool is made on first use, sized to the affinity
+mask, and forgotten in a forked child, which inherits no worker threads.
 
 A function run on a worker calls no public ``topostat`` function and
 never calls :func:`_each` itself: workers only compute.
@@ -66,13 +67,19 @@ def _split(n: int, parts: int) -> list[slice]:
     return [slice(i * n // parts, (i + 1) * n // parts) for i in range(parts)]
 
 
+def _runs(n: int, unit_bytes: int) -> list[slice]:
+    """Contiguous runs of range(n), each about BLOCK_BYTES of ``unit_bytes`` units
+    and >= 2 unless there is one: numpy sums a lone column pairwise, not row by row."""
+    return _split(n, min(-(-n * unit_bytes // BLOCK_BYTES), n // 2))
+
+
 @contextlib.contextmanager
 def _ahead(fill, n: int, shape):
     """``with _ahead(fill, n, shape) as blocks:`` iterates over n float64
-    blocks of ``shape``, block i filled by ``fill(i, out)`` and valid until
-    the next is taken. With two workers and ``os.fork``, one forked producer
-    fills a shared ring of SLOTS blocks meanwhile; it is reaped on every way
-    out of the ``with``, which raises RuntimeError if it failed."""
+    blocks of ``shape``, block i filled by ``fill(i, out)``, the caller's
+    until the next is taken. With two workers and ``os.fork``, one forked
+    producer fills a shared ring of SLOTS blocks meanwhile; it is reaped on
+    every way out of the ``with``, which raises RuntimeError if it failed."""
     if WORKERS < 2 or not hasattr(os, "fork"):
         out = np.empty(shape)
         yield (fill(i, out) or out for i in range(n))  # fill returns None

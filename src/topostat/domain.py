@@ -186,7 +186,7 @@ class MeshSpace:
         ordered = np.sort(simplices, axis=1)
         repeated = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
         if repeated.any():
-            raise ValueError(f"degenerate simplex {tuple(simplices[np.argmax(repeated)])}")
+            raise ValueError(f"degenerate simplex {tuple(simplices[np.argmax(repeated)].tolist())}")
         _, first, group = np.unique(ordered, axis=0, return_index=True, return_inverse=True)
         again = np.flatnonzero(first[group] != np.arange(len(ordered)))
         if again.size:

@@ -3,11 +3,11 @@
 Fits an identical design at every vertex of a search space, producing
 t-statistic fields, per-vertex residual variance and the unit-normalized
 residual fields that drive smoothness estimation. All fits are
-vertex-independent. One buffer carries a stack from data to u: :func:`fit`
-takes over the caller's float64 data and subtracts the fitted values from
-it in place, so the data become the residuals, whose sum of squares is
-reduced once; :func:`normalized_residuals` then takes the residuals over
-and divides them into u in place. Design factors are computed once per design.
+vertex-independent. One buffer carries a stack from data to u: :func:`fit` takes
+over the caller's float64 data and subtracts the fitted values from it in place, in
+the slabs of :func:`_parallel._runs`, so the data become the residuals, whose sum
+of squares is reduced once; :func:`normalized_residuals` then takes the residuals
+over and divides them into u in place. Design factors are computed once per design.
 With one regressor the fitted values x * b + 0.0 equal x @ b bit for bit, at
 less cost: the + 0.0 turns a -0.0 into the +0.0 of the product's accumulator.
 """
@@ -25,7 +25,6 @@ from . import _parallel
 
 RANK_RTOL = 1e-10
 ORTHO_RTOL = 1e-8
-SSR_SLAB = 4096  # columns per slab of the residual subtraction and its sum of squares
 
 
 @dataclass(frozen=True)
@@ -125,17 +124,24 @@ class DesignMatrix:
 
     @classmethod
     def from_csv(cls, path) -> "DesignMatrix":
-        """Load a design from CSV with a header row of regressor names."""
+        """Load a design from CSV with a header row of regressor names and
+        data rows of one finite number per name."""
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         if len(rows) < 2:
             raise ValueError(f"{path}: need a header row and at least one data row")
         names = tuple(name.strip() for name in rows[0])
         try:
-            values = np.array([[float(x) for x in row] for row in rows[1:]])
+            values = [[float(x) for x in row] for row in rows[1:]]
         except ValueError as exc:
             raise ValueError(f"{path}: non-numeric design entry ({exc})") from None
-        return cls(values, names)
+        for i, row in enumerate(values, 1):
+            if len(row) != len(names):
+                raise ValueError(f"{path}: data row {i} holds {len(row)} entries "
+                                 f"for the header's {len(names)} names")
+            if not np.isfinite(row).all():
+                raise ValueError(f"{path}: data row {i} holds a non-finite entry: {rows[i]}")
+        return cls(np.array(values), names)
 
 
 @dataclass
@@ -193,7 +199,8 @@ def fit(data, design: DesignMatrix) -> GlmFit:
     Returns
     -------
     GlmFit with betas, the residuals (in ``data``'s buffer), per-vertex
-    SSR and dof = n_obs - rank.
+    SSR and dof = n_obs - rank. The residuals and SSR are formed one column
+    slab of :func:`_parallel._runs` at a time, to bound the temporaries.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim == 1:
@@ -202,14 +209,8 @@ def fit(data, design: DesignMatrix) -> GlmFit:
         raise ValueError(f"data has {data.shape[0]} rows, design has {design.n_obs}")
     dof = design.dof
     betas = design.pinv @ data
-    # Residuals and their squares' column sums one slab at a time, to bound the temporaries.
-    # numpy sums one column pairwise but wider blocks row by row; np.array_split's near-equal
-    # slabs are one column only if r is.
     x, ssr = design.values, np.empty(data.shape[1])
-    n_slabs = -(-data.shape[1] // SSR_SLAB) or 1
-    size, extra = divmod(data.shape[1], n_slabs)
-    for i in range(n_slabs):
-        cols = slice(i * size + min(i, extra), (i + 1) * size + min(i + 1, extra))
+    for cols in _parallel._runs(data.shape[1], 8 * data.shape[0]):
         r = data[:, cols]
         r -= x * betas[:, cols] + 0.0 if x.shape[1] == 1 else x @ betas[:, cols]
         np.square(r).sum(axis=0, out=ssr[cols])

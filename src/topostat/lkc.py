@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import BLOCK_BYTES, _each, _split
+from ._parallel import _each, _runs
 from .domain import IntrinsicVolumes, LatticeSpace, MeshSpace
 from .glm import ResidualSet
 
@@ -85,8 +85,8 @@ def _sqrt_det_gram(diffs: list[np.ndarray], diag: list[np.ndarray]) -> np.ndarra
 
 
 def _pieces(dims, n: int) -> list[slice]:
-    """Flat vertex ranges of >= 2 whole last-axis lines, each about
-    BLOCK_BYTES of an ``n``-deep stack, none but the first starting at the
+    """Flat vertex ranges of whole last-axis lines, cut by :func:`_runs` from
+    the lines of an ``n``-deep stack, none but the first starting at the
     last line that holds a cube. A piece's difference and cube stacks are
     then empty or >= 2 vertices wide, unless the lattice's are: numpy sums
     a lone vertex's column pairwise, which can change the last bit."""
@@ -94,7 +94,7 @@ def _pieces(dims, n: int) -> list[slice]:
     lines = n_v // line
     # the line of the last cube's base vertex, n_v - 1 - sum(strides)
     last = (n_v - 1 - sum(math.prod(dims[ax + 1:]) for ax in range(len(dims)))) // line
-    runs = _split(lines, min(-(-8 * n * n_v // BLOCK_BYTES), lines // 2))
+    runs = _runs(lines, 8 * n * line)
     cuts = [0] + [r.start * line for r in runs[1:] if r.start != last] + [n_v]
     return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,11 +177,12 @@ def gaussian_smooth(stack, fwhm, mask):
         An (n_obs, *mask.shape) stack whose observations are smoothed
         independently; the mask normalizer is built once per stack.
         A float64 array is overwritten with its smoothed values and
-        returned: the caller's buffer becomes the output. The worker
-        threads take whole observations, each smoothed in place by one
-        pass per axis, so the extra memory is the normalizer, whatever the
-        number of observations or of workers. A stack of fewer
-        observations than workers leaves the other workers idle.
+        returned: the caller's buffer becomes the output. Two maps over
+        whole volumes run on the worker threads, one smoothing the
+        normalizer and each observation in place by one pass per axis, one
+        dividing the observations by it, so the extra memory is the
+        normalizer, whatever the number of observations or of workers.
+        A stack of fewer observations than workers leaves the others idle.
         Any other input is first converted to a new float64 array.
     fwhm : float or sequence of float
         Finite width in bins, one for every axis or one per axis; 0 skips an axis.
@@ -203,29 +203,20 @@ def gaussian_smooth(stack, fwhm, mask):
     outside = ~mask
     # every normalized kernel has a positive centre weight, so den > 0 in the mask
     den = mask.astype(float)
-    den_ready = threading.Event()
 
-    def smooth(vol):
+    def smooth(vol):  # the normalizer, already 0 outside, is one more volume
+        np.copyto(vol, 0.0, where=outside)
         # A 1-D ndimage filter copies each line into a buffer before writing it
         # back, so a pass in place gives the bits of one into a new array.
         for ax, k in kernels:
             ndimage.convolve1d(vol, k, axis=ax, mode="constant", output=vol)
 
-    def task(i):  # task -1, taken first, smooths the normalizer; task i observation i
-        if i < 0:
-            try:
-                smooth(den)
-            finally:  # a failure must not leave an observation waiting
-                den_ready.set()
-            return
-        vol = stack[i]
-        np.copyto(vol, 0.0, where=outside)
-        smooth(vol)
-        den_ready.wait()
+    def divide(vol):
         np.divide(vol, den, out=vol, where=mask)
         np.copyto(vol, 0.0, where=outside)
 
-    _parallel._each(task, range(-1, len(stack)))
+    _parallel._each(smooth, [den, *stack])
+    _parallel._each(divide, stack)
     return stack
 
 

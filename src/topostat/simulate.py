@@ -17,9 +17,9 @@ of them left out.
 Each realization's fields are drawn by :func:`_parallel._ahead`: in a
 forked producer while this process fits, thresholds and tallies the one
 before, or inline on one core. One set of buffers serves every field: the
-padded noise, two axis-pass outputs, and one (n_fields, n_points) data
-buffer that in Student-t mode :func:`glm.fit` takes over (data ->
-residuals -> u) until the next realization.
+padded noise and two axis-pass outputs. In Student-t mode :func:`glm.fit`
+takes over each (n_fields, n_points) block of ``_ahead`` (data ->
+residuals -> u), which is the caller's until it takes the next.
 
 Fields are reproducible by contract: realization ``index`` under seed
 ``s`` uses a counter-based generator keyed by (s, index), so any subset
@@ -223,11 +223,10 @@ def mc_calibrate(config: SimConfig, thresholds, alpha: float | None = 0.05) -> d
     n_exceed = 0
     thr = threshold
     draw = _field_drawer(config)
-    data = np.empty((config.n_subjects if student_t else 1, math.prod(config.dims)))
+    shape = (config.n_subjects if student_t else 1, math.prod(config.dims))
     design = DesignMatrix(np.ones((config.n_subjects, 1)), ("mean",))
-    with _ahead(lambda i, out: draw(_rng_for(config.seed, i), out), n, data.shape) as blocks:
-        for i, block in enumerate(blocks):
-            np.copyto(data, block)
+    with _ahead(lambda i, out: draw(_rng_for(config.seed, i), out), n, shape) as blocks:
+        for i, data in enumerate(blocks):
             if student_t:
                 fit = glm.fit(data, design)  # data -> residuals, then u below
                 values = glm.t_map(fit, [1.0]).values.reshape(config.dims)

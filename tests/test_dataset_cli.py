@@ -314,6 +314,13 @@ class TestAnalyze:
             for i in range(n_obs)))
         saturated_contrast = tmp_path / "saturated_contrast.csv"
         saturated_contrast.write_text(",".join(["1"] * n_obs) + "\n")
+        malformed = {}  # design files, bad in their last data row or (wide) in every row
+        for name, text in [("nan", "mean" + "\n1" * (n_obs - 1) + "\nnan\n"),
+                           ("inf", "mean" + "\n1" * (n_obs - 1) + "\ninf\n"),
+                           ("short", "a,b" + "\n1,0" * (n_obs - 1) + "\n1\n"),
+                           ("wide", "mean" + "\n1,0" * n_obs + "\n")]:
+            malformed[name] = tmp_path / f"{name}.csv"
+            malformed[name].write_text(text)
         for files, bad, message in [
                 ((design, contrast), ["--smooth", "2,x"], "--smooth"),
                 ((design, contrast), ["--window", "3:x"], "--window"),
@@ -323,7 +330,15 @@ class TestAnalyze:
                  "empty time window"),
                 ((design, long_contrast), [], "contrast length"),
                 ((twins, long_contrast), [], "not estimable"),
-                ((saturated, saturated_contrast), [], "degrees of freedom")]:
+                ((saturated, saturated_contrast), [], "degrees of freedom"),
+                ((malformed["nan"], contrast), [],
+                 f"{malformed['nan']}: data row {n_obs} holds a non-finite entry: ['nan']"),
+                ((malformed["inf"], contrast), [],
+                 f"{malformed['inf']}: data row {n_obs} holds a non-finite entry: ['inf']"),
+                ((malformed["short"], long_contrast), [],
+                 f"{malformed['short']}: data row {n_obs} holds 1 entries for the header's 2"),
+                ((malformed["wide"], contrast), [],
+                 f"{malformed['wide']}: data row 1 holds 2 entries for the header's 1")]:
             assert main(["analyze", str(ds), *map(str, files),
                          "-o", str(tmp_path / "bad"), *bad]) == 2
             assert message in capsys.readouterr().err

@@ -460,7 +460,7 @@ class TestEdgeArrayMatchesReference:
 
     @pytest.mark.parametrize("row", [(0, 1, 0), (1, 1, 2), (2, 0, 0)])
     def test_degenerate_row_named_wherever_the_repeat_sits(self, row):
-        named = re.escape(f"degenerate simplex {tuple(np.array(row, dtype=np.int64))}")
+        named = re.escape(f"degenerate simplex {row}")
         with pytest.raises(ValueError, match=named):
             build_mesh([(0, 0), (1, 0), (0, 1), (1, 1)], [(0, 1, 2), row, (1, 1, 3)])
 

@@ -50,16 +50,15 @@ def reference_normalize(r, design):
 
 def slab_matmul_fit(data, design):
     """The in-place fit as it was before the one-regressor product: slabs cut by
-    ``np.array_split`` and ``x @ b`` at any regressor count. Returns
+    ``_parallel._runs`` and ``x @ b`` at any regressor count. Returns
     (betas, residuals, ssr) on a copy of ``data``."""
     data = np.array(data, dtype=float)
     betas = design.pinv @ data
     ssr = np.empty(data.shape[1])
-    n_slabs = -(-data.shape[1] // glm.SSR_SLAB) or 1
-    for r, b, ssr_slab in zip(*(np.array_split(a, n_slabs, axis=-1)
-                                for a in (data, betas, ssr))):
-        r -= design.values @ b
-        (r * r).sum(axis=0, out=ssr_slab)
+    for cols in _parallel._runs(data.shape[1], 8 * data.shape[0]):
+        r = data[:, cols]
+        r -= design.values @ betas[:, cols]
+        (r * r).sum(axis=0, out=ssr[cols])
     return betas, data, ssr
 
 
@@ -95,7 +94,7 @@ def assert_matches_reference(data, design):
 class TestOneResidualOwner:
     @given(seed=st.integers(0, 2**32 - 1), n_obs=st.integers(2, 40),
            n_vert=st.integers(0, 60), n_reg=st.integers(1, 3),
-           slab=st.sampled_from([3, 4, 7, glm.SSR_SLAB]),
+           slab=st.sampled_from([1, 3, 4, 7, 4096]),
            layout=st.sampled_from(["contiguous", "strided", "int"]))
     def test_bit_identical_to_two_call_path(self, seed, n_obs, n_vert, n_reg, slab, layout):
         rng = np.random.default_rng(seed)
@@ -106,7 +105,8 @@ class TestOneResidualOwner:
             -6, 6, (n_obs, 2 * n_vert))
         data = {"contiguous": data[:, :n_vert].copy(), "strided": data[:, ::2],
                 "int": np.rint(data[:, :n_vert]).astype(np.int64)}[layout]
-        with mock.patch.object(glm, "SSR_SLAB", slab):
+        # slabs of about ``slab`` columns; 1 leaves the two-column floor of _runs
+        with mock.patch.object(_parallel, "BLOCK_BYTES", 8 * n_obs * slab):
             assert_matches_reference(data, design)
 
     def test_large_n_slabs_exact_for_one_regressor(self):
@@ -141,7 +141,7 @@ class TestOneResidualOwner:
         rng = np.random.default_rng(27)
         design = DesignMatrix(rng.standard_normal((12, n_reg)),
                               tuple(f"x{i}" for i in range(n_reg)))
-        data = rng.standard_normal((12, 2 * glm.SSR_SLAB + 1))
+        data = rng.standard_normal((12, 2 * _parallel.BLOCK_BYTES // (8 * 12) + 1))  # 3 slabs
         out = fit(data.copy(), design)
         for got, want in zip((out.betas, out.residuals, out.ssr), slab_matmul_fit(data, design)):
             assert_same_bits(got, want)
@@ -185,7 +185,7 @@ class TestOneResidualOwner:
         finally:
             tracemalloc.stop()
         # betas, the SSR pieces and one slab of fitted values or squares
-        assert fit_peak <= (design.n_reg + 4) * vector + 8 * n_obs * glm.SSR_SLAB
+        assert fit_peak <= (design.n_reg + 4) * vector + _parallel.BLOCK_BYTES
         assert norm_peak <= 4 * vector
         assert buffer is data and rs.u is data and out.residuals is None
 

@@ -5,6 +5,7 @@ import itertools
 import math
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from topostat import (
     lkc_vector,
     normalized_residuals,
 )
-from topostat import lkc
+from topostat import _parallel, lkc
 from topostat.ecd import restrict
 from topostat.lkc import FOUR_LOG2, lattice_smoothness
 from topostat.simulate import SimConfig, effective_fwhm, gen_field
@@ -288,6 +289,19 @@ class TestFwhmEstimate:
             fwhm_estimate(res, space)
 
 
+@given(n=st.integers(0, 10_000), unit_bytes=st.integers(1, 1 << 16),
+       block_bytes=st.integers(8, 1 << 20))
+def test_runs_cover_range_in_pieces_of_bounded_size(n, unit_bytes, block_bytes):
+    # the one piece rule of the fit's slabs and the smoothness pass's pieces
+    with mock.patch.object(_parallel, "BLOCK_BYTES", block_bytes):
+        runs = _parallel._runs(n, unit_bytes)
+    assert runs[0].start == 0 and runs[-1].stop == n
+    assert all(a.stop == b.start for a, b in itertools.pairwise(runs))
+    sizes = [r.stop - r.start for r in runs]
+    assert len(runs) == 1 or min(sizes) >= 2  # no lone column, summed pairwise
+    assert max(sizes) <= max(3, -(-block_bytes // unit_bytes))
+
+
 class TestLatticeSmoothness:
     """The piece-parallel kernel against the two-pass reference, exactly,
     on 1-3 worker threads."""
@@ -300,7 +314,7 @@ class TestLatticeSmoothness:
 
     def _case(self, monkeypatch):
         plane_bytes = 8 * self.N_RES * self.DIMS[1] * self.DIMS[2]
-        monkeypatch.setattr(lkc, "BLOCK_BYTES", 2 * plane_bytes)
+        monkeypatch.setattr(_parallel, "BLOCK_BYTES", 2 * plane_bytes)
         assert lkc._pieces(self.DIMS, self.N_RES) == [
             slice(8 * a, 8 * b) for a, b in itertools.pairwise(self.LINES)]
         rng = np.random.default_rng(11)
@@ -351,8 +365,8 @@ class TestLatticeSmoothness:
         space = build_lattice(dims, mask)
         want = (reference_lattice_lkc_top(res, space), reference_fwhm(res, space))
         # one piece, then the fewest lines a piece may hold
-        for block_bytes in (lkc.BLOCK_BYTES, 8):
-            monkeypatch.setattr(lkc, "BLOCK_BYTES", block_bytes)
+        for block_bytes in (_parallel.BLOCK_BYTES, 8):
+            monkeypatch.setattr(_parallel, "BLOCK_BYTES", block_bytes)
             for n_workers in (1, 2, 3):
                 with workers(n_workers):
                     top, fwhm = lattice_smoothness(res, space)
@@ -395,8 +409,8 @@ class TestLatticeSmoothness:
         want = [(reference_lattice_lkc_top(res, space), reference_fwhm(res, space))
                 for res in draws]
         stack_bytes = 8 * 13 * math.prod(dims)
-        for block_bytes in [lkc.BLOCK_BYTES, 8] + [-(-stack_bytes // k) for k in range(2, 10)]:
-            monkeypatch.setattr(lkc, "BLOCK_BYTES", block_bytes)
+        for block_bytes in [_parallel.BLOCK_BYTES, 8] + [-(-stack_bytes // k) for k in range(2, 10)]:
+            monkeypatch.setattr(_parallel, "BLOCK_BYTES", block_bytes)
             for n_workers in (1, 2, 3):
                 with workers(n_workers):
                     got = [lattice_smoothness(res, space) for res in draws]
@@ -421,7 +435,7 @@ class TestLatticeSmoothness:
         space = build_lattice(dims, mask)
         res = residual_set_from_raw(raw.reshape(n_res, -1))
         stack_bytes = 8 * n_res * math.prod(dims)
-        monkeypatch.setattr(lkc, "BLOCK_BYTES", max(1, stack_bytes // n_blocks))
+        monkeypatch.setattr(_parallel, "BLOCK_BYTES", max(1, stack_bytes // n_blocks))
         pieces = lkc._pieces(dims, n_res)
         assert [p.start for p in pieces[1:]] == [p.stop for p in pieces[:-1]]
         assert pieces[0].start == 0 and pieces[-1].stop == math.prod(dims)
@@ -444,7 +458,7 @@ class TestLatticeSmoothness:
         res = residual_set_from_raw(rng.standard_normal((12, math.prod(dims))))
         space = build_lattice(dims, rng.random(dims) < 0.95)
         want = (reference_lattice_lkc_top(res, space), reference_fwhm(res, space))
-        monkeypatch.setattr(lkc, "BLOCK_BYTES", 8)
+        monkeypatch.setattr(_parallel, "BLOCK_BYTES", 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -472,7 +486,7 @@ class TestLatticeSmoothness:
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
-            assert peak <= 5 * 8 * n_vertices + 6 * n_workers * lkc.BLOCK_BYTES
+            assert peak <= 5 * 8 * n_vertices + 6 * n_workers * _parallel.BLOCK_BYTES
 
     def test_blocks_without_usable_vertices_skipped(self, monkeypatch, workers):
         # a disc mask leaves the first and last rows empty; skipping their pieces
@@ -491,7 +505,7 @@ class TestLatticeSmoothness:
             real_each(fn, blks)
 
         monkeypatch.setattr(lkc, "_each", each)
-        monkeypatch.setattr(lkc, "BLOCK_BYTES", 8 * n_res * 9 * 9 * dims[2])
+        monkeypatch.setattr(_parallel, "BLOCK_BYTES", 8 * n_res * 9 * 9 * dims[2])
         cut = lkc._pieces(dims, n_res)
         for n_workers in (1, 2, 3):
             with workers(n_workers):
@@ -500,7 +514,7 @@ class TestLatticeSmoothness:
             np.testing.assert_array_equal(fwhm, want[1])
         assert 0 < len(pieces[-1]) < len(cut)
         # one piece holds the whole disc, so nothing is skipped
-        monkeypatch.setattr(lkc, "BLOCK_BYTES", 1 << 40)
+        monkeypatch.setattr(_parallel, "BLOCK_BYTES", 1 << 40)
         with workers(2):
             assert lattice_smoothness(res, space)[0] == want[0]
         assert len(pieces[-1]) == 1

@@ -389,8 +389,8 @@ for n in (1, 2, 3):
 
 
 def test_failing_normalizer_raises_without_a_hang():
-    # a worker waits for the normalizer only before dividing: if smoothing it
-    # fails, the error reaches the caller and no worker is left waiting, so the
+    # the normalizer is smoothed in the first map, before any division: if that
+    # fails, the error reaches the caller and no worker is left running, so the
     # interpreter exits (joining its pool threads) well inside the timeout
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}

@@ -19,7 +19,7 @@ from scipy import ndimage
 
 from topostat import StatField, build_lattice, expected_ec, local_maxima
 from topostat import corrected_threshold, intrinsic_volumes, lkc_vector
-from topostat import glm, simulate
+from topostat import _parallel, glm, simulate
 from topostat.domain import lattice_euler_characteristic
 from topostat.glm import DesignMatrix, FieldType, fit, normalized_residuals, t_map
 from topostat.lkc import lattice_smoothness
@@ -268,8 +268,9 @@ class TestReusedBuffersMatchFreshArrays:
 
         monkeypatch.setattr(glm, "fit", spy)
         mc_calibrate(cfg, [0.0], 0.5)
-        assert len(stacks) == cfg.n_realizations
-        assert len({x.ctypes.data for x in stacks}) == 1
+        assert len(stacks) == cfg.n_realizations > _parallel.SLOTS
+        # the fit takes over the block of _ahead: its one buffer, or a ring slot
+        assert len({x.ctypes.data for x in stacks}) <= _parallel.SLOTS
 
 
 class TestOnePassMatchesSeparateLoops:
