@@ -1,14 +1,14 @@
 """Independent pieces of one pass, run on the cores this process may use.
 
 File reads, numpy ufuncs, and ``scipy.ndimage`` filters on large arrays
-release the GIL, so threads share the work of one pass: the files of a
-dataset, the observations of a stack to smooth, the column pieces of the
-residual normalisation and the vertex ranges of the smoothness pass.
-Each piece writes its own part of the output and waits for no other, and
-results do not depend on how many threads run. :func:`_runs` is the one
-rule that cuts block-sized pieces, those of the smoothness pass and the
-fit's serial slabs. The pool is made on first use, sized to the affinity
-mask, and forgotten in a forked child, which inherits no worker threads.
+release the GIL, so threads share the work of three passes: the files of
+a dataset, the observations of a stack to smooth and the vertex ranges of
+the smoothness pass. Each piece writes its own part of the output and
+waits for no other, and results do not depend on how many threads run.
+:func:`_runs` is the one rule that cuts block-sized pieces, those of the
+smoothness pass and the fit's serial slabs. The pool is made on first use,
+sized to the affinity mask, and forgotten in a forked child, which inherits
+no worker threads.
 
 A function run on a worker calls no public ``topostat`` function and
 never calls :func:`_each` itself: workers only compute.
@@ -60,17 +60,11 @@ def _each(fn, pieces) -> None:
         pass
 
 
-def _split(n: int, parts: int) -> list[slice]:
-    """``parts`` near-equal contiguous slices of range(n): at most n of them,
-    and one if n is 0."""
-    parts = max(1, min(parts, n))
-    return [slice(i * n // parts, (i + 1) * n // parts) for i in range(parts)]
-
-
 def _runs(n: int, unit_bytes: int) -> list[slice]:
-    """Contiguous runs of range(n), each about BLOCK_BYTES of ``unit_bytes`` units
-    and >= 2 unless there is one: numpy sums a lone column pairwise, not row by row."""
-    return _split(n, min(-(-n * unit_bytes // BLOCK_BYTES), n // 2))
+    """Near-equal contiguous runs of range(n), each about BLOCK_BYTES of ``unit_bytes``
+    units and >= 2 unless there is one: numpy sums a lone column pairwise."""
+    parts = max(1, min(-(-n * unit_bytes // BLOCK_BYTES), n // 2))
+    return [slice(i * n // parts, (i + 1) * n // parts) for i in range(parts)]
 
 
 @contextlib.contextmanager

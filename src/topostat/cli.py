@@ -54,7 +54,7 @@ def cmd_analyze(args) -> int:
 
     Every input is checked before the observations are read into one stack that
     :func:`preproc.gaussian_smooth` masks with ``ds.mask`` and smooths in place
-    (zero widths only mask it) and :func:`glm.fit` turns into residuals and u.
+    (zero widths only mask it) and :func:`glm.fit` turns into the residuals.
     """
     if not 0.0 < args.height_p < 1.0:
         raise ValueError(f"--height-p must lie in (0, 1), got {args.height_p}")
@@ -68,6 +68,8 @@ def cmd_analyze(args) -> int:
             f"design has {design.n_obs} rows but dataset has {ds.n_obs} observations"
         )
     dof = design.dof
+    if dof <= len(ds.dims):  # else E[EC] of the t field does not fall to 0 with height
+        raise ValueError(f"design dof {dof}: a t field on D = {len(ds.dims)} axes needs dof > D")
     design.variance_factor(contrast)  # a contrast that does not fit exits here
     smooth_fwhm = preproc._widths(args.smooth.split(",") if args.smooth else 0.0,
                                   len(ds.dims), "--smooth")

@@ -1,15 +1,16 @@
 """Mass-univariate general linear model.
 
 Fits an identical design at every vertex of a search space, producing
-t-statistic fields, per-vertex residual variance and the unit-normalized
-residual fields that drive smoothness estimation. All fits are
-vertex-independent. One buffer carries a stack from data to u: :func:`fit` takes
-over the caller's float64 data and subtracts the fitted values from it in place, in
-the slabs of :func:`_parallel._runs`, so the data become the residuals, whose sum
-of squares is reduced once; :func:`normalized_residuals` then takes the residuals
-over and divides them into u in place. Design factors are computed once per design.
-With one regressor the fitted values x * b + 0.0 equal x @ b bit for bit, at
-less cost: the + 0.0 turns a -0.0 into the +0.0 of the product's accumulator.
+t-statistic fields, per-vertex residual variance and the residual fields,
+with their lengths, that drive smoothness estimation. All fits are
+vertex-independent. One buffer carries a stack from data to residuals: :func:`fit`
+takes over the caller's float64 data and subtracts the fitted values from it in
+place, in the slabs of :func:`_parallel._runs`, so the data become the residuals,
+whose sum of squares is reduced once; :func:`normalized_residuals` pairs that
+buffer with the norms sqrt(SSR) and copies nothing. Design factors are computed
+once per design. With one regressor the fitted values x * b + 0.0 equal x @ b bit
+for bit, at less cost: the + 0.0 turns a -0.0 into the +0.0 of the product's
+accumulator.
 """
 
 from __future__ import annotations
@@ -125,9 +126,9 @@ class DesignMatrix:
     @classmethod
     def from_csv(cls, path) -> "DesignMatrix":
         """Load a design from CSV with a header row of regressor names and
-        data rows of one finite number per name."""
+        data rows of one finite number per name; blank rows are skipped."""
         with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+            rows = [row for row in csv.reader(fh) if row]
         if len(rows) < 2:
             raise ValueError(f"{path}: need a header row and at least one data row")
         names = tuple(name.strip() for name in rows[0])
@@ -147,12 +148,12 @@ class DesignMatrix:
 @dataclass
 class GlmFit:
     """Per-vertex least-squares fit produced by :func:`fit`; ``residuals``
-    is None once :func:`normalized_residuals` has taken the buffer over."""
+    is the buffer the data were fitted in, shared by :func:`normalized_residuals`."""
 
     design: DesignMatrix
-    betas: np.ndarray             # (n_reg, n_vertices)
-    residuals: np.ndarray | None  # (n_obs, n_vertices)
-    ssr: np.ndarray               # (n_vertices,)
+    betas: np.ndarray      # (n_reg, n_vertices)
+    residuals: np.ndarray  # (n_obs, n_vertices)
+    ssr: np.ndarray        # (n_vertices,)
     dof: int
 
     @property
@@ -170,15 +171,15 @@ class StatField:
 
 @dataclass
 class ResidualSet:
-    """Unit-normalized residual fields u = r / ||r|| per vertex.
+    """Raw residual fields r with their lengths ||r|| per vertex.
 
-    ``norms`` keeps the raw residual lengths so that downstream
-    finite differences can use the difference-of-raw-residuals
-    approximation; ``flagged`` marks zero-residual vertices (their u is
-    the zero vector and they are excluded from smoothness estimation).
+    Smoothness is estimated from the unit-normalized residuals u = r / ||r||,
+    whose differences the kernels of :mod:`lkc` take as dr / ||r_base||, so
+    u itself is never formed. ``flagged`` marks zero-residual vertices,
+    which are excluded from smoothness estimation.
     """
 
-    u: np.ndarray        # (n, n_vertices)
+    r: np.ndarray        # (n, n_vertices)
     norms: np.ndarray    # (n_vertices,)
     flagged: np.ndarray  # (n_vertices,) bool
 
@@ -235,23 +236,10 @@ def t_map(glm_fit: GlmFit, contrast) -> StatField:
 
 
 def normalized_residuals(glm_fit: GlmFit) -> ResidualSet:
-    """Unit-normalize the residual vector at every vertex (zero-residual
-    vertices are flagged, not fatal). Consumes the fit: its residual buffer
-    becomes u, divided in place by sqrt(SSR), in column pieces on the worker
-    threads when it is larger than one block; a second call raises."""
-    if glm_fit.residuals is None:
-        raise RuntimeError("this fit's residuals were already normalized")
-    u, glm_fit.residuals = glm_fit.residuals, None
+    """The fit's residuals with their norms sqrt(SSR); zero-residual vertices
+    are flagged, not fatal. ``r`` is the fit's own buffer, not a copy."""
     norms = np.sqrt(glm_fit.ssr)
-    flagged = norms == 0.0
-
-    def divide(cols):
-        u[:, cols] /= np.where(flagged[cols], 1.0, norms[cols])
-        np.copyto(u[:, cols], 0.0, where=flagged[cols])
-
-    big = u.nbytes > _parallel.BLOCK_BYTES
-    _parallel._each(divide, _parallel._split(u.shape[1], _parallel.WORKERS if big else 1))
-    return ResidualSet(u=u, norms=norms, flagged=flagged)
+    return ResidualSet(r=glm_fit.residuals, norms=norms, flagged=norms == 0.0)
 
 
 def z_equivalent(stat: StatField) -> np.ndarray:
@@ -273,7 +261,8 @@ def z_equivalent(stat: StatField) -> np.ndarray:
 
 
 def read_contrast_csv(path) -> np.ndarray:
-    """Read a contrast row vector from CSV (single row of finite numbers)."""
+    """Read a contrast row vector from CSV: one row of finite numbers, not all
+    zero; blank rows are skipped."""
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if len(rows) != 1:
@@ -284,4 +273,6 @@ def read_contrast_csv(path) -> np.ndarray:
         raise ValueError(f"{path}: non-numeric contrast entry ({exc})") from None
     if not np.isfinite(contrast).all():
         raise ValueError(f"{path}: contrast entries must be finite, got {rows[0]}")
+    if not contrast.any():
+        raise ValueError(f"{path}: an all-zero contrast tests nothing")
     return contrast

@@ -1,13 +1,14 @@
 """Lipschitz-Killing curvature and resel estimation.
 
 The top-dimension curvature l_D is estimated from finite differences of
-normalized residual fields along the components that tile the search
-space: one term per simplex on meshes (with a 1/D! factor), one term per
-unit lattice cube (volume 1, no factorial). Differences of raw residuals
-are divided by the residual norm at the component's base vertex, the
-approximation du ~= dr / ||r|| that holds when the error variance varies
-smoothly. On lattices one pass over these differences gives l_D (from
-each unit cube's Gram matrix) and the per-axis FWHM; it runs on worker
+the normalized residuals u = r / ||r|| along the components that tile the
+search space: one term per simplex on meshes (with a 1/D! factor), one term
+per unit lattice cube (volume 1, no factorial). A difference is taken as
+du ~= dr / ||r_base||, over the residual norm at the component's base vertex,
+which holds when the error variance varies smoothly; so u is never formed,
+and each sum of products of raw differences is divided by ||r_base||^2. On
+lattices one pass over these differences gives l_D (from each unit cube's
+Gram matrix) and the per-axis FWHM; it runs on worker
 threads in pieces small enough for a core's cache, each a range of whole
 last-axis lines in the flat vertex order. A step along any axis is a
 shift by that axis's stride, so each array operation is one long loop.
@@ -65,14 +66,16 @@ class ReselVector:
         return cls(lkc=lkc, resels=resels, fwhm=tuple(fwhm) if fwhm is not None else None)
 
 
-def _sqrt_det_gram(diffs: list[np.ndarray], diag: list[np.ndarray]) -> np.ndarray:
-    """sqrt|G| per component for D in {1,2,3}, G_ij = sum_n diffs[i] diffs[j];
-    diffs[k] has shape (n, ...) and ``diag`` holds the summed squares G_kk."""
+def _sqrt_det_gram(diffs: list[np.ndarray], diag: list[np.ndarray],
+                   norms2: np.ndarray) -> np.ndarray:
+    """sqrt|G| per component for D in {1,2,3}, G_ij = sum_n diffs[i] diffs[j] / norms2
+    for diffs[k] of shape (n, ...); ``diag`` holds the G_kk, already divided. So G is
+    O(1) at any scale of the residuals, and its determinant cannot overflow."""
     d = len(diffs)
     g = [[diag[i] if i == j else None for j in range(d)] for i in range(d)]
     for i in range(d):
         for j in range(i + 1, d):
-            g[i][j] = g[j][i] = (diffs[i] * diffs[j]).sum(axis=0)
+            g[i][j] = g[j][i] = (diffs[i] * diffs[j]).sum(axis=0) / norms2
     if d == 1:
         return np.sqrt(g[0][0])
     if d == 2:
@@ -100,8 +103,8 @@ def _pieces(dims, n: int) -> list[slice]:
 
 
 def _check_inputs(residuals: ResidualSet, space) -> None:
-    if residuals.u.shape[1] != space.n_points:
-        raise ValueError(f"residuals cover {residuals.u.shape[1]} vertices, "
+    if residuals.r.shape[1] != space.n_points:
+        raise ValueError(f"residuals cover {residuals.r.shape[1]} vertices, "
                          f"space has {space.n_points}")
 
 
@@ -123,9 +126,10 @@ def lattice_smoothness(residuals: ResidualSet, space: LatticeSpace,
         raise TypeError("lattice_smoothness needs a lattice space")
     _check_inputs(residuals, space)
     d, dims = space.dimension, space.dims
-    u, norms = residuals.u, residuals.norms
+    r = residuals.r
     usable = space.mask & ~residuals.flagged.reshape(dims)
-    norms_lo = np.where(usable.ravel(), norms, 1.0)
+    # ||r_lo||^2, and where r_lo is unusable the largest, so unread entries stay O(1) too
+    norms2 = np.square(np.where(usable.ravel(), residuals.norms, residuals.norms.max()))
 
     edges = []
     for ax in range(d):
@@ -146,7 +150,7 @@ def lattice_smoothness(residuals: ResidualSet, space: LatticeSpace,
     # the sums run in the same order as over whole-volume stacks. Flat shifts
     # also pair a line's last vertex with the next line's first: such edges
     # and cubes are off the valid sets, and never read.
-    n_v = norms.size
+    n_v = r.shape[1]
     strides = [math.prod(dims[ax + 1:]) for ax in range(d)]
     sq = [np.empty(n_v) for _ in range(d)]
     contrib = np.empty(n_v)
@@ -155,16 +159,15 @@ def lattice_smoothness(residuals: ResidualSet, space: LatticeSpace,
         a, diffs = p.start, []
         for s, out in zip(strides, sq):
             e = min(p.stop, n_v - s)  # the last s vertices have no edge along this axis
-            # (r_hi - r_lo) / |r_lo| (1 if r_lo is unusable)
-            delta = u[:, a + s:e + s] * (norms[a + s:e + s] / norms_lo[a:e])
-            delta -= u[:, a:e]
-            out[a:e] = np.square(delta).sum(axis=0)
+            delta = r[:, a + s:e + s] - r[:, a:e]
+            out[a:e] = np.square(delta).sum(axis=0) / norms2[a:e]
             diffs.append(delta)
         c = max(0, min(p.stop, n_v - sum(strides)) - a)  # the piece's cube base vertices
-        contrib[a:a + c] = _sqrt_det_gram([x[:, :c] for x in diffs], [x[a:a + c] for x in sq])
+        contrib[a:a + c] = _sqrt_det_gram([x[:, :c] for x in diffs], [x[a:a + c] for x in sq],
+                                          norms2[a:a + c])
 
     # a piece without a usable vertex has no valid edge or cube: its entries are never read
-    _each(piece, [p for p in _pieces(dims, u.shape[0]) if usable.ravel()[p].any()])
+    _each(piece, [p for p in _pieces(dims, r.shape[0]) if usable.ravel()[p].any()])
     lam = [float(s.reshape(dims)[lo][valid].mean()) for s, (lo, valid) in zip(sq, edges)]
     fwhm = np.array([np.inf if x == 0 else math.sqrt(FOUR_LOG2 / x) for x in lam])
     return float(contrib.reshape(dims)[base][cubes].sum()), fwhm
@@ -179,12 +182,9 @@ def _mesh_lkc_top(res: ResidualSet, space: MeshSpace) -> float:
         raise ValueError("every component touches a flagged zero-residual vertex")
     d = space.dimension
     base = simplices[:, 0]
-    n_base = res.norms[base]
-    diffs = []
-    for j in range(1, d + 1):
-        other = simplices[:, j]
-        diffs.append(res.u[:, other] * (res.norms[other] / n_base) - res.u[:, base])
-    contrib = _sqrt_det_gram(diffs, [(x * x).sum(axis=0) for x in diffs])
+    norms2 = np.square(res.norms[base])
+    diffs = [res.r[:, simplices[:, j]] - res.r[:, base] for j in range(1, d + 1)]
+    contrib = _sqrt_det_gram(diffs, [(x * x).sum(axis=0) / norms2 for x in diffs], norms2)
     return float(contrib.sum()) / math.factorial(d)
 
 

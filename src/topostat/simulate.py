@@ -19,7 +19,8 @@ forked producer while this process fits, thresholds and tallies the one
 before, or inline on one core. One set of buffers serves every field: the
 padded noise and two axis-pass outputs. In Student-t mode :func:`glm.fit`
 takes over each (n_fields, n_points) block of ``_ahead`` (data ->
-residuals -> u), which is the caller's until it takes the next.
+residuals, whose differences give the smoothness), which is the caller's
+until it takes the next.
 
 Fields are reproducible by contract: realization ``index`` under seed
 ``s`` uses a counter-based generator keyed by (s, index), so any subset
@@ -228,7 +229,7 @@ def mc_calibrate(config: SimConfig, thresholds, alpha: float | None = 0.05) -> d
     with _ahead(lambda i, out: draw(_rng_for(config.seed, i), out), n, shape) as blocks:
         for i, data in enumerate(blocks):
             if student_t:
-                fit = glm.fit(data, design)  # data -> residuals, then u below
+                fit = glm.fit(data, design)  # data -> residuals
                 values = glm.t_map(fit, [1.0]).values.reshape(config.dims)
             else:
                 values = data.reshape(config.dims)

@@ -314,6 +314,16 @@ class TestAnalyze:
             for i in range(n_obs)))
         saturated_contrast = tmp_path / "saturated_contrast.csv"
         saturated_contrast.write_text(",".join(["1"] * n_obs) + "\n")
+        zero_contrast = tmp_path / "zero_contrast.csv"
+        zero_contrast.write_text("0\n")
+        # n_obs - 3 indicator regressors, the last over four observations: dof 3 on
+        # a lattice of D = 3 axes, where E[EC] of a t field does not fall with height
+        low_dof = tmp_path / "low_dof.csv"
+        low_dof.write_text(",".join(f"r{i}" for i in range(n_obs - 3)) + "\n" + "".join(
+            ",".join("1" if j == min(i, n_obs - 4) else "0" for j in range(n_obs - 3)) + "\n"
+            for i in range(n_obs)))
+        low_dof_contrast = tmp_path / "low_dof_contrast.csv"
+        low_dof_contrast.write_text(",".join(["1"] + ["0"] * (n_obs - 4)) + "\n")
         malformed = {}  # design files, bad in their last data row or (wide) in every row
         for name, text in [("nan", "mean" + "\n1" * (n_obs - 1) + "\nnan\n"),
                            ("inf", "mean" + "\n1" * (n_obs - 1) + "\ninf\n"),
@@ -331,6 +341,8 @@ class TestAnalyze:
                 ((design, long_contrast), [], "contrast length"),
                 ((twins, long_contrast), [], "not estimable"),
                 ((saturated, saturated_contrast), [], "degrees of freedom"),
+                ((design, zero_contrast), [], f"{zero_contrast}: an all-zero contrast"),
+                ((low_dof, low_dof_contrast), [], "design dof 3: a t field on D = 3 axes needs dof > D"),
                 ((malformed["nan"], contrast), [],
                  f"{malformed['nan']}: data row {n_obs} holds a non-finite entry: ['nan']"),
                 ((malformed["inf"], contrast), [],

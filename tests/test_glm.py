@@ -38,14 +38,11 @@ def reference_fit(data, design):
 
 
 def reference_normalize(r, design):
-    """``r * r`` reduced once for sigma2 and once for the norms, and u a
-    new array. Returns (sigma2, u, norms, flagged)."""
+    """``r * r`` reduced once for sigma2 and once for the norms. Returns
+    (sigma2, norms, flagged)."""
     sigma2 = (r * r).sum(axis=0) / (design.n_obs - design.rank)
     norms = np.sqrt((r * r).sum(axis=0))
-    flagged = norms == 0.0
-    u = r / np.where(flagged, 1.0, norms)
-    u[:, flagged] = 0.0
-    return sigma2, u, norms, flagged
+    return sigma2, norms, norms == 0.0
 
 
 def slab_matmul_fit(data, design):
@@ -82,10 +79,10 @@ def assert_matches_reference(data, design):
         assert (np.abs(out.residuals - r) <= bound).all()
         r = out.residuals.copy()
     assert np.array_equal(out.residuals, r)
-    sigma2, u, norms, flagged = reference_normalize(r, design)
+    sigma2, norms, flagged = reference_normalize(r, design)
     assert np.array_equal(out.sigma2, sigma2)
     rs = normalized_residuals(out)
-    assert np.array_equal(rs.u, u)
+    assert rs.r is out.residuals and np.array_equal(rs.r, r)
     assert np.array_equal(rs.norms, norms)
     assert np.array_equal(rs.flagged, flagged)
     return rs
@@ -186,16 +183,18 @@ class TestOneResidualOwner:
             tracemalloc.stop()
         # betas, the SSR pieces and one slab of fitted values or squares
         assert fit_peak <= (design.n_reg + 4) * vector + _parallel.BLOCK_BYTES
-        assert norm_peak <= 4 * vector
-        assert buffer is data and rs.u is data and out.residuals is None
+        assert norm_peak <= 2 * vector  # the norms and the flags
+        assert buffer is data and rs.r is data and out.residuals is data
 
     def test_fit_is_normalized_once(self):
+        # the residuals are shared, never divided: a second call sees the same
+        # buffer and values, and the fit keeps its residuals
         out = fit(np.random.default_rng(25).standard_normal((6, 10)), ones_design(6))
-        rs = normalized_residuals(out)
-        u = rs.u.copy()
-        with pytest.raises(RuntimeError, match="already normalized"):
-            normalized_residuals(out)
-        np.testing.assert_array_equal(rs.u, u)
+        r = out.residuals.copy()
+        rs, again = normalized_residuals(out), normalized_residuals(out)
+        assert rs.r is again.r is out.residuals
+        np.testing.assert_array_equal(out.residuals, r)
+        np.testing.assert_array_equal(again.norms, rs.norms)
         assert np.array_equal(out.sigma2, out.ssr / out.dof)
 
 
@@ -258,6 +257,15 @@ class TestDesignFactors:
         design = DesignMatrix(np.ones((5, 1), dtype=int), ("mean",))
         assert design.values.dtype == np.float64
 
+    def test_csv_blank_rows_skipped(self, tmp_path):
+        # a trailing newline, or a blank line between rows, loads the same matrix
+        plain, blank = tmp_path / "plain.csv", tmp_path / "blank.csv"
+        plain.write_text("mean,ramp\n1,0\n1,1\n1,2\n")
+        blank.write_text("mean,ramp\n\n1,0\n1,1\n\n1,2\n\n\n")
+        want, got = DesignMatrix.from_csv(plain), DesignMatrix.from_csv(blank)
+        assert got.regressor_names == want.regressor_names == ("mean", "ramp")
+        assert_same_bits(got.values, want.values)
+
     def test_factors_computed_once_per_design(self):
         design = DesignMatrix(np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 3.0], [1.0, 4.0]]),
                               ("mean", "slope"))
@@ -317,7 +325,8 @@ class TestTMap:
         np.testing.assert_allclose(f2.residuals, f1.residuals, atol=1e-10)
         np.testing.assert_allclose(f2.sigma2, f1.sigma2, atol=1e-12)
         r1, r2 = normalized_residuals(f1), normalized_residuals(f2)
-        np.testing.assert_allclose(r1.u, r2.u, atol=1e-10)
+        np.testing.assert_allclose(r1.r, r2.r, atol=1e-10)
+        np.testing.assert_allclose(r1.norms, r2.norms, atol=1e-10)
 
     def test_zero_variance_vertices(self):
         data = np.array([[1.0, -2.0, 0.0]] * 4)  # constant over observations
@@ -350,44 +359,28 @@ class TestTMap:
 class TestNormalizedResiduals:
     def test_three_four_five(self):
         # regressor only explains the first observation, leaving residuals
-        # (0, 3, 4) whose unit version is (0, 0.6, 0.8)
+        # (0, 3, 4) of length 5, whose unit version is (0, 0.6, 0.8)
         out = fit(np.array([[0.0], [3.0], [4.0]]),
                   DesignMatrix(np.array([[1.0], [0.0], [0.0]]), ("x",)))
-        np.testing.assert_allclose(out.residuals[:, 0], [0.0, 3.0, 4.0])
         rs = normalized_residuals(out)
-        np.testing.assert_allclose(rs.u[:, 0], [0.0, 0.6, 0.8])
+        np.testing.assert_allclose(rs.r[:, 0], [0.0, 3.0, 4.0])
         assert rs.norms[0] == pytest.approx(5.0)
+        assert not rs.flagged[0]
+        np.testing.assert_allclose(rs.r[:, 0] / rs.norms[0], [0.0, 0.6, 0.8])
 
     def test_zero_residuals_flagged(self):
         out = fit(np.array([[2.0], [2.0], [2.0]]), ones_design(3))
         rs = normalized_residuals(out)
-        assert rs.flagged[0]
-        np.testing.assert_array_equal(rs.u[:, 0], 0.0)
+        assert rs.flagged[0] and rs.norms[0] == 0.0
+        np.testing.assert_array_equal(rs.r[:, 0], 0.0)
 
     def test_unit_norm_property(self):
         rng = np.random.default_rng(12)
         out = fit(rng.standard_normal((10, 500)), ones_design(10))
         rs = normalized_residuals(out)
-        norms = np.sqrt((rs.u ** 2).sum(axis=0))
-        np.testing.assert_allclose(norms[~rs.flagged], 1.0, atol=1e-10)
-
-    def test_column_pieces_on_workers_exact(self, workers):
-        # a stack past one block is divided in column pieces on the workers,
-        # with the bits of the whole-array division
-        rng = np.random.default_rng(26)
-        data = rng.standard_normal((9, 20_011))
-        data[:, [0, 7_000, 20_010]] = 0.0  # zero residuals at piece edges
-        assert data.nbytes > _parallel.BLOCK_BYTES
-        whole = fit(data.copy(), ones_design(9))
-        norms = np.sqrt(whole.ssr)
-        want = whole.residuals / np.where(norms == 0.0, 1.0, norms)
-        want[:, norms == 0.0] = 0.0
-        for n_workers in (1, 2, 3):
-            with workers(n_workers):
-                rs = normalized_residuals(fit(data.copy(), ones_design(9)))
-            assert rs.flagged.sum() == 3
-            assert np.array_equal(rs.u, want)
-            assert np.array_equal(rs.norms, norms)
+        np.testing.assert_allclose(rs.norms, np.sqrt((rs.r ** 2).sum(axis=0)), rtol=1e-14)
+        u = rs.r[:, ~rs.flagged] / rs.norms[~rs.flagged]
+        np.testing.assert_allclose(np.sqrt((u ** 2).sum(axis=0)), 1.0, atol=1e-10)
 
 
 class TestZEquivalent:

@@ -36,26 +36,24 @@ def residual_set_from_raw(r):
     """Build a ResidualSet directly from raw residual-like fields (n, V)."""
     r = np.asarray(r, dtype=float)
     norms = np.sqrt((r * r).sum(axis=0))
-    flagged = norms == 0
-    u = np.where(flagged, 0.0, r / np.where(flagged, 1.0, norms))
-    return ResidualSet(u=u, norms=norms, flagged=flagged)
+    return ResidualSet(r=r, norms=norms, flagged=norms == 0)
 
 
-def reference_gram_sqrt_det(diffs, diag):
-    """sqrt|G| per component from whole-volume difference stacks, with the
-    diagonal G_kk given."""
+def reference_gram_sqrt_det(diffs, diag, norms2):
+    """sqrt|G| per component from whole-volume raw difference stacks, each
+    entry divided by the base vertex's ||r||^2, with the diagonal G_kk given."""
     d = len(diffs)
     if d == 1:
         return np.sqrt(diag[0])
     if d == 2:
-        g01 = (diffs[0] * diffs[1]).sum(axis=0)
+        g01 = (diffs[0] * diffs[1]).sum(axis=0) / norms2
         det = diag[0] * diag[1] - g01 * g01
         return np.sqrt(np.maximum(det, 0.0))
     g = np.empty((3, 3) + diffs[0].shape[1:])
     for i in range(3):
         g[i, i] = diag[i]
         for j in range(i + 1, 3):
-            g[i, j] = g[j, i] = (diffs[i] * diffs[j]).sum(axis=0)
+            g[i, j] = g[j, i] = (diffs[i] * diffs[j]).sum(axis=0) / norms2
     det = (g[0, 0] * (g[1, 1] * g[2, 2] - g[1, 2] * g[1, 2])
            - g[0, 1] * (g[0, 1] * g[2, 2] - g[1, 2] * g[0, 2])
            + g[0, 2] * (g[0, 1] * g[1, 2] - g[1, 1] * g[0, 2]))
@@ -63,18 +61,17 @@ def reference_gram_sqrt_det(diffs, diag):
 
 
 def reference_edges(res, space, ax):
-    """(whole-volume difference stack along ``ax``, its valid edges)."""
+    """(whole-volume sum (dr)^2 / ||r_lo||^2 along ``ax``, its valid edges)."""
     d, dims = space.dimension, space.dims
-    u = res.u.reshape((res.u.shape[0],) + dims)
+    r = res.r.reshape((res.r.shape[0],) + dims)
     norms = res.norms.reshape(dims)
     usable = space.mask & ~res.flagged.reshape(dims)
     lo = tuple(slice(0, -1) if a == ax else slice(None) for a in range(d))
     hi = tuple(slice(1, None) if a == ax else slice(None) for a in range(d))
     valid = usable[lo] & usable[hi]
     denom = np.where(valid, norms[lo], 1.0)
-    delta = (u[(slice(None),) + hi] * (norms[hi] / denom)
-             - u[(slice(None),) + lo] * (norms[lo] / denom))
-    return delta, valid
+    delta = r[(slice(None),) + hi] - r[(slice(None),) + lo]
+    return (delta * delta).sum(axis=0) / (denom * denom), valid
 
 
 def reference_lattice_lkc_top(res, space):
@@ -83,7 +80,7 @@ def reference_lattice_lkc_top(res, space):
     and cropped to the cubes afterwards."""
     d, dims = space.dimension, space.dims
     base_shape = tuple(n - 1 for n in dims)
-    u = res.u.reshape((res.u.shape[0],) + dims)
+    r = res.r.reshape((res.r.shape[0],) + dims)
     norms = res.norms.reshape(dims)
     usable = space.mask & ~res.flagged.reshape(dims)
     base = tuple(slice(0, n) for n in base_shape)
@@ -94,25 +91,22 @@ def reference_lattice_lkc_top(res, space):
                    for a in range(d))
         shifts.append(sl)
         valid &= usable[sl]
-    u_base, n_base = u[(slice(None),) + base], norms[base]
+    r_base = r[(slice(None),) + base]
+    denom = np.where(valid, norms[base], 1.0).ravel()
     diffs, diag = [], []
     for ax in range(d):
-        n_nb = norms[shifts[ax]]
-        denom = np.where(valid, n_base, 1.0)
-        delta = (u[(slice(None),) + shifts[ax]] * (n_nb / denom)
-                 - u_base * (n_base / denom))
-        diffs.append(delta.reshape(u.shape[0], -1))
-        edges, _ = reference_edges(res, space, ax)
-        diag.append((edges * edges).sum(axis=0)[base].ravel())
-    return float(reference_gram_sqrt_det(diffs, diag)[valid.ravel()].sum())
+        delta = r[(slice(None),) + shifts[ax]] - r_base
+        diffs.append(delta.reshape(r.shape[0], -1))
+        diag.append(reference_edges(res, space, ax)[0][base].ravel())
+    return float(reference_gram_sqrt_det(diffs, diag, denom * denom)[valid.ravel()].sum())
 
 
 def reference_fwhm(res, space):
     """Two-pass per-axis FWHM: one whole-volume difference stack per axis."""
     out = np.empty(space.dimension)
     for ax in range(space.dimension):
-        delta, valid = reference_edges(res, space, ax)
-        lam = float((delta * delta).sum(axis=0)[valid].mean())
+        sq, valid = reference_edges(res, space, ax)
+        lam = float(sq[valid].mean())
         out[ax] = np.inf if lam == 0 else math.sqrt(FOUR_LOG2 / lam)
     return out
 
@@ -135,7 +129,7 @@ class TestLkcTop:
     def test_constant_residuals_zero(self):
         space = build_lattice((6, 6), np.ones(36, dtype=bool))
         u = np.tile(np.array([0.6, 0.8])[:, None], (1, 36))
-        res = ResidualSet(u=u, norms=np.ones(36), flagged=np.zeros(36, bool))
+        res = ResidualSet(r=u, norms=np.ones(36), flagged=np.zeros(36, bool))
         assert lkc_top(res, space) == 0.0
 
     def test_1d_chain_total_variation(self):
@@ -143,7 +137,7 @@ class TestLkcTop:
         theta = np.array([0.0, 0.3, 0.1, 0.7, 0.65])
         space = build_lattice((5,), np.ones(5, dtype=bool))
         u = np.stack([np.cos(theta), np.sin(theta)])
-        res = ResidualSet(u=u, norms=np.ones(5), flagged=np.zeros(5, bool))
+        res = ResidualSet(r=u, norms=np.ones(5), flagged=np.zeros(5, bool))
         hand = sum(2.0 * math.sin(abs(d) / 2.0) for d in np.diff(theta))
         assert lkc_top(res, space) == pytest.approx(hand, rel=1e-12)
 
@@ -177,12 +171,12 @@ class TestLkcTop:
         # adding one more active component strictly increases l_D
         theta = np.array([0.0, 0.4, 0.4, 0.4])
         u = np.stack([np.cos(theta), np.sin(theta)])
-        res = ResidualSet(u=u, norms=np.ones(4), flagged=np.zeros(4, bool))
+        res = ResidualSet(r=u, norms=np.ones(4), flagged=np.zeros(4, bool))
         space = build_lattice((4,), np.ones(4, dtype=bool))
         base = lkc_top(res, space)
         theta2 = np.array([0.0, 0.4, 0.4, 0.9])
         u2 = np.stack([np.cos(theta2), np.sin(theta2)])
-        res2 = ResidualSet(u=u2, norms=np.ones(4), flagged=np.zeros(4, bool))
+        res2 = ResidualSet(r=u2, norms=np.ones(4), flagged=np.zeros(4, bool))
         assert lkc_top(res2, space) > base
 
     def test_coordinate_invariance_exact(self):
@@ -261,7 +255,7 @@ class TestFwhmEstimate:
     def test_constant_field_infinite(self):
         space = build_lattice((5, 5), np.ones(25, dtype=bool))
         u = np.tile(np.array([1.0, 0.0])[:, None], (1, 25))
-        res = ResidualSet(u=u, norms=np.ones(25), flagged=np.zeros(25, bool))
+        res = ResidualSet(r=u, norms=np.ones(25), flagged=np.zeros(25, bool))
         np.testing.assert_array_equal(fwhm_estimate(res, space), np.inf)
 
     def test_white_noise_width(self):
@@ -518,6 +512,110 @@ class TestLatticeSmoothness:
         with workers(2):
             assert lattice_smoothness(res, space)[0] == want[0]
         assert len(pieces[-1]) == 1
+
+
+def u_form_smoothness(res, space):
+    """(l_D, per-axis FWHM or None) in the normalized-residual form: u = r / ||r||
+    formed first, each difference u_hi ||r_hi|| / ||r_lo|| - u_lo, and the Gram
+    of those O(1) differences summed unscaled, over whole volumes."""
+    u = res.r / np.where(res.flagged, 1.0, res.norms)
+    u[:, res.flagged] = 0.0
+    if not hasattr(space, "dims"):  # a mesh: one Gram per usable simplex
+        d = space.dimension
+        simplices = space.simplices[space.cell_minima(~res.flagged, d)]
+        base = simplices[:, 0]
+        diffs = [u[:, simplices[:, j]] * (res.norms[simplices[:, j]] / res.norms[base])
+                 - u[:, base] for j in range(1, d + 1)]
+        contrib = reference_gram_sqrt_det(diffs, [(x * x).sum(axis=0) for x in diffs], 1.0)
+        return float(contrib.sum()) / math.factorial(d), None
+    d, dims = space.dimension, space.dims
+    u, norms = u.reshape((u.shape[0],) + dims), res.norms.reshape(dims)
+    usable = space.mask & ~res.flagged.reshape(dims)
+
+    def step(lo, hi, valid):
+        ratio = norms[hi] / np.where(valid, norms[lo], 1.0)
+        return u[(slice(None),) + hi] * ratio - u[(slice(None),) + lo]
+
+    lam = []
+    for ax in range(d):
+        lo = tuple(slice(0, -1) if a == ax else slice(None) for a in range(d))
+        hi = tuple(slice(1, None) if a == ax else slice(None) for a in range(d))
+        valid = usable[lo] & usable[hi]
+        lam.append(float((step(lo, hi, valid) ** 2).sum(axis=0)[valid].mean()))
+    base = tuple(slice(0, m - 1) for m in dims)
+    shifts = [base[:ax] + (slice(1, None),) + base[ax + 1:] for ax in range(d)]
+    valid = usable[base].copy()
+    for sl in shifts:
+        valid &= usable[sl]
+    diffs = [step(base, sl, valid).reshape(u.shape[0], -1) for sl in shifts]
+    contrib = reference_gram_sqrt_det(diffs, [(x * x).sum(axis=0) for x in diffs], 1.0)
+    fwhm = np.array([np.inf if x == 0 else math.sqrt(FOUR_LOG2 / x) for x in lam])
+    return float(contrib[valid.ravel()].sum()), fwhm
+
+
+@st.composite
+def glm_residual_cases(draw, kind, min_dof_over_d=None):
+    """(ResidualSet, space): one-sample GLM residuals on a masked lattice of
+    ``kind`` (1-3) axes or, for "mesh", a triangle mesh, a tenth of the vertices
+    with zero residuals; with ``min_dof_over_d``, dof >= D + that many."""
+    mesh = kind == "mesh"
+    dims = tuple(draw(st.integers(2, 7 if mesh else 9)) for _ in range(2 if mesh else kind))
+    d = len(dims)
+    n_obs = draw(st.integers(2 if min_dof_over_d is None else d + 1 + min_dof_over_d, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = rng.standard_normal((n_obs, math.prod(dims)))
+    data[:, rng.random(math.prod(dims)) < 0.1] = 0.0
+    res = normalized_residuals(fit(data, DesignMatrix(np.ones((n_obs, 1)), ("mean",))))
+    if mesh:
+        return res, build_mesh(*unit_sheet_mesh(*dims))
+    mask = rng.random(dims) >= 0.1
+    mask.flat[0] = True
+    return res, build_lattice(dims, mask)
+
+
+def smoothness_or_none(res, space):
+    """(l_D, per-axis FWHM or None), or None where the space has no usable component."""
+    try:
+        if hasattr(space, "dims"):
+            return lattice_smoothness(res, space)
+        return lkc_top(res, space), None
+    except ValueError:
+        return None
+
+
+class TestRawResidualKernel:
+    """The kernel takes differences of raw residuals over ||r_base||."""
+
+    @pytest.mark.parametrize("kind", [1, 2, 3, "mesh"])
+    @given(data=st.data(), k=st.integers(-200, 200))
+    def test_power_of_two_scale_exact(self, kind, data, k):
+        # r and ||r|| scaled by 2^k leave every Gram entry's bits as they were;
+        # a Gram summed unscaled and divided only at the determinant would
+        # overflow or underflow at the ends of the range, which every case visits
+        res, space = data.draw(glm_residual_cases(kind))
+        want = smoothness_or_none(res, space)
+        for k in (k, -200, 200):
+            scaled = ResidualSet(r=res.r * 2.0 ** k, norms=res.norms * 2.0 ** k,
+                                 flagged=res.flagged)
+            got = smoothness_or_none(scaled, space)
+            assert (want is None) == (got is None)
+            if want is not None:
+                assert got[0] == want[0]
+                np.testing.assert_array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("kind", [1, 2, 3, "mesh"])
+    @given(data=st.data())
+    def test_agrees_with_the_normalized_residual_form(self, kind, data):
+        # with dof > D the Gram is regular, and the two forms differ by rounding;
+        # at dof = D + 1 a near-singular cube or triangle can carry 2e-14 of it
+        res, space = data.draw(glm_residual_cases(kind, min_dof_over_d=2))
+        got = smoothness_or_none(res, space)
+        if got is None:
+            return
+        want = u_form_smoothness(res, space)
+        np.testing.assert_allclose(got[0], want[0], rtol=1e-14)
+        if want[1] is not None:
+            np.testing.assert_allclose(got[1], want[1], rtol=1e-14)
 
 
 class TestRecovery:
