@@ -14,10 +14,11 @@ A function run on a worker calls no public ``topostat`` function and
 never calls :func:`_each` itself: workers only compute.
 
 Philox draws never release the GIL, and small filters hold it, so
-:func:`_ahead` draws Monte Carlo fields in a forked process instead. Its
-``fill(i, out)`` writes ``out`` and, like a worker, calls no public
-``topostat`` function; whatever else it changes is lost with the child.
-It uses no BLAS and no pool, whose threads the fork leaves behind.
+:func:`_ahead` draws Monte Carlo fields in forked processes instead, one
+per worker, each taking every WORKERS-th block. Its ``fill(i, out)``
+writes ``out`` and, like a worker, calls no public ``topostat`` function;
+whatever else it changes is lost with the child. It uses no BLAS and no
+pool, whose threads the fork leaves behind.
 """
 
 import contextlib
@@ -29,7 +30,7 @@ import traceback
 import numpy as np
 
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-SLOTS = 3  # blocks the producer of _ahead may fill before the caller takes them
+SLOTS = 5  # blocks the producers of _ahead may fill before the caller takes them
 #: bytes of stack per piece of a pass: about the size of each of a piece's
 #: temporaries, a few of which share a core's L2 cache; a smaller pass runs inline
 BLOCK_BYTES = 1 << 20
@@ -71,51 +72,61 @@ def _runs(n: int, unit_bytes: int) -> list[slice]:
 def _ahead(fill, n: int, shape):
     """``with _ahead(fill, n, shape) as blocks:`` iterates over n float64
     blocks of ``shape``, block i filled by ``fill(i, out)``, the caller's
-    until the next is taken. With two workers and ``os.fork``, one forked
-    producer fills a shared ring of SLOTS blocks meanwhile; it is reaped on
-    every way out of the ``with``, which raises RuntimeError if it failed."""
+    until the next is taken. With several workers and ``os.fork``, producer q
+    of P = min(WORKERS, n) forked ones fills blocks q, q + P, ... meanwhile,
+    block i into slot i % SLOTS of one shared ring. The producers are reaped
+    on every way out, a failed pipe or fork too, and the ``with`` raises
+    RuntimeError if one failed."""
     if WORKERS < 2 or not hasattr(os, "fork"):
         out = np.empty(shape)
         yield (fill(i, out) or out for i in range(n))  # fill returns None
         return
     import mmap
     ring = np.frombuffer(mmap.mmap(-1, 8 * SLOTS * math.prod(shape))).reshape(SLOTS, *shape)
-    free_r, free_w = os.pipe()  # a byte per block taken: its slot may be refilled
-    full_r, full_w = os.pipe()  # a byte per block filled
-    pid = os.fork()
-    if pid == 0:  # the producer: it leaves by os._exit, never into the caller's stack
-        status = 1
-        try:
-            signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller stops it
-            os.close(free_w)
-            os.close(full_r)
-            for i in range(n):
-                if i >= SLOTS and not os.read(free_r, 1):
-                    break  # the caller has left the with
-                fill(i, ring[i % SLOTS])
-                os.write(full_w, b"\0")
-            status = 0
-        except Exception:
-            traceback.print_exc()
-        finally:
-            os._exit(status)
-
-    def taken():
-        for i in range(n):
-            if 0 < i <= n - SLOTS:  # the producer waits for this slot
-                os.write(free_w, b"\0")
-            if not os.read(full_r, 1):
-                raise RuntimeError(f"the field producer ended before block {i}")
-            yield ring[i % SLOTS]
-
+    producers = min(WORKERS, n)
+    # the open ends of each producer's two pipes: a byte per block taken, whose
+    # slot that producer may refill, and a byte per block it filled
+    pids, frees, fulls = [], [], []
     try:
-        os.close(free_r)
-        os.close(full_w)
+        for q in range(producers):
+            frees += os.pipe()
+            fulls += os.pipe()
+            pid = os.fork()
+            if pid == 0:  # producer q leaves by os._exit, never into the caller's stack
+                status = 1
+                try:
+                    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller stops it
+                    free_r, full_w = frees[-2], fulls[-1]
+                    for fd in {*frees, *fulls} - {free_r, full_w}:  # the caller's ends
+                        os.close(fd)
+                    for i in range(q, n, producers):
+                        if i >= SLOTS and not os.read(free_r, 1):
+                            break  # the caller has left the with
+                        fill(i, ring[i % SLOTS])
+                        os.write(full_w, b"\0")
+                    status = 0
+                except Exception:
+                    traceback.print_exc()
+                finally:
+                    os._exit(status)
+            pids.append(pid)
+            os.close(frees.pop(-2))  # producer q's ends
+            os.close(fulls.pop())
+
+        def taken():
+            for i in range(n):
+                if 0 < i <= n - SLOTS:  # the producer of block i - 1 + SLOTS waits for its slot
+                    os.write(frees[(i - 1 + SLOTS) % producers], b"\0")
+                if not os.read(fulls[i % producers], 1):
+                    raise RuntimeError(f"the field producer ended before block {i}")
+                yield ring[i % SLOTS]
+
         yield taken()
     finally:
-        os.close(free_w)  # the producer stops at its next read
-        status = os.waitpid(pid, 0)[1]
-        os.close(full_r)  # only now, so that no write of the producer fails
-        if status:  # also in place of a broken pipe to the dead producer
-            status = os.waitstatus_to_exitcode(status)
-            raise RuntimeError(f"the field producer failed with exit status {status}")
+        for fd in frees:  # each producer stops at its next read
+            os.close(fd)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+        for fd in fulls:  # only now, so that no write of a producer fails
+            os.close(fd)
+        if any(codes):  # also in place of a broken pipe to a dead producer
+            raise RuntimeError(f"the field producers failed with exit statuses {codes}")

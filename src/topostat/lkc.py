@@ -5,15 +5,16 @@ the normalized residuals u = r / ||r|| along the components that tile the
 search space: one term per simplex on meshes (with a 1/D! factor), one term
 per unit lattice cube (volume 1, no factorial). A difference is taken as
 du ~= dr / ||r_base||, over the residual norm at the component's base vertex,
-which holds when the error variance varies smoothly; so u is never formed,
-and each sum of products of raw differences is divided by ||r_base||^2. On
-lattices one pass over these differences gives l_D (from each unit cube's
-Gram matrix) and the per-axis FWHM; it runs on worker
-threads in pieces small enough for a core's cache, each a range of whole
-last-axis lines in the flat vertex order. A step along any axis is a
-shift by that axis's stride, so each array operation is one long loop.
-Lower-order curvatures follow the isotropic power-law interpolation
-l_d = mu_d (l_D / mu_D)^(d/D).
+so u is never formed, and each sum of products of raw differences is divided
+by ||r_base||^2. The approximation ignores the change of ||r|| along the step,
+which biases l_D upward at finite dof: by +46-50% at dof 4 and +9-10% at dof
+12 on stationary boxes (ROADMAP.md, item 13). On lattices one pass over
+these differences gives l_D (from each unit cube's Gram matrix) and the
+per-axis FWHM; it runs on worker threads in pieces small enough for a
+core's cache, each a range of whole last-axis lines in the flat vertex
+order. A step along any axis is a shift by that axis's stride, so each
+array operation is one long loop. Lower-order curvatures follow the
+isotropic power-law interpolation l_d = mu_d (l_D / mu_D)^(d/D).
 
 The l_D estimate depends only on residual values and connectivity, never
 on vertex coordinates: warping or embedding the mesh leaves l_D

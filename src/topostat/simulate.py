@@ -14,13 +14,13 @@ its maximum is compared with the FWE threshold. :func:`mc_calibrate` runs
 both tallies; :func:`mc_ec` and :func:`mc_fwe` run the same pass with one
 of them left out.
 
-Each realization's fields are drawn by :func:`_parallel._ahead`: in a
-forked producer while this process fits, thresholds and tallies the one
-before, or inline on one core. One set of buffers serves every field: the
-padded noise and two axis-pass outputs. In Student-t mode :func:`glm.fit`
-takes over each (n_fields, n_points) block of ``_ahead`` (data ->
-residuals, whose differences give the smoothness), which is the caller's
-until it takes the next.
+Each realization's fields are drawn by :func:`_parallel._ahead`: in
+forked producers, one per core, while this process fits, thresholds and
+tallies the ones before, or inline on one core. One set of buffers serves
+every field: the padded noise and two axis-pass outputs. In Student-t mode
+:func:`glm.fit` takes over each (n_fields, n_points) block of ``_ahead``
+(data -> residuals, whose differences give the smoothness), which is the
+caller's until it takes the next.
 
 Fields are reproducible by contract: realization ``index`` under seed
 ``s`` uses a counter-based generator keyed by (s, index), so any subset
@@ -107,7 +107,8 @@ def _field_drawer(config: SimConfig):
     the next smooth field from ``rng``. The padded noise, the two convolution
     outputs, the kernels and their norm are made here once, for every field:
     ``ndimage`` zero-fills each output it allocates, so fresh arrays per field
-    made a 13-field 64x64 draw about 6% slower, and the draw bounds ``simulate``."""
+    made a 13-field 64x64 draw about 6% slower, and the draw takes about 70%
+    of the CPU of ``simulate``."""
     pads = [_kernel_radius(f) for f in config.fwhm]
     noise = np.empty(tuple(n + 2 * p for n, p in zip(config.dims, pads)))
     axes = [(ax, _gaussian_kernel(f), p, n)

@@ -312,10 +312,14 @@ PRODUCER_SCRIPT = """
 import os, sys
 from topostat import _parallel, lkc, simulate
 
-_parallel.WORKERS = 2  # the producer path, whatever this host's core count
+case = sys.argv[1]
+# the producer path, whatever this host's core count: 2 producers, or 3
+_parallel.WORKERS = 3 if case.endswith("on 3") else 2
 cfg = simulate.SimConfig(dims=(12, 10), fwhm=2.0, n_realizations=6, seed=1,
                          field="student_t", n_subjects=5)
 real_smoothness, real_rng_for, calls = lkc.lattice_smoothness, simulate._rng_for, []
+real_fork, forks = os.fork, []
+failing = 0 if case.endswith("at 0") else 1  # the block, and so the producer, that fails
 
 
 def smoothness_failing_second(*args):
@@ -325,19 +329,28 @@ def smoothness_failing_second(*args):
     return real_smoothness(*args)
 
 
-def rng_failing_at_1(seed, index):
-    if index == 1:
+def rng_failing(seed, index):
+    if index == failing:
         raise ValueError("the producer failed")
     return real_rng_for(seed, index)
 
 
-case = sys.argv[1]
+def fork_failing_second():
+    forks.append(None)
+    if len(forks) == 2:
+        raise OSError("the second fork failed")
+    return real_fork()
+
+
 if case == "caller":
     lkc.lattice_smoothness = smoothness_failing_second
-elif case == "producer":
-    simulate._rng_for = rng_failing_at_1  # the fork inherits the patch
+elif case.startswith("producer"):
+    simulate._rng_for = rng_failing  # the fork inherits the patch
+elif case == "fork":
+    os.fork = fork_failing_second
+fds = sorted(os.listdir("/dev/fd"))
 try:
-    if case == "early":
+    if case.startswith("early"):
         with _parallel._ahead(lambda i, out: out.fill(i), 10, (2,)) as blocks:
             print(next(blocks).tolist())
     elif case == "interrupt":
@@ -353,6 +366,8 @@ try:
     os.waitpid(-1, os.WNOHANG)
 except ChildProcessError:
     print("no child left")
+if sorted(os.listdir("/dev/fd")) == fds:
+    print("no pipe left")
 """
 
 
@@ -380,10 +395,11 @@ class TestForkedProducer:
     def test_same_report(self, workers, kwargs, thresholds, alpha):
         cfg = SimConfig(**kwargs)
         reports = []
-        for n in (1, 2):  # inline, then a forked producer
+        # inline, then 2 and 3 forked producers; 3 do not divide the ring's slots
+        for n in (1, 2, 3):
             with workers(n):
                 reports.append(mc_calibrate(cfg, thresholds, alpha))
-        assert reports[0] == reports[1]
+        assert reports[0] == reports[1] == reports[2]
 
     # each case runs in a fresh interpreter, so a hang fails on the timeout
     # and a leftover child is seen by waitpid(-1)
@@ -392,13 +408,17 @@ class TestForkedProducer:
         ("caller", ["ValueError"]),
         ("producer", ["RuntimeError"]),
         ("early", ["[0.0, 0.0]", "returned"]),
+        ("producer at 0", ["RuntimeError"]),
+        ("early on 3", ["[0.0, 0.0]", "returned"]),
+        ("fork", ["OSError"]),
     ])
     def test_no_producer_outlives_the_call(self, case, want):
+        # "producer" fails in the second of the two producers, "producer at 0" in the first
         proc = subprocess.run([sys.executable, "-c", PRODUCER_SCRIPT, case],
                               capture_output=True, text=True, env=script_env(), timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == [*want, "no child left"]
-        assert ("the producer failed" in proc.stderr) == (case == "producer")
+        assert proc.stdout.splitlines() == [*want, "no child left", "no pipe left"]
+        assert ("the producer failed" in proc.stderr) == case.startswith("producer")
 
     def test_interrupt_reaches_the_caller_alone(self):
         # a terminal's Ctrl-C goes to the whole process group; the producer
@@ -414,7 +434,7 @@ class TestForkedProducer:
         finally:
             proc.kill()
             proc.wait()
-        assert out.splitlines() == ["KeyboardInterrupt", "no child left"], err
+        assert out.splitlines() == ["KeyboardInterrupt", "no child left", "no pipe left"], err
 
 
 FAULT_SCRIPT = """
