@@ -1,14 +1,16 @@
 """Independent pieces of one pass, run on the cores this process may use.
 
-File reads, numpy ufuncs, and ``scipy.ndimage`` filters on large arrays
-release the GIL, so threads share the work of three passes: the files of
-a dataset, the observations of a stack to smooth and the vertex ranges of
-the smoothness pass. Each piece writes its own part of the output and
-waits for no other, and results do not depend on how many threads run.
-:func:`_runs` is the one rule that cuts block-sized pieces, those of the
-smoothness pass and the fit's serial slabs. The pool is made on first use,
-sized to the affinity mask, and forgotten in a forked child, which inherits
-no worker threads.
+File reads, numpy ufuncs, BLAS and ``scipy.ndimage`` filters on large
+arrays release the GIL, so threads share the work of four passes: the files
+of a dataset, the observations of a stack to smooth, the two halves of the
+fit's column slabs and the vertex ranges of the smoothness pass. Each piece writes its own
+part of the output and waits for no other, and results do not depend on how
+many threads run. :func:`_runs` is the one rule that cuts block-sized
+pieces, the fit's slabs and the smoothness pass's ranges, none a lone column
+unless there is only one: numpy sums a lone column pairwise. :func:`_dots`,
+the pieces' column sums of products, keeps that rule too. The pool is made
+on first use, sized to the affinity mask, and forgotten in a forked child,
+which inherits no worker threads.
 
 A function run on a worker calls no public ``topostat`` function and
 never calls :func:`_each` itself: workers only compute.
@@ -66,6 +68,17 @@ def _runs(n: int, unit_bytes: int) -> list[slice]:
     units and >= 2 unless there is one: numpy sums a lone column pairwise."""
     parts = max(1, min(-(-n * unit_bytes // BLOCK_BYTES), n // 2))
     return [slice(i * n // parts, (i + 1) * n // parts) for i in range(parts)]
+
+
+def _dots(a, b, out=None):
+    """Column sums of ``a * b`` for 2-D ``a`` and ``b``, equal to
+    ``(a * b).sum(axis=0)`` bit for bit: ``einsum`` adds the products row by
+    row as that sum does, with no product array, on >= 2 columns (numpy's
+    x86-64 baseline build fuses no multiply-add there); a lone column numpy
+    sums pairwise, so it takes the product and its sum."""
+    if a.shape[1] < 2:
+        return np.multiply(a, b).sum(axis=0, out=out)
+    return np.einsum("ij,ij->j", a, b, out=out)
 
 
 @contextlib.contextmanager

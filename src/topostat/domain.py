@@ -68,6 +68,9 @@ class LatticeSpace:
     mask : ndarray of bool
         In-region indicator, either shaped ``dims`` or flat of length
         prod(dims). Must contain at least one True entry.
+
+    The space keeps a read-only copy of the mask, so what it derives from
+    it, such as the intrinsic volumes, is computed once.
     """
 
     def __init__(self, dims, mask):
@@ -80,7 +83,7 @@ class LatticeSpace:
             )
         if any(n < 1 for n in dims):
             raise ValueError(f"all dims must be positive, got {dims}")
-        mask = np.asarray(mask, dtype=bool)
+        mask = np.array(mask, dtype=bool)
         if mask.size != int(np.prod(dims)):
             raise ValueError(
                 f"mask has {mask.size} entries, expected {int(np.prod(dims))}"
@@ -110,6 +113,10 @@ class LatticeSpace:
     def mask_flat(self) -> np.ndarray:
         return self.mask.ravel()
 
+    @cached_property
+    def _intrinsic_volumes(self) -> IntrinsicVolumes:
+        return _count_intrinsic_volumes(self)
+
     def restricted(self, sub_mask) -> "LatticeSpace":
         """New space over ``mask & sub_mask`` with the same grid."""
         sub_mask = np.asarray(sub_mask, dtype=bool).reshape(self.dims)
@@ -131,14 +138,26 @@ class LatticeSpace:
         full = ndimage.generate_binary_structure(self.dimension, self.dimension)
         return ndimage.label(member.reshape(self.dims), structure=full)[0].ravel()
 
-    def neighbor_reduce(self, vals: np.ndarray, op, fill) -> np.ndarray:
+    def neighbor_reduce(self, vals: np.ndarray, op, fill, at=None) -> np.ndarray:
         """``op`` over each vertex's 2/8/26 neighbours' flat ``vals``, flat, the
-        grid padded with ``fill`` (``np.fmax`` skips a NaN, ``np.maximum`` not)."""
-        out = np.full(self.dims, fill)
+        grid padded with ``fill`` (``np.fmax`` skips a NaN, ``np.maximum`` not).
+        With flat vertex indices ``at``, only there, each neighbour gathered
+        through its flat offset into the padded grid: the whole result ``[at]``."""
         padded = np.pad(vals.reshape(self.dims), 1, constant_values=fill)
-        for off in itertools.product(range(3), repeat=self.dimension):
-            if off != (1,) * self.dimension:  # every shift but the vertex itself
-                op(out, padded[tuple(slice(o, o + n) for o, n in zip(off, self.dims))], out=out)
+        # every shift but the vertex itself, in one order for both paths: of equal
+        # values, such as 0.0 and -0.0, a fold keeps one by position, so order sets bits
+        shifts = [off for off in itertools.product(range(3), repeat=self.dimension)
+                  if off != (1,) * self.dimension]
+        if at is not None:
+            flat = padded.ravel()  # corner: the padded index of each (-1, ..., -1) neighbour
+            corner = np.ravel_multi_index(np.unravel_index(at, self.dims), padded.shape)
+            out = np.full(len(corner), fill)
+            for off in shifts:
+                op(out, flat[corner + np.ravel_multi_index(off, padded.shape)], out=out)
+            return out
+        out = np.full(self.dims, fill)
+        for off in shifts:
+            op(out, padded[tuple(slice(o, o + n) for o, n in zip(off, self.dims))], out=out)
         return out.ravel()
 
     def __repr__(self):
@@ -161,17 +180,18 @@ class MeshSpace:
     adjacency-driven operations depend purely on connectivity, and the
     sorted edge array :attr:`edges` is the one adjacency representation.
     An optional ``vertex_mask`` restricts the space to the induced
-    subcomplex without renumbering vertices.
+    subcomplex without renumbering vertices. Like a lattice, the mesh keeps
+    read-only copies of its arrays.
     """
 
     def __init__(self, vertices, simplices, vertex_mask=None):
-        vertices = np.asarray(vertices, dtype=float)
+        vertices = np.array(vertices, dtype=float)
         if vertices.ndim != 2:
             raise ValueError("vertices must be a (n_vertices, embed_dim) array")
         bad = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
         if bad.size:
             raise ValueError(f"vertex {bad[0]} has a non-finite coordinate: {vertices[bad[0]]}")
-        simplices = np.asarray(simplices, dtype=np.int64)
+        simplices = np.array(simplices, dtype=np.int64)
         if simplices.ndim != 2 or simplices.shape[1] < 2:
             raise ValueError("simplices must be a (n_simplices, D+1) array with D >= 1")
         dim = simplices.shape[1] - 1
@@ -196,7 +216,7 @@ class MeshSpace:
         if vertex_mask is None:
             vertex_mask = np.ones(n_vert, dtype=bool)
         else:
-            vertex_mask = np.asarray(vertex_mask, dtype=bool)
+            vertex_mask = np.array(vertex_mask, dtype=bool)
             if vertex_mask.shape != (n_vert,):
                 raise ValueError("vertex_mask length must match vertex count")
             if not vertex_mask.any():
@@ -205,7 +225,8 @@ class MeshSpace:
         self.all_simplices = simplices
         self.dimension = dim
         self.mask_flat = vertex_mask
-        self.mask_flat.setflags(write=False)
+        for a in (vertices, simplices, vertex_mask):
+            a.setflags(write=False)
 
     @property
     def n_points(self) -> int:
@@ -236,6 +257,10 @@ class MeshSpace:
         e, counts = _unique_edges(self.simplices, self.n_points)
         return e[counts == 1]
 
+    @cached_property
+    def _intrinsic_volumes(self) -> IntrinsicVolumes:
+        return _count_intrinsic_volumes(self)
+
     def restricted(self, sub_mask) -> "MeshSpace":
         sub_mask = np.asarray(sub_mask, dtype=bool)
         return MeshSpace(self.vertices, self.all_simplices,
@@ -261,11 +286,19 @@ class MeshSpace:
         labels[member] = np.unique(raw[member], return_inverse=True)[1] + 1
         return labels
 
-    def neighbor_reduce(self, vals: np.ndarray, op, fill) -> np.ndarray:
-        """``op`` over each vertex's neighbours' ``vals`` along :attr:`edges`."""
-        out = np.full(self.n_points, fill)
+    def neighbor_reduce(self, vals: np.ndarray, op, fill, at=None) -> np.ndarray:
+        """``op`` over each vertex's neighbours' ``vals`` along :attr:`edges`;
+        with distinct vertex indices ``at``, only there: the whole result ``[at]``."""
+        ends = (self.edges.T, self.edges.T[::-1])
+        if at is None:
+            out = np.full(self.n_points, fill)
+        else:  # the edges from ``at``, in the whole pass's order, onto at's slots
+            slot = np.full(self.n_points, -1)
+            slot[at] = np.arange(len(at))
+            ends = [(slot[a[keep]], b[keep]) for a, b in ends for keep in [slot[a] >= 0]]
+            out = np.full(len(at), fill)
         with np.errstate(invalid="ignore"):  # op.at warns on each NaN it meets
-            for a, b in (self.edges.T, self.edges.T[::-1]):
+            for a, b in ends:
                 op.at(out, a, vals[b])
         return out
 
@@ -303,10 +336,15 @@ def intrinsic_volumes(space) -> IntrinsicVolumes:
     and mu_0 of a mesh. Meshes use the summed simplex content for mu_D
     and, for triangle meshes, half the total boundary edge length for mu_1
     (zero on closed surfaces; mean-curvature terms are deliberately
-    omitted, a documented approximation).
+    omitted, a documented approximation). A space's cells never change once
+    it is built, so they are counted on the first call and kept on the space.
     """
     if not isinstance(space, (LatticeSpace, MeshSpace)):
         raise TypeError(f"not a search space: {type(space).__name__}")
+    return space._intrinsic_volumes
+
+
+def _count_intrinsic_volumes(space) -> IntrinsicVolumes:
     n = [int(np.count_nonzero(space.cell_minima(space.mask_flat, k)))
          for k in range(space.dimension + 1)]
     mu = [float(sum((-1) ** (k - j) * math.comb(k, j) * n[k] for k in range(j, len(n))))

@@ -5,12 +5,12 @@ t-statistic fields, per-vertex residual variance and the residual fields,
 with their lengths, that drive smoothness estimation. All fits are
 vertex-independent. One buffer carries a stack from data to residuals: :func:`fit`
 takes over the caller's float64 data and subtracts the fitted values from it in
-place, in the slabs of :func:`_parallel._runs`, so the data become the residuals,
-whose sum of squares is reduced once; :func:`normalized_residuals` pairs that
-buffer with the norms sqrt(SSR) and copies nothing. Design factors are computed
-once per design. With one regressor the fitted values x * b + 0.0 equal x @ b bit
-for bit, at less cost: the + 0.0 turns a -0.0 into the +0.0 of the product's
-accumulator.
+place, in the slabs of :func:`_parallel._runs` on two worker threads, so the data
+become the residuals, whose sum of squares is reduced once with no squared copy;
+:func:`normalized_residuals` pairs that buffer with the norms sqrt(SSR) and
+copies nothing. Design factors are computed once per design. With one regressor
+the fitted values x * b + 0.0 equal x @ b bit for bit, at less cost: the + 0.0
+turns a -0.0 into the +0.0 of the product's accumulator.
 """
 
 from __future__ import annotations
@@ -200,8 +200,11 @@ def fit(data, design: DesignMatrix) -> GlmFit:
     Returns
     -------
     GlmFit with betas, the residuals (in ``data``'s buffer), per-vertex
-    SSR and dof = n_obs - rank. The residuals and SSR are formed one column
-    slab of :func:`_parallel._runs` at a time, to bound the temporaries.
+    SSR and dof = n_obs - rank. ``pinv @ data`` is one BLAS call; the
+    residuals and SSR are then formed in the column slabs of
+    :func:`_parallel._runs`, which bound the temporaries, each slab's SSR
+    reduced by :func:`_parallel._dots`. The two halves of the slabs run on
+    the worker threads.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim == 1:
@@ -211,10 +214,18 @@ def fit(data, design: DesignMatrix) -> GlmFit:
     dof = design.dof
     betas = design.pinv @ data
     x, ssr = design.values, np.empty(data.shape[1])
-    for cols in _parallel._runs(data.shape[1], 8 * data.shape[0]):
-        r = data[:, cols]
-        r -= x * betas[:, cols] + 0.0 if x.shape[1] == 1 else x @ betas[:, cols]
-        np.square(r).sum(axis=0, out=ssr[cols])
+    runs = _parallel._runs(data.shape[1], 8 * data.shape[0])
+    mid = len(runs) // 2
+
+    def slabs(part):
+        for cols in part:
+            r = data[:, cols]
+            r -= x * betas[:, cols] + 0.0 if x.shape[1] == 1 else x @ betas[:, cols]
+            _parallel._dots(r, r, out=ssr[cols])
+
+    # two runs of slabs, so that at most two slabs' fitted values are live at once
+    # whatever the core count
+    _parallel._each(slabs, [part for part in (runs[:mid], runs[mid:]) if part])
     return GlmFit(design=design, betas=betas, residuals=data, ssr=ssr, dof=dof)
 
 

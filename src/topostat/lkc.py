@@ -6,7 +6,8 @@ search space: one term per simplex on meshes (with a 1/D! factor), one term
 per unit lattice cube (volume 1, no factorial). A difference is taken as
 du ~= dr / ||r_base||, over the residual norm at the component's base vertex,
 so u is never formed, and each sum of products of raw differences is divided
-by ||r_base||^2. The approximation ignores the change of ||r|| along the step,
+by ||r_base||^2; each such sum is one :func:`_parallel._dots`, which forms
+no product array. The approximation ignores the change of ||r|| along the step,
 which biases l_D upward at finite dof: by +46-50% at dof 4 and +9-10% at dof
 12 on stationary boxes (ROADMAP.md, item 13). On lattices one pass over
 these differences gives l_D (from each unit cube's Gram matrix) and the
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import _each, _runs
+from ._parallel import _dots, _each, _runs
 from .domain import IntrinsicVolumes, LatticeSpace, MeshSpace
 from .glm import ResidualSet
 
@@ -76,7 +77,7 @@ def _sqrt_det_gram(diffs: list[np.ndarray], diag: list[np.ndarray],
     g = [[diag[i] if i == j else None for j in range(d)] for i in range(d)]
     for i in range(d):
         for j in range(i + 1, d):
-            g[i][j] = g[j][i] = (diffs[i] * diffs[j]).sum(axis=0) / norms2
+            g[i][j] = g[j][i] = _dots(diffs[i], diffs[j]) / norms2
     if d == 1:
         return np.sqrt(g[0][0])
     if d == 2:
@@ -161,7 +162,8 @@ def lattice_smoothness(residuals: ResidualSet, space: LatticeSpace,
         for s, out in zip(strides, sq):
             e = min(p.stop, n_v - s)  # the last s vertices have no edge along this axis
             delta = r[:, a + s:e + s] - r[:, a:e]
-            out[a:e] = np.square(delta).sum(axis=0) / norms2[a:e]
+            _dots(delta, delta, out=out[a:e])
+            out[a:e] /= norms2[a:e]
             diffs.append(delta)
         c = max(0, min(p.stop, n_v - sum(strides)) - a)  # the piece's cube base vertices
         contrib[a:a + c] = _sqrt_det_gram([x[:, :c] for x in diffs], [x[a:a + c] for x in sq],
@@ -185,7 +187,7 @@ def _mesh_lkc_top(res: ResidualSet, space: MeshSpace) -> float:
     base = simplices[:, 0]
     norms2 = np.square(res.norms[base])
     diffs = [res.r[:, simplices[:, j]] - res.r[:, base] for j in range(1, d + 1)]
-    contrib = _sqrt_det_gram(diffs, [(x * x).sum(axis=0) / norms2 for x in diffs], norms2)
+    contrib = _sqrt_det_gram(diffs, [_dots(x, x) / norms2 for x in diffs], norms2)
     return float(contrib.sum()) / math.factorial(d)
 
 

@@ -1,7 +1,10 @@
 """Search-space construction, counting and component tests."""
 
 import itertools
+import math
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -613,6 +616,93 @@ def test_mesh_neighbor_reduce_matches_edge_loop(mask, data, op, fill):
     for a, b in mesh.edges.tolist():
         want[a], want[b] = op(want[a], vals[b]), op(want[b], vals[a])
     np.testing.assert_array_equal(mesh.neighbor_reduce(vals, op, fill), want)
+
+
+# candidate shares on both sides of infer.GATHER_SHARE, 1/8
+AT_SHARES = st.sampled_from([0.0, 0.02, 0.1, 0.15, 0.5, 1.0])
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@given(hnp.arrays(float, LATTICE_SHAPES,
+                  elements=st.sampled_from(LEVELS) | st.floats(-2.0, 2.0)),
+       st.data(), AT_SHARES, REDUCE_OPS, REDUCE_FILLS)
+def test_lattice_neighbor_reduce_at_matches_whole_pass(values, data, share, op, fill):
+    """Masked 1-3D lattices with NaN and +-inf values: the gather at some
+    vertices gives those vertices' entries of the whole pass, bit for bit."""
+    mask = data.draw(hnp.arrays(bool, values.shape))
+    mask.flat[0] = True
+    space = build_lattice(values.shape, mask)
+    vals = np.where(space.mask_flat, values.ravel(), -np.inf)
+    at = np.flatnonzero(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+                        .random(vals.size) < share)
+    assert_same_bits(space.neighbor_reduce(vals, op, fill, at=at),
+                     space.neighbor_reduce(vals, op, fill)[at])
+
+
+@given(hnp.arrays(bool, st.tuples(st.integers(2, 9), st.integers(2, 9))),
+       st.data(), AT_SHARES, REDUCE_OPS, REDUCE_FILLS)
+def test_mesh_neighbor_reduce_at_matches_whole_pass(mask, data, share, op, fill):
+    """Random masked meshes: as on lattices, along the edges from ``at``."""
+    mask.flat[0] = True
+    mesh = masked_grid_mesh(mask)
+    vals = data.draw(hnp.arrays(float, mask.size,
+                                elements=st.sampled_from(LEVELS) | st.floats(-2.0, 2.0)))
+    at = np.flatnonzero(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+                        .random(vals.size) < share)
+    assert_same_bits(mesh.neighbor_reduce(vals, op, fill, at=at),
+                     mesh.neighbor_reduce(vals, op, fill)[at])
+
+
+def test_gather_at_a_sparse_set_costs_the_padded_grid():
+    """At a 0.5% share the gather holds the padded grid and a few arrays of
+    the candidates' size, never a result of the grid's size."""
+    dims = (64, 64, 50)
+    space = build_lattice(dims, np.ones(dims, dtype=bool))
+    vals = np.random.default_rng(8).standard_normal(space.n_points)
+    at = np.flatnonzero(np.random.default_rng(9).random(space.n_points) < 0.005)
+    space.neighbor_reduce(vals, np.maximum, -np.inf, at=at)  # imports and caches
+    tracemalloc.start()
+    try:
+        space.neighbor_reduce(vals, np.maximum, -np.inf, at=at)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    padded = 8 * math.prod(n + 2 for n in dims)
+    assert peak <= padded + 8 * at.nbytes + 16_384
+
+
+@pytest.mark.parametrize("space", [
+    build_lattice((9, 8, 7), np.random.default_rng(10).random((9, 8, 7)) < 0.8),
+    masked_grid_mesh(np.random.default_rng(11).random((9, 8)) < 0.8)])
+def test_intrinsic_volumes_counted_once_per_space(space):
+    cls = type(space)
+    with mock.patch.object(cls, "cell_minima", autospec=True,
+                           side_effect=cls.cell_minima) as counted:
+        mu = intrinsic_volumes(space)
+        first = counted.call_count
+        again = intrinsic_volumes(space)
+    assert first == space.dimension + 1 and counted.call_count == first
+    assert again is mu
+    # a new space over the same cells counts them afresh
+    assert intrinsic_volumes(space.restricted(np.ones(space.n_points, dtype=bool))) == mu
+
+
+def test_spaces_keep_read_only_copies_of_their_arrays():
+    # a space counts its volumes once, so the caller's later edits must not reach it
+    mask, vertex_mask = np.ones((3, 4), bool), np.ones(3, bool)
+    verts = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+    lattice = build_lattice((3, 4), mask)
+    mesh = MeshSpace(verts, [[0, 1, 2]], vertex_mask=vertex_mask)
+    mu = intrinsic_volumes(lattice), intrinsic_volumes(mesh)
+    assert mask.flags.writeable and vertex_mask.flags.writeable and verts.flags.writeable
+    mask[0, 0], vertex_mask[0], verts[1, 0] = False, False, 3.0
+    assert lattice.mask.all() and mesh.mask_flat.all() and mesh.vertices[1, 0] == 1.0
+    assert (intrinsic_volumes(lattice), intrinsic_volumes(mesh)) == mu
+    assert not any(a.flags.writeable for a in (lattice.mask, mesh.vertices,
+                                                mesh.all_simplices, mesh.mask_flat))
 
 
 @given(hnp.arrays(bool, st.tuples(st.integers(2, 9), st.integers(2, 9))))

@@ -133,15 +133,25 @@ class TestOneResidualOwner:
         assert_same_bits(out.residuals, residuals)
         assert_same_bits(out.ssr, ssr)
 
-    @pytest.mark.parametrize("n_reg", [0, 2, 3])
-    def test_other_regressor_counts_keep_the_matmul(self, n_reg):
+    @pytest.mark.parametrize("n_reg", [0, 1, 2, 3, 4])
+    def test_other_regressor_counts_keep_the_matmul(self, n_reg, workers):
         rng = np.random.default_rng(27)
         design = DesignMatrix(rng.standard_normal((12, n_reg)),
                               tuple(f"x{i}" for i in range(n_reg)))
         data = rng.standard_normal((12, 2 * _parallel.BLOCK_BYTES // (8 * 12) + 1))  # 3 slabs
-        out = fit(data.copy(), design)
+        with workers(2):  # the slabs on worker threads, whatever the host's cores
+            out = fit(data.copy(), design)
         for got, want in zip((out.betas, out.residuals, out.ssr), slab_matmul_fit(data, design)):
             assert_same_bits(got, want)
+
+    def test_two_runs_of_slabs_on_any_core_count(self, workers):
+        # one slab's fitted values per thread, two threads: test_no_second_stack's
+        # bound holds on a host of many cores too
+        data = np.random.default_rng(28).standard_normal((12, 5 * _parallel.BLOCK_BYTES // 96))
+        design = DesignMatrix(np.ones((12, 1)), ("mean",))
+        with workers(4), mock.patch.object(_parallel, "_each", wraps=_parallel._each) as each:
+            fit(data, design)
+        assert [len(call.args[1]) for call in each.call_args_list] == [2]
 
     def test_zero_residual_columns(self):
         rng = np.random.default_rng(21)

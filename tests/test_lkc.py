@@ -296,6 +296,32 @@ def test_runs_cover_range_in_pieces_of_bounded_size(n, unit_bytes, block_bytes):
     assert max(sizes) <= max(3, -(-block_bytes // unit_bytes))
 
 
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40),
+       width=st.integers(1, 9) | st.integers(4095, 4097),
+       layout=st.sampled_from(["contiguous", "strided", "offset"]),
+       square=st.booleans(), into=st.booleans())
+def test_dots_match_product_sums_bit_for_bit(seed, n, width, layout, square, into):
+    # the column sums of the fit's SSR and the smoothness pass's Gram entries:
+    # einsum on >= 2 columns, the product's sum on a lone column, which numpy
+    # sums pairwise
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        x = rng.standard_normal((n, 2 * width + 1)) * 10.0 ** rng.integers(-6, 7, 2 * width + 1)
+        x[rng.random(x.shape) < 0.1] = 0.0
+        x[rng.random(x.shape) < 0.1] = -0.0
+        return {"contiguous": x[:, :width].copy(), "strided": x[:, :2 * width:2],
+                "offset": x[:, 1:width + 1]}[layout]
+
+    a = draw()
+    b = a if square else draw()
+    want = (a * b).sum(axis=0)
+    out = np.full(width, np.nan) if into else None
+    got = _parallel._dots(a, b, out=out)
+    assert got.tobytes() == want.tobytes()
+    assert out is None or got is out
+
+
 class TestLatticeSmoothness:
     """The piece-parallel kernel against the two-pass reference, exactly,
     on 1-3 worker threads."""
