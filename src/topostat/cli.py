@@ -15,7 +15,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy import special
 
 from . import ecd, glm, lkc, preproc, simulate
 from .dataset import read_dataset, write_dataset
@@ -98,7 +97,7 @@ def cmd_analyze(args) -> int:
     top, fwhm_hat = lkc.lattice_smoothness(residuals, space, analysis_space)
     resels = lkc.lkc_vector(top, mu, fwhm=fwhm_hat)
 
-    t_feature = float(-special.stdtrit(dof, args.height_p))
+    t_feature = ecd._tail_quantile(stat.field_type, args.height_p)
     table = peak_table(stat, analysis_space, resels, t_feature,
                        alpha=args.alpha, two_sided=args.two_sided)
 

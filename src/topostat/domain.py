@@ -288,19 +288,12 @@ class MeshSpace:
 
     def neighbor_reduce(self, vals: np.ndarray, op, fill, at=None) -> np.ndarray:
         """``op`` over each vertex's neighbours' ``vals`` along :attr:`edges`;
-        with distinct vertex indices ``at``, only there: the whole result ``[at]``."""
-        ends = (self.edges.T, self.edges.T[::-1])
-        if at is None:
-            out = np.full(self.n_points, fill)
-        else:  # the edges from ``at``, in the whole pass's order, onto at's slots
-            slot = np.full(self.n_points, -1)
-            slot[at] = np.arange(len(at))
-            ends = [(slot[a[keep]], b[keep]) for a, b in ends for keep in [slot[a] >= 0]]
-            out = np.full(len(at), fill)
+        with vertex indices ``at``, the whole result ``[at]``."""
+        out = np.full(self.n_points, fill)
         with np.errstate(invalid="ignore"):  # op.at warns on each NaN it meets
-            for a, b in ends:
+            for a, b in (self.edges.T, self.edges.T[::-1]):
                 op.at(out, a, vals[b])
-        return out
+        return out if at is None else out[at]
 
     def __repr__(self):
         return (f"MeshSpace(D={self.dimension}, vertices={self.n_points}, "

@@ -4,7 +4,8 @@ Closed-form EC densities rho_d(t) for Gaussian and Student-t fields in
 the resel convention (each rho_d absorbs its (4 ln 2)^(d/2) factor), the
 expected Euler characteristic E[EC](t) = sum_d resels_d rho_d(t), the
 corrected p-value of an observed peak, and the corrected height
-threshold for a target family-wise error rate.
+threshold for a target family-wise error rate: for a point search, whose
+E[EC] is resels_0 rho_0(t), the tail quantile rho_0^-1; else by bisection.
 """
 
 from __future__ import annotations
@@ -55,6 +56,13 @@ def _densities(field: FieldType, t: np.ndarray):
     raise ValueError("EC densities implemented for 0 <= d <= 3, got 4")
 
 
+def _tail_quantile(field: FieldType, p: float) -> float:
+    """The height t with rho_0(t) = p, the inverse of the upper tail."""
+    if field.kind == "gaussian":
+        return float(-special.ndtri(p))
+    return float(-special.stdtrit(field.dof, p))
+
+
 def ec_density(field: FieldType, d: int, t):
     """EC density rho_d(t) in the resel convention.
 
@@ -101,17 +109,18 @@ def fwe_p(peak_height, resels: ReselVector, field: FieldType):
 
 
 def corrected_threshold(alpha: float, resels: ReselVector, field: FieldType) -> float:
-    """Height threshold t* with E[EC](t*) = alpha, by bisection.
+    """Height threshold t* with E[EC](t*) = alpha.
 
-    The search runs on t >= THRESHOLD_FLOOR, where E[EC] is strictly
-    decreasing for the supported fields, down to a bracket of width
-    THRESHOLD_TOL. A pure point search (all higher resel counts zero) is
-    monotone everywhere, so its bracket may extend below the floor,
-    recovering the single-test quantile. Otherwise, if E[EC] at the floor
-    is below alpha the target cannot be bracketed and the floor is
-    returned with a warning. alpha = 1 is a degenerate request (the
-    clamped p-value equals 1 on a whole interval of thresholds) answered
-    with the floor.
+    A pure point search (all higher resel counts zero) has E[EC](t) =
+    resels_0 rho_0(t), so t* is the tail quantile rho_0^-1(alpha / resels_0),
+    exact and at any height; if that ratio is not in (0, 1), alpha is
+    beyond the point search's ceiling and the floor is returned with a
+    warning. Otherwise t* is bisected on t >= THRESHOLD_FLOOR, where E[EC]
+    is strictly decreasing for the supported fields, down to a bracket of
+    width THRESHOLD_TOL; if E[EC] at the floor is below alpha the target
+    cannot be bracketed and the floor is returned with a warning. alpha = 1
+    is a degenerate request (the clamped p-value equals 1 on a whole
+    interval of thresholds) answered with the floor.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
@@ -119,33 +128,27 @@ def corrected_threshold(alpha: float, resels: ReselVector, field: FieldType) -> 
         raise ValueError(f"resels must be finite, got {resels.resels}")
     if alpha == 1.0:
         return THRESHOLD_FLOOR
+    if all(r == 0.0 for r in resels.resels[1:]):
+        r0 = resels.resels[0]
+        if r0 > 0.0 and 0.0 < alpha / r0 < 1.0:
+            return _tail_quantile(field, alpha / r0)
+        warnings.warn(f"alpha={alpha} exceeds the point-search ceiling; "
+                      "threshold not bracketed", stacklevel=2)
+        return THRESHOLD_FLOOR
 
     lo = THRESHOLD_FLOOR
-    hi = None
     if expected_ec(resels, field, lo) < alpha:
-        point_search = all(r == 0.0 for r in resels.resels[1:])
-        if not point_search:
-            warnings.warn(
-                f"expected EC at t={lo} is below alpha={alpha}; "
-                "threshold not bracketed", stacklevel=2,
-            )
-            return lo
-        while expected_ec(resels, field, lo) < alpha and lo > -60.0:
-            hi = lo
-            lo -= 1.0
-        if expected_ec(resels, field, lo) < alpha:
-            warnings.warn(
-                f"alpha={alpha} exceeds the point-search ceiling; "
-                "threshold not bracketed", stacklevel=2,
-            )
-            return THRESHOLD_FLOOR
-    if hi is None:
-        hi = lo + 1.0
-        while expected_ec(resels, field, hi) > alpha:
-            lo = hi
-            hi = 2.0 * hi
-            if hi > 1e6:
-                raise RuntimeError("failed to bracket the corrected threshold")
+        warnings.warn(
+            f"expected EC at t={lo} is below alpha={alpha}; "
+            "threshold not bracketed", stacklevel=2,
+        )
+        return lo
+    hi = lo + 1.0
+    while expected_ec(resels, field, hi) > alpha:
+        lo = hi
+        hi = 2.0 * hi
+        if hi > 1e6:
+            raise RuntimeError("failed to bracket the corrected threshold")
     while hi - lo > THRESHOLD_TOL:
         mid = 0.5 * (lo + hi)
         if expected_ec(resels, field, mid) > alpha:

@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from topostat import (
@@ -27,6 +27,7 @@ from topostat import (
     restrict,
 )
 from topostat.domain import IntrinsicVolumes
+from topostat.ecd import THRESHOLD_FLOOR, THRESHOLD_TOL, _tail_quantile
 from topostat.infer import conditional_peak_p
 from topostat.lkc import FOUR_LOG2
 from topostat.simulate import SimConfig, gen_field
@@ -264,6 +265,126 @@ class TestCorrectedThreshold:
             corrected_threshold(0.0, TABLE1, T12)
         with pytest.raises(ValueError):
             corrected_threshold(1.5, TABLE1, T12)
+
+
+def stepping_threshold(alpha, resels, field):
+    """The stepping search that set point-search thresholds before the closed
+    form (reference): below the floor in unit steps down to -60, then bisection."""
+    if alpha == 1.0:
+        return THRESHOLD_FLOOR
+    lo = THRESHOLD_FLOOR
+    hi = None
+    if expected_ec(resels, field, lo) < alpha:
+        if not all(r == 0.0 for r in resels.resels[1:]):
+            warnings.warn(f"expected EC at t={lo} is below alpha={alpha}; "
+                          "threshold not bracketed")
+            return lo
+        while expected_ec(resels, field, lo) < alpha and lo > -60.0:
+            hi = lo
+            lo -= 1.0
+        if expected_ec(resels, field, lo) < alpha:
+            warnings.warn(f"alpha={alpha} exceeds the point-search ceiling; "
+                          "threshold not bracketed")
+            return THRESHOLD_FLOOR
+    if hi is None:
+        hi = lo + 1.0
+        while expected_ec(resels, field, hi) > alpha:
+            lo = hi
+            hi = 2.0 * hi
+            if hi > 1e6:
+                raise RuntimeError("failed to bracket the corrected threshold")
+    while hi - lo > THRESHOLD_TOL:
+        mid = 0.5 * (lo + hi)
+        if expected_ec(resels, field, mid) > alpha:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def threshold_outcome(search, alpha, resels, field):
+    """(the threshold's hex or the error, the warnings' categories and
+    messages) of one search."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = search(alpha, resels, field).hex()
+        except RuntimeError as err:
+            result = repr(err)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+@st.composite
+def fields_for(draw, dimension):
+    """A Gaussian field, or a t field with dof > D (and >= 1), so that E[EC]
+    falls to 0."""
+    if draw(st.booleans()):
+        return GAUSS
+    return FieldType.student_t(draw(
+        st.integers(dimension + 1, 200)
+        | st.floats(max(dimension, 1), 200.0, exclude_min=dimension > 0)))
+
+
+@st.composite
+def non_point_searches(draw):
+    dimension = draw(st.integers(1, 3))
+    higher = draw(st.lists(st.floats(0.0, 1e4), min_size=dimension, max_size=dimension))
+    assume(any(r != 0.0 for r in higher))
+    r0 = draw(st.floats(-2.0, 10.0))
+    return ReselVector.from_resels([r0, *higher]), draw(fields_for(dimension))
+
+
+@st.composite
+def point_searches(draw, r0):
+    resels = ReselVector.from_resels([draw(r0)] + [0.0] * draw(st.integers(0, 3)))
+    return resels, draw(fields_for(0))
+
+
+class TestCorrectedThresholdProperties:
+    @given(st.floats(1e-6, 1.0), non_point_searches())
+    def test_non_point_threshold_matches_stepping_search(self, alpha, search):
+        """Every search with a higher resel count is the bisection it was,
+        bit for bit, with the same warnings or error."""
+        resels, field = search
+        assert threshold_outcome(corrected_threshold, alpha, resels, field) == \
+            threshold_outcome(stepping_threshold, alpha, resels, field)
+
+    @given(st.floats(1e-6, 1.0, exclude_min=True, exclude_max=True),
+           point_searches(st.floats(0.0, 50.0, exclude_min=True)))
+    @example(alpha=0.5, search=(POINT, GAUSS))
+    @example(alpha=1e-6 * (1 + 1e-15), search=(ReselVector.from_resels((50.0,)),
+                                              FieldType.student_t(1)))
+    @example(alpha=0.9999, search=(ReselVector.from_resels((1.0,)), FieldType.student_t(1)))
+    def test_point_threshold_is_tail_quantile(self, alpha, search):
+        """A point search's threshold is rho_0's inverse at alpha / resels_0,
+        where E[EC] is alpha, and within half the bisection's bracket of the
+        stepping search's wherever that search reached it."""
+        resels, field = search
+        assume(alpha < resels.resels[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t_star = corrected_threshold(alpha, resels, field)
+        assert t_star == _tail_quantile(field, alpha / resels.resels[0])
+        assert expected_ec(resels, field, t_star) == pytest.approx(alpha, rel=1e-12)
+        reference, caught = threshold_outcome(stepping_threshold, alpha, resels, field)
+        if "ceiling" in str(caught):  # the steps stopped at -60
+            assert t_star < -60.0 + THRESHOLD_TOL
+        elif "bracket" in reference:  # the doubling stopped at 1e6
+            assert t_star > 5e5
+        else:
+            assert caught == []
+            assert abs(t_star - float.fromhex(reference)) <= THRESHOLD_TOL / 2
+
+    @given(st.floats(1e-6, 1.0, exclude_max=True), point_searches(st.floats(-5.0, 1.0)))
+    @example(alpha=0.05, search=(ReselVector.from_resels((0.05, 0.0)), GAUSS))
+    @example(alpha=0.05, search=(ReselVector.from_resels((0.0, 0.0, 0.0)), T12))
+    def test_point_ceiling_warns_and_returns_floor(self, alpha, search):
+        """alpha at or beyond resels_0, or no point at all: E[EC] never
+        reaches alpha, so the floor comes back with a warning."""
+        resels, field = search
+        assume(not 0.0 < alpha < resels.resels[0])
+        with pytest.warns(UserWarning, match="point-search ceiling"):
+            assert corrected_threshold(alpha, resels, field) == THRESHOLD_FLOOR
 
 
 class TestRestrict:
