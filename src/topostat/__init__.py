@@ -47,7 +47,7 @@ from .infer import (
     peak_table,
     topological_fdr,
 )
-from .lkc import ReselVector, fwhm_estimate, lkc_top, lkc_vector
+from .lkc import ReselVector, fit_resels, fwhm_estimate, lkc_top, lkc_vector
 from .simulate import SimConfig, gen_field, generator_resels, mc_calibrate, mc_ec, mc_fwe
 
 __version__ = "0.1.0"
@@ -62,6 +62,6 @@ __all__ = [
     "fit", "normalized_residuals", "t_map", "z_equivalent",
     "ClusterRecord", "PeakRecord", "ResultsTable", "clusters",
     "excursion_set", "local_maxima", "peak_table", "topological_fdr",
-    "ReselVector", "fwhm_estimate", "lkc_top", "lkc_vector",
+    "ReselVector", "fit_resels", "fwhm_estimate", "lkc_top", "lkc_vector",
     "SimConfig", "gen_field", "generator_resels", "mc_calibrate", "mc_ec", "mc_fwe",
 ]

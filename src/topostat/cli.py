@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Subcommands: analyze (dataset -> peak/cluster tables), simulate
-(Monte Carlo calibration report), tf (Morlet band-power datasets),
-smooth (Gaussian smoothing of a dataset), info (describe a dataset).
+Subcommands: analyze (dataset -> fit -> :func:`lkc.fit_resels` -> peak/cluster
+tables), simulate (Monte Carlo calibration report; student_t mode takes the same
+resels), tf (Morlet band power), smooth (Gaussian smoothing), info (describe a dataset).
 Exit codes: 0 success, 2 input error, 3 internal invariant violation.
 """
 
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import ecd, glm, lkc, preproc, simulate
 from .dataset import read_dataset, write_dataset
-from .domain import build_lattice, intrinsic_volumes
+from .domain import build_lattice
 from .infer import peak_table
 
 
@@ -91,11 +91,7 @@ def cmd_analyze(args) -> int:
     fit = glm.fit(data, design)
     del data
     stat = glm.t_map(fit, contrast)
-    residuals = glm.normalized_residuals(fit)
-
-    mu = intrinsic_volumes(analysis_space)
-    top, fwhm_hat = lkc.lattice_smoothness(residuals, space, analysis_space)
-    resels = lkc.lkc_vector(top, mu, fwhm=fwhm_hat)
+    resels = lkc.fit_resels(fit, space, analysis_space)
 
     t_feature = ecd._tail_quantile(stat.field_type, args.height_p)
     table = peak_table(stat, analysis_space, resels, t_feature,

@@ -127,10 +127,12 @@ def read_dataset(path) -> Dataset:
     if n_obs != len(files):
         raise ValueError(f"{meta_path}: n_obs={n_obs} but {len(files)} files listed")
     n_points = int(np.prod(dims))
-    for name in files:
+    for i, name in enumerate(files):
         # a path would read observations from outside the dataset directory
         if not isinstance(name, str) or Path(name).name != name or name == "..":
             raise ValueError(f"{meta_path}: files entry {name!r} is not a plain file name")
+        if name in files[:i]:  # one observation read twice would change the dof and the t map
+            raise ValueError(f"{meta_path}: files lists {name!r} more than once")
         fpath = path / name
         if not fpath.is_file():
             raise ValueError(f"{path}: missing observation file {name}")

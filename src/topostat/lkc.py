@@ -1,4 +1,5 @@
-"""Lipschitz-Killing curvature and resel estimation.
+"""Lipschitz-Killing curvature and resel estimation. :func:`fit_resels` is the
+one path from a GLM fit to its resels, for ``analyze`` and the Monte Carlo alike.
 
 The top-dimension curvature l_D is estimated from finite differences of
 the normalized residuals u = r / ||r|| along the components that tile the
@@ -13,9 +14,8 @@ which biases l_D upward at finite dof: by +46-50% at dof 4 and +9-10% at dof
 these differences gives l_D (from each unit cube's Gram matrix) and the
 per-axis FWHM; it runs on worker threads in pieces small enough for a
 core's cache, each a range of whole last-axis lines in the flat vertex
-order. A step along any axis is a shift by that axis's stride, so each
-array operation is one long loop. Lower-order curvatures follow the
-isotropic power-law interpolation l_d = mu_d (l_D / mu_D)^(d/D).
+order. Lower-order curvatures follow the isotropic power-law interpolation
+l_d = mu_d (l_D / mu_D)^(d/D).
 
 The l_D estimate depends only on residual values and connectivity, never
 on vertex coordinates: warping or embedding the mesh leaves l_D
@@ -31,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import glm
 from ._parallel import _dots, _each, _runs
-from .domain import IntrinsicVolumes, LatticeSpace, MeshSpace
-from .glm import ResidualSet
+from .domain import IntrinsicVolumes, LatticeSpace, MeshSpace, intrinsic_volumes
 
 FOUR_LOG2 = 4.0 * math.log(2.0)
 
@@ -104,13 +104,13 @@ def _pieces(dims, n: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
-def _check_inputs(residuals: ResidualSet, space) -> None:
+def _check_inputs(residuals: glm.ResidualSet, space) -> None:
     if residuals.r.shape[1] != space.n_points:
         raise ValueError(f"residuals cover {residuals.r.shape[1]} vertices, "
                          f"space has {space.n_points}")
 
 
-def lattice_smoothness(residuals: ResidualSet, space: LatticeSpace,
+def lattice_smoothness(residuals: glm.ResidualSet, space: LatticeSpace,
                        region=None) -> tuple[float, np.ndarray]:
     """(l_D over ``region``, per-axis FWHM over ``space``) in one pass.
 
@@ -176,7 +176,7 @@ def lattice_smoothness(residuals: ResidualSet, space: LatticeSpace,
     return float(contrib.reshape(dims)[base][cubes].sum()), fwhm
 
 
-def _mesh_lkc_top(res: ResidualSet, space: MeshSpace) -> float:
+def _mesh_lkc_top(res: glm.ResidualSet, space: MeshSpace) -> float:
     simplices = space.simplices
     if len(simplices) == 0:
         raise ValueError("no complete components inside the mask")
@@ -191,8 +191,8 @@ def _mesh_lkc_top(res: ResidualSet, space: MeshSpace) -> float:
     return float(contrib.sum()) / math.factorial(d)
 
 
-def lkc_top(residuals: ResidualSet, space) -> float:
-    """Estimate l_D from finite differences of normalized residuals.
+def lkc_top(residuals: glm.ResidualSet, space) -> float:
+    """Estimate l_D from the differences of the raw residuals over ||r_base||.
 
     Parameters
     ----------
@@ -232,11 +232,17 @@ def lkc_vector(lkc_top_value: float, mu: IntrinsicVolumes,
     return ReselVector.from_lkc(lkc, fwhm=fwhm)
 
 
-def fwhm_estimate(residuals: ResidualSet, space: LatticeSpace) -> np.ndarray:
+def fit_resels(fit: glm.GlmFit, space: LatticeSpace, region=None) -> ReselVector:
+    """Resels of ``fit`` over ``region`` (default ``space``): its residuals, one
+    :func:`lattice_smoothness` pass and :func:`lkc_vector` over the region's mu."""
+    top, fwhm = lattice_smoothness(glm.normalized_residuals(fit), space, region)
+    return lkc_vector(top, intrinsic_volumes(region or space), fwhm=fwhm)
+
+
+def fwhm_estimate(residuals: glm.ResidualSet, space: LatticeSpace) -> np.ndarray:
     """Per-axis smoothness of the residual fields, in voxels.
 
-    The mean squared normalized-residual difference over in-mask forward
-    edges of axis i gives its roughness lambda_i and FWHM_i =
-    sqrt(4 ln 2 / lambda_i), +inf for a perfectly flat axis.
+    The mean of dr^2 / ||r_base||^2, dr the raw residuals' forward difference, over axis
+    i's in-mask edges is its roughness lambda_i; FWHM_i = sqrt(4 ln 2 / lambda_i), +inf at 0.
     """
     return lattice_smoothness(residuals, space)[1]

@@ -4,8 +4,8 @@ Generates smooth Gaussian random fields with known smoothness (white
 noise on an enlarged grid, convolved with a Gaussian kernel, cropped and
 scaled to exact unit pointwise variance), measures empirical excursion
 topology and maxima, and compares against the closed-form expectations.
-A Student-t mode pushes each realization through the full GLM + LKC +
-threshold pipeline.
+A Student-t mode fits each realization and takes its resels from
+:func:`lkc.fit_resels`, the chain ``analyze`` runs, then its FWE threshold.
 
 One pass over the realizations serves both tallies: each realization is
 drawn (and, in Student-t mode, fitted) once, its excursion-set Euler
@@ -38,7 +38,7 @@ from scipy import ndimage
 from . import ecd, glm, lkc
 from ._parallel import _ahead
 from .dataset import _whole
-from .domain import build_lattice, intrinsic_volumes, lattice_ec_curve
+from .domain import build_lattice, lattice_ec_curve
 from .glm import DesignMatrix, FieldType
 from .lkc import FOUR_LOG2, ReselVector
 from .preproc import _gaussian_kernel, _kernel_radius, _widths
@@ -216,7 +216,6 @@ def mc_calibrate(config: SimConfig, thresholds, alpha: float | None = 0.05) -> d
             raise ValueError(f"n_subjects {config.n_subjects}: a student_t field on D axes needs "
                              f"dof = n_subjects - 1 > D = {len(config.dims)} to bracket alpha")
         space = build_lattice(config.dims, np.ones(config.dims, dtype=bool))
-        mu = intrinsic_volumes(space)
     elif count_fwe:
         threshold = ecd.corrected_threshold(alpha, generator_resels(config), ftype)
 
@@ -238,8 +237,7 @@ def mc_calibrate(config: SimConfig, thresholds, alpha: float | None = 0.05) -> d
                 ecs[i] = lattice_ec_curve(values, thresholds)
             if count_fwe:
                 if student_t:
-                    top, fwhm = lkc.lattice_smoothness(glm.normalized_residuals(fit), space)
-                    thr = ecd.corrected_threshold(alpha, lkc.lkc_vector(top, mu, fwhm=fwhm), ftype)
+                    thr = ecd.corrected_threshold(alpha, lkc.fit_resels(fit, space), ftype)
                 if values.max() > thr:
                     n_exceed += 1
 

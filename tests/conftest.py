@@ -11,7 +11,7 @@ import contextlib
 import pytest
 from hypothesis import settings
 
-from topostat import _parallel
+from topostat import _parallel, glm, lkc
 
 settings.register_profile("topostat", deadline=None)
 settings.register_profile("thorough", deadline=None, max_examples=1000)
@@ -35,3 +35,38 @@ def workers():
     """``with workers(n):`` runs the parallel passes as on a host of n cores,
     in a thread pool of their own that is shut down on exit."""
     return _worker_count
+
+
+class ChainLog(list):
+    """(name, whether inside a ``lkc.fit_resels`` call) per logged call."""
+
+    #: one fit's way to its resels
+    one_fit = [("fit_resels", False), ("normalized_residuals", True),
+               ("lattice_smoothness", True), ("intrinsic_volumes", True), ("lkc_vector", True)]
+
+
+@pytest.fixture()
+def resel_chain(monkeypatch):
+    """A :class:`ChainLog` of each call of ``lkc.fit_resels`` and of the four steps
+    it takes, through the bindings it calls them by: a caller that took a step
+    itself logs it as outside."""
+    log, depth = ChainLog(), [0]
+
+    def spy(owner, name):
+        real = getattr(owner, name)
+
+        def called(*args, **kwargs):
+            log.append((name, depth[0] > 0))
+            depth[0] += name == "fit_resels"
+            try:
+                return real(*args, **kwargs)
+            finally:
+                depth[0] -= name == "fit_resels"
+
+        monkeypatch.setattr(owner, name, called)
+
+    for owner, name in [(lkc, "fit_resels"), (glm, "normalized_residuals"),
+                        (lkc, "lattice_smoothness"), (lkc, "intrinsic_volumes"),
+                        (lkc, "lkc_vector")]:
+        spy(owner, name)
+    return log

@@ -185,6 +185,19 @@ class TestDataset:
         with pytest.raises(ValueError, match=error):
             read_dataset(tmp_path / "d")
 
+    def test_repeated_observation_file_exits_2(self, effect_dataset, tmp_path, capsys):
+        # the same file read twice would change the dof and the t map, not fail
+        ds, design, contrast = effect_dataset
+        meta = json.loads((ds / "meta.json").read_text())
+        meta["files"][1] = meta["files"][0]
+        (ds / "meta.json").write_text(json.dumps(meta))
+        for argv in (["info", str(ds)],
+                     ["analyze", str(ds), str(design), str(contrast), "-o", str(tmp_path / "o")]):
+            assert main(argv) == 2
+            assert re.search(r"meta\.json: files lists 'obs0000\.bin' more than once",
+                             capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
     def test_wrong_dtype_rejected(self, tmp_path):
         write_dataset(tmp_path / "d", np.zeros((1, 3)))
         meta = json.loads((tmp_path / "d" / "meta.json").read_text())
@@ -296,6 +309,14 @@ class TestAnalyze:
             results = json.loads((out / "results.json").read_text())
             assert results["footnote"]["search_volume_bins"] == 11 * 12 * 24
             assert results["peaks"][0]["p_fwe"] < 0.05
+
+    def test_resels_come_from_fit_resels_once(self, effect_dataset, tmp_path, resel_chain):
+        ds, design, contrast = effect_dataset
+        for extra in ([], ["--window", "4:19"], ["--smooth", "2", "--two-sided"]):
+            del resel_chain[:]
+            assert main(["analyze", str(ds), str(design), str(contrast),
+                         "-o", str(tmp_path / "out"), *extra]) == 0
+            assert resel_chain == resel_chain.one_fit
 
     def test_fit_and_normalization_run_once(self, effect_dataset, tmp_path, monkeypatch,
                                             capsys):

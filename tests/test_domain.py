@@ -626,6 +626,7 @@ def assert_same_bits(a, b):
     assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+@pytest.mark.thorough
 @given(hnp.arrays(float, LATTICE_SHAPES,
                   elements=st.sampled_from(LEVELS) | st.floats(-2.0, 2.0)),
        st.data(), AT_SHARES, REDUCE_OPS, REDUCE_FILLS)
@@ -642,6 +643,7 @@ def test_lattice_neighbor_reduce_at_matches_whole_pass(values, data, share, op, 
                      space.neighbor_reduce(vals, op, fill)[at])
 
 
+@pytest.mark.thorough
 @given(hnp.arrays(bool, st.tuples(st.integers(2, 9), st.integers(2, 9))),
        st.data(), AT_SHARES, REDUCE_OPS, REDUCE_FILLS)
 def test_mesh_neighbor_reduce_at_matches_whole_pass(mask, data, share, op, fill):

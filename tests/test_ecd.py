@@ -341,6 +341,7 @@ def point_searches(draw, r0):
 
 
 class TestCorrectedThresholdProperties:
+    @pytest.mark.thorough
     @given(st.floats(1e-6, 1.0), non_point_searches())
     def test_non_point_threshold_matches_stepping_search(self, alpha, search):
         """Every search with a higher resel count is the bisection it was,
@@ -349,6 +350,7 @@ class TestCorrectedThresholdProperties:
         assert threshold_outcome(corrected_threshold, alpha, resels, field) == \
             threshold_outcome(stepping_threshold, alpha, resels, field)
 
+    @pytest.mark.thorough
     @given(st.floats(1e-6, 1.0, exclude_min=True, exclude_max=True),
            point_searches(st.floats(0.0, 50.0, exclude_min=True)))
     @example(alpha=0.5, search=(POINT, GAUSS))
@@ -375,6 +377,7 @@ class TestCorrectedThresholdProperties:
             assert caught == []
             assert abs(t_star - float.fromhex(reference)) <= THRESHOLD_TOL / 2
 
+    @pytest.mark.thorough
     @given(st.floats(1e-6, 1.0, exclude_max=True), point_searches(st.floats(-5.0, 1.0)))
     @example(alpha=0.05, search=(ReselVector.from_resels((0.05, 0.0)), GAUSS))
     @example(alpha=0.05, search=(ReselVector.from_resels((0.0, 0.0, 0.0)), T12))

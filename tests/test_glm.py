@@ -89,6 +89,7 @@ def assert_matches_reference(data, design):
 
 
 class TestOneResidualOwner:
+    @pytest.mark.thorough
     @given(seed=st.integers(0, 2**32 - 1), n_obs=st.integers(2, 40),
            n_vert=st.integers(0, 60), n_reg=st.integers(1, 3),
            slab=st.sampled_from([1, 3, 4, 7, 4096]),
@@ -144,6 +145,7 @@ class TestOneResidualOwner:
         for got, want in zip((out.betas, out.residuals, out.ssr), slab_matmul_fit(data, design)):
             assert_same_bits(got, want)
 
+    @pytest.mark.thorough
     def test_two_runs_of_slabs_on_any_core_count(self, workers):
         # one slab's fitted values per thread, two threads: test_no_second_stack's
         # bound holds on a host of many cores too

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from topostat import (
@@ -283,6 +283,7 @@ class TestFwhmEstimate:
             fwhm_estimate(res, space)
 
 
+@pytest.mark.thorough
 @given(n=st.integers(0, 10_000), unit_bytes=st.integers(1, 1 << 16),
        block_bytes=st.integers(8, 1 << 20))
 def test_runs_cover_range_in_pieces_of_bounded_size(n, unit_bytes, block_bytes):
@@ -296,6 +297,7 @@ def test_runs_cover_range_in_pieces_of_bounded_size(n, unit_bytes, block_bytes):
     assert max(sizes) <= max(3, -(-block_bytes // unit_bytes))
 
 
+@pytest.mark.thorough
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40),
        width=st.integers(1, 9) | st.integers(4095, 4097),
        layout=st.sampled_from(["contiguous", "strided", "offset"]),
@@ -439,6 +441,7 @@ class TestLatticeSmoothness:
                     np.testing.assert_array_equal(fwhm, fwhm_want)
 
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @pytest.mark.thorough
     @given(dims=st.lists(st.integers(2, 9), min_size=1, max_size=3),
            n_res=st.integers(1, 24), n_blocks=st.integers(1, 100),
            holes=st.sampled_from([0.0, 0.1]), n_workers=st.integers(1, 3),
@@ -540,10 +543,26 @@ class TestLatticeSmoothness:
         assert len(pieces[-1]) == 1
 
 
+def sqrt_det_sensitivity(diffs):
+    """Sum over the components of s * kappa, s = sqrt|G| of the Gram G of ``diffs``
+    (each (n, components)) and kappa = 1/2 sum_ij |(R^-1)_ij|, R = G scaled to a unit
+    diagonal. To first order, entries G_ij each off by at most delta sqrt(G_ii G_jj)
+    move s by at most delta * kappa * s: d|G| = |G| sum_ij (G^-1)_ij dG_ij. kappa is
+    D/2 for orthogonal differences, about 4.4 for white noise in 3-D, and grows
+    without bound as a component nears a singular Gram."""
+    x = np.stack(diffs)
+    g = np.einsum("inc,jnc->cij", x, x)
+    scale = np.sqrt(np.einsum("cii->ci", g))
+    kappa = 0.5 * np.abs(np.linalg.inv(g / (scale[:, :, None] * scale[:, None, :]))).sum(
+        axis=(1, 2))
+    return float((np.sqrt(np.maximum(np.linalg.det(g), 0.0)) * kappa).sum())
+
+
 def u_form_smoothness(res, space):
-    """(l_D, per-axis FWHM or None) in the normalized-residual form: u = r / ||r||
-    formed first, each difference u_hi ||r_hi|| / ||r_lo|| - u_lo, and the Gram
-    of those O(1) differences summed unscaled, over whole volumes."""
+    """(l_D, per-axis FWHM or None, the l_D's :func:`sqrt_det_sensitivity`) in the
+    normalized-residual form: u = r / ||r|| formed first, each difference
+    u_hi ||r_hi|| / ||r_lo|| - u_lo, and the Gram of those O(1) differences summed
+    unscaled, over whole volumes."""
     u = res.r / np.where(res.flagged, 1.0, res.norms)
     u[:, res.flagged] = 0.0
     if not hasattr(space, "dims"):  # a mesh: one Gram per usable simplex
@@ -553,7 +572,8 @@ def u_form_smoothness(res, space):
         diffs = [u[:, simplices[:, j]] * (res.norms[simplices[:, j]] / res.norms[base])
                  - u[:, base] for j in range(1, d + 1)]
         contrib = reference_gram_sqrt_det(diffs, [(x * x).sum(axis=0) for x in diffs], 1.0)
-        return float(contrib.sum()) / math.factorial(d), None
+        return (float(contrib.sum()) / math.factorial(d), None,
+                sqrt_det_sensitivity(diffs) / math.factorial(d))
     d, dims = space.dimension, space.dims
     u, norms = u.reshape((u.shape[0],) + dims), res.norms.reshape(dims)
     usable = space.mask & ~res.flagged.reshape(dims)
@@ -576,27 +596,44 @@ def u_form_smoothness(res, space):
     diffs = [step(base, sl, valid).reshape(u.shape[0], -1) for sl in shifts]
     contrib = reference_gram_sqrt_det(diffs, [(x * x).sum(axis=0) for x in diffs], 1.0)
     fwhm = np.array([np.inf if x == 0 else math.sqrt(FOUR_LOG2 / x) for x in lam])
-    return float(contrib[valid.ravel()].sum()), fwhm
+    return (float(contrib[valid.ravel()].sum()), fwhm,
+            sqrt_det_sensitivity([x[:, valid.ravel()] for x in diffs]))
+
+
+def glm_fit_case(kind, dims, n_obs, seed):
+    """(GlmFit, space): a one-sample fit of ``n_obs`` observations on a masked
+    lattice of ``dims`` or, for ``kind`` "mesh", a triangle mesh of ``dims``
+    vertices, a tenth of the vertices with zero residuals."""
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal((n_obs, math.prod(dims)))
+    data[:, rng.random(math.prod(dims)) < 0.1] = 0.0
+    fitted = fit(data, DesignMatrix(np.ones((n_obs, 1)), ("mean",)))
+    if kind == "mesh":
+        return fitted, build_mesh(*unit_sheet_mesh(*dims))
+    mask = rng.random(dims) >= 0.1
+    mask.flat[0] = True
+    return fitted, build_lattice(dims, mask)
 
 
 @st.composite
-def glm_residual_cases(draw, kind, min_dof_over_d=None):
-    """(ResidualSet, space): one-sample GLM residuals on a masked lattice of
-    ``kind`` (1-3) axes or, for "mesh", a triangle mesh, a tenth of the vertices
-    with zero residuals; with ``min_dof_over_d``, dof >= D + that many."""
+def glm_fit_cases(draw, kind, min_dof_over_d=None):
+    """:func:`glm_fit_case` on a lattice of ``kind`` (1-3) axes or a mesh; with
+    ``min_dof_over_d``, dof >= D + that many."""
     mesh = kind == "mesh"
     dims = tuple(draw(st.integers(2, 7 if mesh else 9)) for _ in range(2 if mesh else kind))
     d = len(dims)
     n_obs = draw(st.integers(2 if min_dof_over_d is None else d + 1 + min_dof_over_d, 24))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    data = rng.standard_normal((n_obs, math.prod(dims)))
-    data[:, rng.random(math.prod(dims)) < 0.1] = 0.0
-    res = normalized_residuals(fit(data, DesignMatrix(np.ones((n_obs, 1)), ("mean",))))
-    if mesh:
-        return res, build_mesh(*unit_sheet_mesh(*dims))
-    mask = rng.random(dims) >= 0.1
-    mask.flat[0] = True
-    return res, build_lattice(dims, mask)
+    return glm_fit_case(kind, dims, n_obs, draw(st.integers(0, 2**32 - 1)))
+
+
+def residuals_of(case):
+    """(ResidualSet, space) of a (GlmFit, space) case."""
+    return normalized_residuals(case[0]), case[1]
+
+
+def glm_residual_cases(kind, min_dof_over_d=None):
+    """(ResidualSet, space) of :func:`glm_fit_cases`."""
+    return glm_fit_cases(kind, min_dof_over_d).map(residuals_of)
 
 
 def smoothness_or_none(res, space):
@@ -612,6 +649,7 @@ def smoothness_or_none(res, space):
 class TestRawResidualKernel:
     """The kernel takes differences of raw residuals over ||r_base||."""
 
+    @pytest.mark.thorough
     @pytest.mark.parametrize("kind", [1, 2, 3, "mesh"])
     @given(data=st.data(), k=st.integers(-200, 200))
     def test_power_of_two_scale_exact(self, kind, data, k):
@@ -629,19 +667,68 @@ class TestRawResidualKernel:
                 assert got[0] == want[0]
                 np.testing.assert_array_equal(got[1], want[1])
 
+    # (dims, n_obs, seed) of glm_fit_case draws that a fixed rtol of 1e-14 on l_D
+    # failed: a 2x2x2 lattice, 7 vertices in the mask, one of them flagged, dof 7,
+    # whose one cube's Gram has kappa 49; the two forms differ by 2.1e-14 there
+    NEAR_SINGULAR = {3: ((2, 2, 2), 8, 3916)}
+
+    @pytest.mark.thorough
     @pytest.mark.parametrize("kind", [1, 2, 3, "mesh"])
     @given(data=st.data())
+    @example(data=None)  # the NEAR_SINGULAR draw of this kind, if there is one
     def test_agrees_with_the_normalized_residual_form(self, kind, data):
-        # with dof > D the Gram is regular, and the two forms differ by rounding;
-        # at dof = D + 1 a near-singular cube or triangle can carry 2e-14 of it
-        res, space = data.draw(glm_residual_cases(kind, min_dof_over_d=2))
+        # Both forms round each Gram entry G_ij by a few eps of sqrt(G_ii G_jj),
+        # and a cube's sqrt|G| carries that times its kappa (sqrt_det_sensitivity).
+        # So l_D may differ by 8 eps per unit of sum(kappa sqrt|G|): 1e-14 relative
+        # or less wherever kappa <= 5.6, which white noise's cubes (about 4.4) and
+        # orthogonal ones (D/2) are, and more only on a near-singular cube. The
+        # per-axis FWHM divides no determinant and keeps 1e-14.
+        if data is None:
+            if kind not in self.NEAR_SINGULAR:
+                return
+            res, space = residuals_of(glm_fit_case(kind, *self.NEAR_SINGULAR[kind]))
+        else:
+            res, space = data.draw(glm_residual_cases(kind, min_dof_over_d=2))
         got = smoothness_or_none(res, space)
         if got is None:
             return
-        want = u_form_smoothness(res, space)
-        np.testing.assert_allclose(got[0], want[0], rtol=1e-14)
-        if want[1] is not None:
-            np.testing.assert_allclose(got[1], want[1], rtol=1e-14)
+        want_top, want_fwhm, sensitivity = u_form_smoothness(res, space)
+        assert abs(got[0] - want_top) <= 8 * np.finfo(float).eps * sensitivity
+        if want_fwhm is not None:
+            np.testing.assert_allclose(got[1], want_fwhm, rtol=1e-14)
+
+
+def outcome(call):
+    """What ``call()`` returns, or the message of the ValueError it raises."""
+    try:
+        return call()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+class TestFitResels:
+    """``fit_resels`` is the chain ``analyze`` and the Monte Carlo each spelled out:
+    the fit's residuals, one smoothness pass, the region's mu and ``lkc_vector``."""
+
+    @pytest.mark.parametrize("kind", [1, 2, 3])
+    @given(data=st.data())
+    def test_equals_the_explicit_chain(self, kind, data):
+        fitted, space = data.draw(glm_fit_cases(kind))
+        region = None
+        if data.draw(st.booleans()):  # a time window on the last axis
+            lo = data.draw(st.integers(-2, space.dims[-1] - 1))
+            hi = data.draw(st.integers(max(lo, 0), space.dims[-1] + 1))
+            assume(space.mask[..., max(lo, 0):hi + 1].any())
+            region = restrict(space, (lo, hi))
+
+        def chain():
+            top, fwhm = lattice_smoothness(normalized_residuals(fitted), space, region)
+            return lkc_vector(top, intrinsic_volumes(region or space), fwhm=fwhm)
+
+        want = outcome(chain)
+        assert outcome(lambda: lkc.fit_resels(fitted, space, region)) == want
+        if region is None:
+            assert outcome(lambda: lkc.fit_resels(fitted, space, space)) == want
 
 
 class TestRecovery:

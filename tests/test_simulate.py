@@ -298,6 +298,16 @@ class TestOnePassMatchesSeparateLoops:
         if cfg.n_realizations == 1:
             assert want_ec["se"] == [0.0] * len(thresholds)
 
+    def test_resels_come_from_fit_resels_once_per_fit(self, resel_chain):
+        cfg = SimConfig(dims=(12, 10), fwhm=(2.0, 2.0), n_realizations=4, seed=5,
+                        field="student_t", n_subjects=5)
+        mc_calibrate(cfg, [0.0, 1.0], 0.5)
+        assert resel_chain == resel_chain.one_fit * cfg.n_realizations
+        del resel_chain[:]
+        mc_ec(cfg, [0.0, 1.0])  # the EC tally needs the t maps alone
+        mc_fwe(SimConfig(**{**vars(cfg), "field": "gaussian"}), 0.5)  # generator resels
+        assert resel_chain == []
+
     def test_both_tallies_are_exercised(self):
         # the cases above would compare nothing if every realization
         # exceeded (or none did), or every EC were equal
