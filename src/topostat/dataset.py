@@ -2,7 +2,8 @@
 
 A dataset is a directory holding ``meta.json`` plus one raw binary file
 per observation: little-endian float64, C order, exactly prod(dims)
-values. An optional ``mask.bin`` of 0/1 bytes marks in-region vertices.
+values. An optional ``mask.bin`` of prod(dims) bytes marks in-region
+vertices: 1 inside, 0 outside, and any other byte is rejected.
 The format is dependency-free and bit-exact across languages.
 """
 
@@ -95,7 +96,8 @@ def _read_volume(path: Path, out: np.ndarray) -> None:
 
 
 def read_dataset(path) -> Dataset:
-    """Open and validate a dataset directory."""
+    """Open and validate a dataset directory. A ``mask.bin`` must hold
+    exactly prod(dims) bytes, each 0 (outside) or 1 (inside)."""
     path = Path(path)
     meta_path = path / META_NAME
     if not meta_path.is_file():
@@ -146,7 +148,12 @@ def read_dataset(path) -> Dataset:
         raw = (path / MASK_NAME).read_bytes()
         if len(raw) != n_points:
             raise ValueError(f"{path / MASK_NAME}: {len(raw)} bytes, expected {n_points}")
-        mask = np.frombuffer(raw, dtype=np.uint8) != 0
+        mask = np.frombuffer(raw, dtype=np.uint8)
+        bad = np.flatnonzero(mask > 1)
+        if bad.size:
+            raise ValueError(f"{path / MASK_NAME}: byte {mask[bad[0]]} at offset {bad[0]}; "
+                             f"a mask holds only 0 (outside) and 1 (inside)")
+        mask = mask == 1
     mask.setflags(write=False)
     return Dataset(path=path, dims=dims, axes=axes, units=units,
                    n_obs=n_obs, files=files, has_mask=has_mask, mask=mask)

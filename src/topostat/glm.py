@@ -8,7 +8,7 @@ takes over the caller's float64 data and subtracts the fitted values from it in
 place, in the slabs of :func:`_parallel._runs` on two worker threads, so the data
 become the residuals, whose sum of squares is reduced once with no squared copy;
 :func:`normalized_residuals` pairs that buffer with the norms sqrt(SSR) and
-copies nothing. Design factors are computed once per design. With one regressor
+copies nothing. Design factors come from one SVD per design. With one regressor
 the fitted values x * b + 0.0 equal x @ b bit for bit, at less cost: the + 0.0
 turns a -0.0 into the +0.0 of the product's accumulator.
 """
@@ -55,9 +55,11 @@ class FieldType:
 class DesignMatrix:
     """An n_obs x n_reg design with named regressors.
 
-    Rank follows the tolerance rule: singular values greater than
-    1e-10 times the largest count toward the rank. ``values`` is a read-only
-    float64 copy of the given matrix, so the cached factors cannot go stale.
+    One thin SVD X = U S V' per design gives every factor: the rank, the count
+    of singular values greater than RANK_RTOL times the largest; pinv(X); and
+    each contrast's estimability and variance factor, from the first ``rank``
+    of them. ``values`` is a read-only float64 copy of the given matrix, so the
+    cached factors cannot go stale.
     """
 
     values: np.ndarray
@@ -90,38 +92,40 @@ class DesignMatrix:
         return dof
 
     def variance_factor(self, contrast) -> float:
-        """c' (X'X)^+ c for a contrast of the regressors; ValueError if its
-        length is wrong or, for a rank-deficient design, it is not estimable."""
+        """c' (X'X)^+ c = ||S_r^-1 V_r' c||^2 for a contrast of the regressors;
+        ValueError if its length is wrong or it is not estimable: its part
+        outside the row space of X, c - V_r V_r' c, exceeds ORTHO_RTOL ||c||."""
         contrast = np.asarray(contrast, dtype=float).ravel()
         if contrast.shape[0] != self.n_reg:
             raise ValueError(
                 f"contrast length {contrast.shape[0]} != {self.n_reg} regressors")
-        xtx, xtx_pinv = self._gram
-        c_norm = np.linalg.norm(contrast)
-        if c_norm > 0:
-            reachable = xtx @ (xtx_pinv @ contrast)
-            if np.linalg.norm(reachable - contrast) > ORTHO_RTOL * c_norm:
-                raise ValueError("contrast is not estimable under this design")
-        return float(contrast @ xtx_pinv @ contrast)
+        _, s, vt = self._svd
+        vt_r = vt[:self.rank]
+        coords = vt_r @ contrast
+        if np.linalg.norm(contrast - coords @ vt_r) > ORTHO_RTOL * np.linalg.norm(contrast):
+            raise ValueError("contrast is not estimable under this design")
+        w = coords / s[:self.rank]
+        return float(w @ w)
 
     @cached_property
     def pinv(self) -> np.ndarray:
-        """pinv(X) at the rank tolerance, (n_reg, n_obs); read-only."""
-        pinv = np.linalg.pinv(self.values, rcond=RANK_RTOL)
+        """pinv(X) = V_r S_r^-1 U_r', (n_reg, n_obs); read-only. Formed as numpy
+        forms it, so its bits are those of ``np.linalg.pinv(X, rcond=RANK_RTOL)``."""
+        u, s, vt = self._svd
+        inv = np.zeros_like(s)
+        inv[:self.rank] = 1 / s[:self.rank]
+        pinv = np.matmul(vt.T, inv[:, None] * u.T)
         pinv.flags.writeable = False
         return pinv
 
     @cached_property
-    def _gram(self) -> tuple[np.ndarray, np.ndarray]:
-        xtx = self.values.T @ self.values
-        return xtx, np.linalg.pinv(xtx, rcond=RANK_RTOL)
+    def rank(self) -> int:
+        s = self._svd[1]
+        return int((s > RANK_RTOL * s[0]).sum()) if s.size else 0
 
     @cached_property
-    def rank(self) -> int:
-        s = np.linalg.svd(self.values, compute_uv=False)
-        if s.size == 0:
-            return 0
-        return int((s > RANK_RTOL * s[0]).sum())
+    def _svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return np.linalg.svd(self.values, full_matrices=False)
 
     @classmethod
     def from_csv(cls, path) -> "DesignMatrix":

@@ -46,17 +46,14 @@ class PeakRecord:
 
 @dataclass
 class ClusterRecord:
-    """One connected excursion component.
-
-    In a :func:`peak_table`, ``peak`` is the table's own row for the
-    component's highest vertex. It is an unscored record, with NaN
-    p-values, when that vertex is not a local maximum (a NaN neighbour
-    hides it from :func:`local_maxima`), and always from :func:`clusters`.
-    """
+    """One connected excursion component, as results.json writes it: its
+    size, its highest vertex (smallest index on ties) with that vertex's
+    signed height, and the model <k> vertices per cluster."""
 
     id: int
     size_vertices: int
-    peak: PeakRecord
+    peak_vertex: int
+    peak_t: float
     expected_size: float
 
 
@@ -71,16 +68,7 @@ class ResultsTable:
     def to_dict(self) -> dict:
         return {
             "peaks": [{**vars(p), "coords": list(p.coords)} for p in self.peaks],
-            "clusters": [
-                {
-                    "id": c.id,
-                    "size_vertices": c.size_vertices,
-                    "peak_vertex": c.peak.vertex,
-                    "peak_t": c.peak.t,
-                    "expected_size": c.expected_size,
-                }
-                for c in self.clusters
-            ],
+            "clusters": [dict(vars(c)) for c in self.clusters],
             "footnote": self.footnote,
         }
 
@@ -209,12 +197,15 @@ def conditional_peak_p(t_peak, t_feature: float, resels: ReselVector,
     the expected-EC ratio E[EC](t_peak) / E[EC](t_feature), in [0, 1].
 
     A float for a scalar t_peak, an array of its shape for an array.
-    Every value is 1 when E[EC](t_feature) <= 0. A t_peak of +inf gives
-    0, as in :func:`ecd.fwe_p`; a NaN ratio (t_peak at -inf, or a NaN
-    E[EC](t_feature)) stays NaN.
+    Every value is 1 when E[EC](t_feature) <= 0. E[EC] is evaluated at
+    finite heights only: as in :func:`ecd.fwe_p`, a t_peak of +inf gives 0
+    (the limit of E[EC], whose rho_2 and rho_3 would read inf * 0), and a
+    t_peak of -inf or NaN, like a NaN E[EC](t_feature), gives NaN.
     """
-    # E[EC](+inf) evaluates inf * 0 in rho_2 and rho_3; its limit is 0
-    num = np.where(np.equal(t_peak, np.inf), 0.0, ecd.expected_ec(resels, field, t_peak))
+    t_peak = np.asarray(t_peak, dtype=float)
+    finite = np.isfinite(t_peak)
+    num = np.where(finite, ecd.expected_ec(resels, field, np.where(finite, t_peak, 0.0)),
+                   np.where(t_peak == np.inf, 0.0, np.nan))
     den = ecd.expected_ec(resels, field, t_feature)
     p = np.ones_like(num) if den <= 0 else np.clip(num / den, 0.0, 1.0)
     return p if np.ndim(p) else float(p)
@@ -238,18 +229,15 @@ def _label_clusters(stat: StatField, space, t_feature: float, expected_size: flo
                     first_id: int = 1, sign: float = 1.0):
     """Label the excursion set above ``t_feature`` once (full connectivity):
     per-vertex cluster ids (0 outside it) and the ClusterRecords numbered
-    from ``first_id``, each peak being the component's highest vertex
-    (smallest index on ties) with t = ``sign`` * value and NaN p-values."""
+    from ``first_id``, each peak height being ``sign`` * value."""
     values = np.asarray(stat.values, dtype=float).ravel()
     comps = connected_components(space, member_mask=excursion_set(stat, space, t_feature))
     labels = np.zeros(space.n_points, dtype=np.int64)
-    records, nan = [], float("nan")
+    records = []
     for k, comp in enumerate(comps, start=first_id):
         labels[comp] = k
         v = int(comp[int(np.argmax(values[comp]))])
-        peak = PeakRecord(v, space.coords_of(v), sign * float(values[v]), nan, nan, nan, nan, k)
-        records.append(ClusterRecord(id=k, size_vertices=int(comp.size),
-                                     peak=peak, expected_size=expected_size))
+        records.append(ClusterRecord(k, int(comp.size), v, sign * float(values[v]), expected_size))
     return labels, records
 
 
@@ -258,8 +246,8 @@ def clusters(stat: StatField, space, t_feature: float,
     """Connected components of the excursion set (full connectivity).
 
     Each record's peak is the component's highest vertex (smallest
-    index on ties), with NaN p-values. ``expected_size`` carries the
-    model <k> when a resel vector is supplied, else NaN.
+    index on ties) and its height. ``expected_size`` carries the model
+    <k> when a resel vector is supplied, else NaN.
     """
     expected = float("nan")
     if resels is not None:
@@ -275,8 +263,7 @@ def peak_table(stat: StatField, space, resels: ReselVector, t_feature: float,
 
     Every local maximum at or above the feature threshold gets a
     corrected p-value from the expected EC, an uncorrected tail
-    probability, a Z-score equivalent and a topological-FDR q-value.
-    Each cluster's peak is the table row of its highest vertex. The
+    probability, a Z-score equivalent and a topological-FDR q-value. The
     footnote block carries the search-volume context: smoothness, resel
     counts, expected cluster topology at the feature threshold and the
     FDR bound for the reported discoveries.
@@ -319,9 +306,6 @@ def peak_table(stat: StatField, space, resels: ReselVector, t_feature: float,
                np.concatenate(cluster_ids).tolist())
     peaks = [PeakRecord(vi, space.coords_of(vi), *row) for vi, row in zip(v.tolist(), rows)]
     peaks.sort(key=lambda r: (-r.t, r.coords))
-    by_cluster_top = {(r.vertex, r.cluster_id): r for r in peaks}
-    for rec in cluster_records:
-        rec.peak = by_cluster_top.get((rec.peak.vertex, rec.id), rec.peak)
 
     footnote = {
         "height_threshold": {

@@ -4,6 +4,8 @@ Property tests run without hypothesis's per-example deadline: on a loaded
 or throttled host one example can take longer than the 200 ms default
 without anything being wrong. Example counts stay at their defaults; the
 ``thorough`` profile (``--hypothesis-profile=thorough``) runs 1000 a test.
+Both print a failing example's ``@reproduce_failure`` line, so a failure
+seen once, in CI say, can be replayed without a search over seeds.
 """
 
 import contextlib
@@ -13,8 +15,8 @@ from hypothesis import settings
 
 from topostat import _parallel, glm, lkc
 
-settings.register_profile("topostat", deadline=None)
-settings.register_profile("thorough", deadline=None, max_examples=1000)
+settings.register_profile("topostat", deadline=None, print_blob=True)
+settings.register_profile("thorough", deadline=None, max_examples=1000, print_blob=True)
 settings.load_profile("topostat")
 
 

@@ -198,6 +198,18 @@ class TestDataset:
                              capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("byte", [2, 7, 255])
+    def test_mask_byte_other_than_0_or_1_exits_2(self, effect_dataset, tmp_path, capsys, byte):
+        ds, design, contrast = effect_dataset
+        mask = np.ones(12 * 12 * 24, dtype=np.uint8)
+        mask[[40, 41]] = [0, byte]
+        (ds / "mask.bin").write_bytes(mask.tobytes())
+        for argv in (["info", str(ds)],
+                     ["analyze", str(ds), str(design), str(contrast), "-o", str(tmp_path / "o")]):
+            assert main(argv) == 2
+            assert re.search(rf"mask\.bin: byte {byte} at offset 41\b", capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
     def test_wrong_dtype_rejected(self, tmp_path):
         write_dataset(tmp_path / "d", np.zeros((1, 3)))
         meta = json.loads((tmp_path / "d" / "meta.json").read_text())

@@ -222,6 +222,18 @@ class TestArrayMatchesScalar:
                 conditional_peak_p(np.array([4.0, math.inf]), 3.0, TABLE1, T12),
                 [conditional_peak_p(4.0, 3.0, TABLE1, T12), 0.0])
 
+    @pytest.mark.parametrize("resels", [POINT, ReselVector.from_resels((1.0, 3.0)),
+                                        ReselVector.from_resels((1.0, 4.0, 9.0)), TABLE1])
+    @pytest.mark.parametrize("field", [GAUSS, T12])
+    def test_infinite_peak_heights_evaluate_no_inf_times_zero(self, resels, field):
+        # E[EC] is evaluated at finite heights only: no RuntimeWarning, which
+        # this suite turns into an error, on any resel dimension
+        p = conditional_peak_p(np.array([math.inf, 4.0, -math.inf, math.nan]), 3.0,
+                               resels, field)
+        assert p[0] == 0.0 and np.isnan(p[2:]).all()
+        assert p[1] == conditional_peak_p(4.0, 3.0, resels, field)
+        assert conditional_peak_p(math.inf, 3.0, resels, field) == 0.0
+
 
 class TestCorrectedThreshold:
     def test_point_search_gaussian_quantile(self):
@@ -357,10 +369,17 @@ class TestCorrectedThresholdProperties:
     @example(alpha=1e-6 * (1 + 1e-15), search=(ReselVector.from_resels((50.0,)),
                                               FieldType.student_t(1)))
     @example(alpha=0.9999, search=(ReselVector.from_resels((1.0,)), FieldType.student_t(1)))
+    # E[EC] is flat to the last bit around t*, so the stepping search may stop anywhere
+    @example(alpha=0.9999999999999999, search=(ReselVector.from_resels((1.0,)), GAUSS))
+    @example(alpha=0.9999999999999998, search=(ReselVector.from_resels((1.0,)),
+                                               FieldType.student_t(12)))
     def test_point_threshold_is_tail_quantile(self, alpha, search):
         """A point search's threshold is rho_0's inverse at alpha / resels_0,
         where E[EC] is alpha, and within half the bisection's bracket of the
-        stepping search's wherever that search reached it."""
+        stepping search's wherever that search reached it and E[EC] falls by
+        more than an ulp of alpha across that bracket. Where it does not, the
+        stepping search's answer is some point of the plateau, at which E[EC]
+        is alpha to the ulp."""
         resels, field = search
         assume(alpha < resels.resels[0])
         with warnings.catch_warnings():
@@ -375,7 +394,13 @@ class TestCorrectedThresholdProperties:
             assert t_star > 5e5
         else:
             assert caught == []
-            assert abs(t_star - float.fromhex(reference)) <= THRESHOLD_TOL / 2
+            t_ref, half = float.fromhex(reference), THRESHOLD_TOL / 2
+            fall = expected_ec(resels, field, t_star - half) - expected_ec(resels, field,
+                                                                          t_star + half)
+            if fall > math.ulp(alpha):
+                assert abs(t_star - t_ref) <= half
+            else:
+                assert abs(expected_ec(resels, field, t_ref) - alpha) <= math.ulp(alpha)
 
     @pytest.mark.thorough
     @given(st.floats(1e-6, 1.0, exclude_max=True), point_searches(st.floats(-5.0, 1.0)))

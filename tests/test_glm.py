@@ -255,7 +255,7 @@ class TestFit:
 
 
 class TestDesignFactors:
-    """A design's rank, pinv(X) and (X'X)^+ are computed once and cannot go stale."""
+    """A design's rank, pinv(X) and variance factors come from one SVD and cannot go stale."""
 
     def test_values_are_a_read_only_copy(self):
         x = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0], [1.0, 4.0]])
@@ -284,10 +284,27 @@ class TestDesignFactors:
         design = DesignMatrix(np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 3.0], [1.0, 4.0]]),
                               ("mean", "slope"))
         rng = np.random.default_rng(4)
-        with mock.patch.object(np.linalg, "pinv", wraps=np.linalg.pinv) as pinv:
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd, \
+                mock.patch.object(np.linalg, "pinv", wraps=np.linalg.pinv) as pinv:
             for _ in range(5):
                 t_map(fit(rng.standard_normal((4, 30)), design), [0.0, 1.0])
-        assert pinv.call_count == 2  # pinv(X), and (X'X)^+ for the variance factor
+        assert (svd.call_count, pinv.call_count) == (1, 0)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 5),
+           st.sampled_from(["plain", "collinear", "zero column", "integer"]))
+    def test_pinv_has_numpys_bits(self, seed, n_obs, n_reg, kind):
+        rng = np.random.default_rng(seed)
+        # columns over sixteen decades, so some designs fall below the rank tolerance
+        x = rng.standard_normal((n_obs, n_reg)) * 10.0 ** rng.uniform(-8, 8, n_reg)
+        if kind == "collinear":
+            x[:, -1] = x[:, 0] * rng.standard_normal()
+        elif kind == "zero column":
+            x[:, -1] = 0.0
+        elif kind == "integer":
+            x = np.round(x)
+        design = DesignMatrix(x, tuple(f"r{i}" for i in range(n_reg)))
+        assert_same_bits(design.pinv, np.linalg.pinv(x, rcond=glm.RANK_RTOL))
+        assert design.rank == np.linalg.matrix_rank(x, rtol=glm.RANK_RTOL)
 
 
 class TestTMap:
@@ -326,6 +343,21 @@ class TestTMap:
         t2 = t_map(fit(data * 3.7, design), [1.0]).values
         t1 = t_map(fit(data, design), [1.0]).values
         np.testing.assert_allclose(t1, t2, rtol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e-5, 1e-6, 1e-7, 1e-9])
+    def test_rescaled_regressor_keeps_the_t_map(self, scale):
+        # an intercept plus a covariate in volts (3e-6 +- 1e-6 at 1e-6) is the same
+        # model as in microvolts: full rank, estimable and the same t, whatever
+        # the ratio of its singular values
+        rng = np.random.default_rng(12)
+        x = np.column_stack([np.ones(16), 3.0 + rng.standard_normal(16)])
+        data = rng.standard_normal((16, 40))
+        want = t_map(fit(data.copy(), DesignMatrix(x, ("mean", "cov"))), [0.0, 1.0])
+        x[:, 1] *= scale
+        design = DesignMatrix(x, ("mean", "cov"))
+        got = t_map(fit(data, design), [0.0, 1.0])
+        assert (design.rank, got.field_type) == (2, want.field_type)
+        np.testing.assert_allclose(got.values, want.values, rtol=3e-12, atol=0.0)
 
     def test_shift_by_column_space(self):
         rng = np.random.default_rng(7)

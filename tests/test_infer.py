@@ -431,8 +431,8 @@ class TestClusters:
         recs = clusters(StatField(vals.ravel(), GAUSS), space, 3.0)
         assert len(recs) == 2
         assert [r.size_vertices for r in recs] == [9, 8]
-        assert recs[0].peak.t == 5.0
-        assert recs[1].peak.t == 4.0
+        assert recs[0].peak_t == 5.0
+        assert recs[1].peak_t == 4.0
         assert {r.id for r in recs} == {1, 2}
 
     def test_point_search_expected_size_is_one(self):
@@ -625,11 +625,11 @@ class TestPeakTableMatchesPerPeakPath:
                           "expected_bins_per_cluster", "expected_fdr")],
                          [want[k] for k in ("expected_clusters",
                           "expected_bins_per_cluster", "expected_fdr")])
-        # each cluster's peak is the table's own row, p-values filled
-        rows = {id(p) for p in table.peaks}
-        assert all(id(c.peak) in rows for c in table.clusters)
-        assert all(c.peak.cluster_id == c.id and np.isfinite(c.peak.q_fdr)
-                   for c in table.clusters)
+        # each cluster's peak is a scored row of the table, in that cluster
+        rows = {(p.vertex, p.cluster_id): p for p in table.peaks}
+        assert all((c.peak_vertex, c.id) in rows for c in table.clusters)
+        assert all(rows[c.peak_vertex, c.id].t == c.peak_t
+                   and np.isfinite(rows[c.peak_vertex, c.id].q_fdr) for c in table.clusters)
         return table
 
     @pytest.mark.parametrize("height_p,two_sided", [(0.16, True), (0.16, False),
@@ -647,9 +647,7 @@ class TestPeakTableMatchesPerPeakPath:
         values = np.random.default_rng(8).standard_normal(len(verts)) * 2.0
         values[[20, 77]] = [np.inf, -np.inf]
         stat = StatField(values, T11)
-        with np.errstate(invalid="ignore"):
-            table = self._assert_same(stat, mesh, ReselVector.from_resels((1.0, 4.0, 9.0)),
-                                      1.0, True)
+        table = self._assert_same(stat, mesh, ReselVector.from_resels((1.0, 4.0, 9.0)), 1.0, True)
         assert {table.peaks[0].t, table.peaks[-1].t} == {np.inf, -np.inf}
         # conditional p of an infinite peak is 0, so its q-value is 0 like its p_fwe
         assert [(p.p_fwe, p.q_fdr) for p in (table.peaks[0], table.peaks[-1])] == \
@@ -665,5 +663,4 @@ class TestPeakTableMatchesPerPeakPath:
         table = peak_table(StatField(values, T11), full_space((9,)),
                            ReselVector.from_resels((1.0, 3.0)), 1.0, two_sided=True)
         assert table.peaks == []
-        assert [(c.peak.vertex, c.peak.t) for c in table.clusters] == [(2, 5.0), (6, -5.0)]
-        assert all(np.isnan(c.peak.p_fwe) for c in table.clusters)
+        assert [(c.peak_vertex, c.peak_t) for c in table.clusters] == [(2, 5.0), (6, -5.0)]
